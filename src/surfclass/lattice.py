@@ -112,23 +112,23 @@ class DivisorClass:
     coords: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple([int(c) for c in self.coords]))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+        return DivisorClass(tuple([a + b for a, b in zip(self.coords, other.coords, strict=True)]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
+        return DivisorClass(tuple([a - b for a, b in zip(self.coords, other.coords, strict=True)]))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coords))
+        return DivisorClass(tuple([-a for a in self.coords]))
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(tuple(k * a for a in self.coords))
+        return DivisorClass(tuple([k * a for a in self.coords]))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def render(self, names: Sequence[str]) -> str:
         """Write the class as a signed combination of basis names."""
@@ -145,7 +145,7 @@ class DivisorClass:
 
 
 def _unit(rank: int, i: int) -> DivisorClass:
-    return DivisorClass(tuple(1 if j == i else 0 for j in range(rank)))
+    return DivisorClass((0,) * i + (1,) + (0,) * (rank - i - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +173,8 @@ class RationalSurface:
         n = len(self.basis)
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise InternalInvariantError("gram matrix shape disagrees with basis")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise InternalInvariantError("intersection form must be symmetric")
+        if any(row != col for row, col in zip(self.gram, zip(*self.gram))):
+            raise InternalInvariantError("intersection form must be symmetric")
         if len(self.canonical.coords) != n:
             raise InternalInvariantError("canonical class has wrong dimension")
         for nm, cls in self.tracked:
@@ -231,18 +229,21 @@ def make_base(b: BaseSurface) -> RationalSurface:
 
 
 def intersect(surf: RationalSurface, c1: DivisorClass, c2: DivisorClass) -> int:
-    """Intersection number c1 . c2 under the surface's form."""
+    """Intersection number c1 . c2 under the surface's form.
+
+    Only the nonzero coordinates of the two classes contribute, so the cost
+    is the product of their support sizes rather than the square of the
+    rank.
+    """
     n = surf.rank
     if len(c1.coords) != n or len(c2.coords) != n:
         raise ValidationError(
             f"class dimension mismatch: lattice rank {n}, "
             f"got {len(c1.coords)} and {len(c2.coords)}"
         )
-    return sum(
-        c1.coords[i] * surf.gram[i][j] * c2.coords[j]
-        for i in range(n)
-        for j in range(n)
-    )
+    gram = surf.gram
+    right = [(j, b) for j, b in enumerate(c2.coords) if b]
+    return sum([a * gram[i][j] * b for i, a in enumerate(c1.coords) if a for j, b in right])
 
 
 def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurface:
@@ -250,13 +251,18 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
 
     The lattice gains an orthogonal generator of square -1; lines through the
     point lose it from their class (the strict transform separates from the
-    exceptional curve); the canonical class gains it.
+    exceptional curve); the canonical class gains it.  Naming a line twice
+    is an error, not a second pass through the point.
     """
     through = list(through)
     known = {nm for nm, _ in surf.tracked}
+    seen = set()
     for nm in through:
         if nm not in known:
             raise ValidationError(f"unknown line name {nm!r}")
+        if nm in seen:
+            raise ValidationError(f"line name {nm!r} is repeated")
+        seen.add(nm)
 
     idx = surf.blowups + 1
     taken = set(surf.basis) | known
@@ -266,13 +272,11 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
 
     n = surf.rank
     basis = surf.basis + (ename,)
-    gram = tuple(
-        tuple(surf.gram[i][j] for j in range(n)) + (0,) for i in range(n)
-    ) + (tuple(0 for _ in range(n)) + (-1,),)
+    gram = tuple([row + (0,) for row in surf.gram]) + ((0,) * n + (-1,),)
     canonical = DivisorClass(surf.canonical.coords + (1,))
     tracked = []
     for nm, cls in surf.tracked:
-        ext = cls.coords + ((-1,) if nm in through else (0,))
+        ext = cls.coords + ((-1,) if nm in seen else (0,))
         tracked.append((nm, DivisorClass(ext)))
     tracked.append((ename, _unit(n + 1, n)))
     return RationalSurface(surf.base, basis, gram, canonical, tuple(tracked))
@@ -354,11 +358,21 @@ def _sign_normalize(vec: Tuple[int, ...]) -> Tuple[int, ...]:
 def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     """Contract a tracked -1 line.
 
-    The new lattice is the orthogonal complement of the contracted class,
+    The new lattice is the orthogonal complement of the contracted class c,
     with a deterministic integer basis; every tracked class l moves to
     l + (l.c) c, which lies in that complement, and the canonical class
     drops the contracted class.  Lines whose class collapses to zero were
     other names for the contracted curve and are removed.
+
+    With w = G c, the branch is picked from w.  When some entry w_p is a
+    unit (the usual case; every exceptional curve has one), the complement
+    basis is e_i - s w_i e_p for i != p with s = w_p, each row sign
+    normalized.  The new Gram matrix is then a rank-one update of the old
+    one and a moved class keeps its coordinates with slot p dropped, so the
+    contraction costs O(n^2) integer operations and needs no solve.
+    Otherwise the basis comes from Hermite-reducing the columns of a
+    projector onto the complement, the Gram matrix is the dense product
+    r G r', and classes are pushed by an exact ``Fraction`` solve.
     """
     c = surf.tracked_class(line)
     c2 = intersect(surf, c, c)
@@ -373,19 +387,36 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         )
 
     n = surf.rank
-    w = tuple(sum(surf.gram[i][j] * c.coords[j] for j in range(n)) for i in range(n))
+    old = surf.gram
+    support = [(j, a) for j, a in enumerate(c.coords) if a]
+    w = [sum([row[j] * a for j, a in support]) for row in old]
 
     pivot = next((i for i in range(n) if abs(w[i]) == 1), None)
     if pivot is not None:
-        sign = 1 if w[pivot] > 0 else -1
-        rows = []
-        for i in range(n):
-            if i == pivot:
-                continue
-            r = [0] * n
-            r[i] += 1
-            r[pivot] -= w[i] * sign
-            rows.append(_sign_normalize(tuple(r)))
+        # basis row i is sigma_i (e_i - u_i e_p) with u = s w: _sign_normalize
+        # negates e_i - u_i e_p exactly when i > p and u_i > 0, since its
+        # first nonzero entry is then -u_i at slot p
+        u = [w[pivot] * x for x in w]
+        sigma = [-1 if i > pivot and x > 0 else 1 for i, x in enumerate(u)]
+        slots = [i for i in range(n) if i != pivot]
+        keep = [i if w[i] == 0 else None for i in slots]
+        gp = old[pivot]
+        gpp = gp[pivot]
+        new_rows = []
+        for a in slots:
+            ga, ua, sa = old[a], u[a], sigma[a]
+            gap = ga[pivot]
+            new_rows.append(tuple([
+                sa * sigma[b] * (ga[b] - u[b] * gap - ua * gp[b] + ua * u[b] * gpp)
+                for b in slots
+            ]))
+        gram = tuple(new_rows)
+
+        def solve(moved: Tuple[int, ...]) -> Tuple[int, ...]:
+            if sum([m * x for m, x in zip(moved, w)]) != 0:
+                raise InternalInvariantError("class does not lie in the sublattice")
+            return tuple([sigma[i] * moved[i] for i in slots])
+
     else:
         # gcd of w is 1 because c.c = -1; build a projector onto the
         # complement and Hermite-reduce its column lattice
@@ -397,50 +428,53 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         rows = [_sign_normalize(col) for col in _hnf_columns(cols)]
         if len(rows) != n - 1:
             raise InternalInvariantError("complement basis has wrong rank")
+        keep = []
+        for r in rows:
+            ones = [j for j, a in enumerate(r) if a != 0]
+            keep.append(ones[0] if len(ones) == 1 and r[ones[0]] == 1 else None)
+        gram = tuple([
+            tuple([
+                sum(ra[i] * old[i][j] * rb[j] for i in range(n) for j in range(n))
+                for rb in rows
+            ])
+            for ra in rows
+        ])
+
+        def solve(moved: Tuple[int, ...]) -> Tuple[int, ...]:
+            return _solve_integer(rows, moved)
 
     names = []
-    used = set()
     avoid = set(surf.basis) | {nm for nm, _ in surf.tracked}
     mint = 1
-    for r in rows:
-        ones = [j for j, a in enumerate(r) if a != 0]
-        if len(ones) == 1 and r[ones[0]] == 1:
-            nm = surf.basis[ones[0]]
-        else:
-            while f"B{mint}" in used or f"B{mint}" in avoid:
-                mint += 1
-            nm = f"B{mint}"
+    for k in keep:
+        if k is not None:
+            names.append(surf.basis[k])
+            continue
+        while f"B{mint}" in avoid:
             mint += 1
-        if nm in used:
-            raise InternalInvariantError("duplicate basis name after contraction")
-        used.add(nm)
-        names.append(nm)
+        names.append(f"B{mint}")
+        mint += 1
+    if len(set(names)) != len(names):
+        raise InternalInvariantError("duplicate basis name after contraction")
 
-    gram = tuple(
-        tuple(
-            sum(ra[i] * surf.gram[i][j] * rb[j] for i in range(n) for j in range(n))
-            for rb in rows
-        )
-        for ra in rows
-    )
+    def push(cls: Tuple[int, ...]) -> DivisorClass:
+        lc = sum([a * x for a, x in zip(cls, w)])
+        if lc:
+            cls = tuple([a + lc * b for a, b in zip(cls, c.coords)])
+        return DivisorClass(solve(cls))
 
-    def push(cls: DivisorClass) -> DivisorClass:
-        lc = intersect(surf, cls, c)
-        moved = tuple(cls.coords[i] + lc * c.coords[i] for i in range(n))
-        return DivisorClass(_solve_integer(rows, moved))
-
-    canonical = push(DivisorClass(tuple(k - ci for k, ci in zip(surf.canonical.coords, c.coords))))
+    canonical = push(tuple([k - ci for k, ci in zip(surf.canonical.coords, c.coords)]))
     tracked = []
     for nm, cls in surf.tracked:
         if nm == line:
             continue
-        newcls = push(cls)
+        newcls = push(cls.coords)
         if newcls.is_zero:
             continue
         tracked.append((nm, newcls))
 
     base = surf.base
-    if len(rows) < base.rank:
+    if n - 1 < base.rank:
         base = BaseSurface.cp2()
     return RationalSurface(base, tuple(names), gram, canonical, tuple(tracked))
 

@@ -145,3 +145,15 @@ def test_minimal_type_guards():
         MinimalType.hirzebruch(-2)
     with pytest.raises(ValidationError):
         MinimalType.inconclusive(2, "sideways")
+
+
+@pytest.mark.parametrize("base", [BaseSurface.cp2(), BaseSurface.hirzebruch(3)])
+def test_minimal_model_undoes_eighty_blow_ups(base):
+    # a scaling guard: with dense contractions this takes minutes
+    surf = make_base(base)
+    for _ in range(80):
+        surf = blow_up(surf)
+    report = minimal_model(surf)
+    assert len(report.steps) == 80
+    assert str(report.final) == str(base)
+    assert report.final_surface.rank == base.rank

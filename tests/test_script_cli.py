@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,7 @@ def test_script_blowup_on_tracked_line():
         ("base cp2\nblowup on\n", 2, "at least one line name"),
         ("base cp2\nblowup unknowable\n", 2, "expected 'blowup'"),
         ("base cp2\nline L = H\nline L = H\n", 3, "already tracked"),
+        ("base cp2\nline L = H\nblowup on L L\n", 3, "line name 'L' is repeated"),
         ("base cp2\nblowdown\n", 2, "expected 'blowdown <name>'"),
         ("base cp2\nblowdown Z\n", 2, "unknown line name 'Z'"),
         ("base cp2\nminimal-model now\n", 2, "takes no arguments"),
@@ -269,3 +274,24 @@ def test_cli_rational_error_line(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "line 3:" in err
     assert "H is a +1 line, not -1" in err
+
+
+def test_cli_rational_rejects_repeated_line(capsys, tmp_path):
+    f = tmp_path / "twice.srf"
+    f.write_text("base cp2\nblowup\nblowup on H E1 H\n", encoding="utf-8")
+    assert main(["rational", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3:" in err
+    assert "line name 'H' is repeated" in err
+
+
+def test_two_points_demo_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "two_points_demo.py")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "minimal type: Hirzebruch(0)"

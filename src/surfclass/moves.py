@@ -8,6 +8,10 @@ form, and any tampering is caught because each intermediate is revalidated.
 Move positions always refer to the stored rotation of the word they are
 applied to.  Rotations are themselves moves, so a trace pins down every
 intermediate exactly, not merely up to cyclic symmetry.
+
+A move builds its result from letters of the word it is applied to, which
+were checked when that word was made, so only a name the move introduces
+(a cut's diagonal, a rename's target, an inserted pair) is checked again.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from .words import (
     SurfclassError,
     ValidationError,
     Word,
+    _check_symbol,
     _join_on_symbol,
     validate,
 )
@@ -118,13 +123,9 @@ Move = Union[Rotate, Reflect, Rename, FlipEdge, Cancel, Insert, CutPaste]
 # ---------------------------------------------------------------------------
 
 
-def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
-    """Split a polygon along the diagonal from corner i to corner j.
-
-    Returns (sides i..j-1 then the diagonal, the diagonal reversed then the
-    remaining sides).  Gluing the two pieces back along `fresh` recovers the
-    original cyclic word.
-    """
+def _cut_letters(
+    word: Word, i: int, j: int, fresh: str
+) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
     n = len(word.letters)
     if n < 3:
         raise MoveError("cannot cut a polygon with fewer than 3 sides")
@@ -134,12 +135,24 @@ def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
         raise MoveError("cut needs two distinct corners; a piece would be empty")
     if fresh in word.symbols():
         raise MoveError(f"diagonal symbol {fresh} already occurs in the word")
-    arc1 = tuple(word[(i + k) % n] for k in range((j - i) % n))
-    arc2 = tuple(word[(j + k) % n] for k in range((i - j) % n))
-    return (
-        Word(arc1 + (Letter(fresh, 1),)),
-        Word((Letter(fresh, -1),) + arc2),
-    )
+    _check_symbol(fresh)
+    letters = word.letters
+    if i < j:
+        arc1, arc2 = letters[i:j], letters[j:] + letters[:i]
+    else:
+        arc1, arc2 = letters[i:] + letters[:j], letters[j:i]
+    return arc1 + (Letter(fresh, 1),), (Letter(fresh, -1),) + arc2
+
+
+def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
+    """Split a polygon along the diagonal from corner i to corner j.
+
+    Returns (sides i..j-1 then the diagonal, the diagonal reversed then the
+    remaining sides).  Gluing the two pieces back along `fresh` recovers the
+    original cyclic word.
+    """
+    piece1, piece2 = _cut_letters(word, i, j, fresh)
+    return Word._from_checked(piece1), Word._from_checked(piece2)
 
 
 def paste(w1: Word, w2: Word, symbol: str) -> Word:
@@ -160,32 +173,47 @@ def paste(w1: Word, w2: Word, symbol: str) -> Word:
 
 
 def apply_move(word: Word, move: Move) -> Word:
-    """Apply one elementary move; raises MoveError on bad parameters."""
-    n = len(word.letters)
+    """Apply one elementary move; raises MoveError on bad parameters.
+
+    A name the move introduces that is not a valid symbol raises
+    ValidationError, as constructing the word would.
+    """
+    letters = word.letters
+    n = len(letters)
+    if isinstance(move, CutPaste):
+        if not move.i < move.j:
+            raise MoveError("cut positions must satisfy i < j")
+        piece1, piece2 = _cut_letters(word, move.i, move.j, move.fresh)
+        try:
+            return Word._from_checked(_join_on_symbol(piece1, piece2, move.paste))
+        except ValidationError as exc:
+            raise MoveError(str(exc)) from exc
     if isinstance(move, Rotate):
         return word.rotated(move.offset)
     if isinstance(move, Reflect):
         return word.reflected()
     if isinstance(move, Rename):
-        if move.old not in word.symbols():
+        used = word.symbols()
+        if move.old not in used:
             raise MoveError(f"symbol {move.old} does not occur")
-        if move.new in word.symbols():
+        if move.new in used:
             raise MoveError(f"symbol {move.new} already occurs")
         if move.new == move.old:
             raise MoveError("rename must change the symbol")
-        return Word(
+        _check_symbol(move.new)
+        return Word._from_checked(
             tuple(
                 Letter(move.new, let.exponent) if let.symbol == move.old else let
-                for let in word.letters
+                for let in letters
             )
         )
     if isinstance(move, FlipEdge):
         if move.symbol not in word.symbols():
             raise MoveError(f"symbol {move.symbol} does not occur")
-        return Word(
+        return Word._from_checked(
             tuple(
                 let.inverse() if let.symbol == move.symbol else let
-                for let in word.letters
+                for let in letters
             )
         )
     if isinstance(move, Cancel):
@@ -200,9 +228,9 @@ def apply_move(word: Word, move: Move) -> Word:
                 f"letters at {p},{(p + 1) % n} are {a.render()},{b.render()}, "
                 "not an adjacent inverse pair"
             )
-        q = (p + 1) % n
-        keep = [let for k, let in enumerate(word.letters) if k not in (p, q)]
-        return Word(tuple(keep))
+        if p == n - 1:
+            return Word._from_checked(letters[1:p])
+        return Word._from_checked(letters[:p] + letters[p + 2 :])
     if isinstance(move, Insert):
         if not 0 <= move.position <= n:
             raise MoveError(
@@ -210,22 +238,11 @@ def apply_move(word: Word, move: Move) -> Word:
             )
         if move.symbol in word.symbols():
             raise MoveError(f"symbol {move.symbol} already occurs")
+        _check_symbol(move.symbol)
         p = move.position
         pair = (Letter(move.symbol, 1), Letter(move.symbol, -1))
-        return Word(word.letters[:p] + pair + word.letters[p:])
-    if isinstance(move, CutPaste):
-        if not move.i < move.j:
-            raise MoveError("cut positions must satisfy i < j")
-        piece1, piece2 = cut(word, move.i, move.j, move.fresh)
-        if move.paste == move.fresh:
-            # pasting along the diagonal just undoes the cut
-            return paste(piece1, piece2, move.fresh)
-        return paste(piece1, piece2, move.paste)
+        return Word._from_checked(letters[:p] + pair + letters[p:])
     raise MoveError(f"unknown move {move!r}")
-
-
-def inverse_rotation(move: Rotate, length: int) -> Rotate:
-    return Rotate((-move.offset) % length)
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,6 @@ def _first_nonadjacent_same_pair(word: Word) -> tuple[int, int] | None:
     return best
 
 
-def _has_same_exponent_pair(word: Word) -> bool:
-    return not is_orientable(word)
-
-
 def _opposite_pairs(word: Word) -> list[tuple[int, int]]:
     out = []
     for i, j in _pair_positions(word).values():
@@ -333,13 +329,14 @@ def _collect_handle(rw: _Rewriter, done: set[str]) -> None:
     rw.rotate_to(i)
     word = rw.word
     x = word[0].symbol
-    p2 = _pair_positions(word)[x][1]
+    pairs = _pair_positions(word)
+    p2 = pairs[x][1]
     interleaver = None
     for q in range(1, p2):
         sym = word[q].symbol
         if sym == x or sym in done:
             continue
-        a, b = _pair_positions(word)[sym]
+        a, b = pairs[sym]
         inside = (a if a != q else b)
         if not (0 < inside < p2):
             interleaver = q
@@ -379,15 +376,10 @@ def _gather(rw: _Rewriter) -> None:
         opposite = _opposite_pairs(rw.word)
         if not opposite:
             return
-        if _has_same_exponent_pair(rw.word):
+        if not is_orientable(rw.word):
             _seed_split(rw)
             continue
-        live = [
-            (i, j)
-            for i, j in opposite
-            if rw.word[i].symbol not in done
-        ]
-        if not live:
+        if all(rw.word[i].symbol in done for i, _ in opposite):
             return
         _collect_handle(rw, done)
     raise InternalInvariantError("gathering failed to terminate")
@@ -427,7 +419,7 @@ def _finish(rw: _Rewriter) -> SurfaceType:
             rw.emit(Rotate(1))
         _apply_renames(rw, {rw.word[0].symbol: "a1"})
         return SurfaceType.sphere()
-    if _has_same_exponent_pair(word):
+    if not is_orientable(word):
         r = _crosscap_alignment(word)
         if r is None:
             raise InternalInvariantError(

@@ -72,13 +72,14 @@ def _symbol_universe(word: Word, max_symbols: int) -> list[str]:
     return pool
 
 
-def _successors(word: Word, universe: Sequence[str], temp_pool: Sequence[str]) -> list[Word]:
+def _successors(word: Word, universe: Sequence[str], temp: str) -> list[Word]:
     """Every word one legal move away, using only names from ``universe``.
 
     Rotations are omitted because words compare cyclically.  A cut-and-paste
     needs a fresh edge name; when the universe is fully occupied the move is
-    run with a throwaway name and immediately renamed onto the symbol the
-    paste just freed, which is a two-move path to the same word.
+    run with the throwaway name ``temp``, which lies outside the universe,
+    and immediately renamed onto the symbol the paste just freed, which is a
+    two-move path to the same word.
     """
     out: list[Word] = []
     n = len(word)
@@ -115,7 +116,6 @@ def _successors(word: Word, universe: Sequence[str], temp_pool: Sequence[str]) -
                     if free:
                         out.append(apply_move(word, CutPaste(i, j, free[0], paste_sym)))
                     else:
-                        temp = next(t for t in temp_pool if t not in used)
                         mid = apply_move(word, CutPaste(i, j, temp, paste_sym))
                         out.append(apply_move(mid, Rename(temp, paste_sym)))
     return out
@@ -135,7 +135,7 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     if budget < 1:
         raise ValidationError("budget must be at least 1")
     universe = _symbol_universe(word, max_symbols)
-    temp_pool = [mint_fresh(frozenset(universe)) for _ in range(1)]
+    temp = mint_fresh(frozenset(universe))
 
     seen: set[Word] = {word}
     queue: deque[Word] = deque([word])
@@ -145,7 +145,7 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
             return OrbitResult(frozenset(seen), False, expanded)
         cur = queue.popleft()
         expanded += 1
-        for nxt in _successors(cur, universe, temp_pool):
+        for nxt in _successors(cur, universe, temp):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

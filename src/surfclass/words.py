@@ -10,7 +10,8 @@ homeomorphism-type datatype, and the assembly of one polygon from a glued
 multi-polygon complex.
 
 Words are cyclic: rotations of the letter sequence denote the same polygon,
-and equality and hashing go through the lexicographically least rotation.
+and equality and hashing go through the lexicographically least rotation,
+found with Booth's linear-time algorithm the first time it is needed.
 Reflections are deliberately NOT identified here; reversing the reading
 direction is an explicit move in the rewriting module.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from string import ascii_lowercase
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class SurfclassError(Exception):
@@ -57,6 +58,12 @@ class Letter(NamedTuple):
         return self.symbol + ("'" if self.exponent < 0 else "")
 
 
+def _check_symbol(symbol: str) -> None:
+    """Reject a symbol name that the word syntax could not spell."""
+    if not _IDENT.fullmatch(symbol):
+        raise ValidationError(f"bad symbol name {symbol!r}")
+
+
 def _check_letters(letters: tuple[Letter, ...]) -> None:
     if not letters:
         raise ValidationError("a word must have at least one letter")
@@ -65,8 +72,34 @@ def _check_letters(letters: tuple[Letter, ...]) -> None:
             raise TypeError(f"expected Letter, got {type(let).__name__}")
         if let.exponent not in (1, -1):
             raise ValidationError(f"exponent of {let.symbol!r} must be +1 or -1")
-        if not _IDENT.fullmatch(let.symbol):
-            raise ValidationError(f"bad symbol name {let.symbol!r}")
+        _check_symbol(let.symbol)
+
+
+def _least_rotation(s: tuple[Letter, ...]) -> int:
+    """Start of the lexicographically least rotation of `s`.
+
+    Booth's algorithm (K. S. Booth, "Lexicographically least circular
+    substrings", IPL 10, 1980): a failure function over the doubled sequence,
+    O(n) comparisons.
+    """
+    n = len(s)
+    ss = s + s
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        c = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != ss[k]:
+            if c < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,19 +110,35 @@ class Word:
     but equality and hashing identify all rotations.  Closed-surface words
     have every symbol exactly twice; pieces returned by ``cut`` legitimately
     break that, so the pairing condition is enforced by ``validate``, not by
-    the constructor.
+    the constructor.  The least rotation is computed on the first equality
+    test, hash or ``display`` and kept.
     """
 
     letters: tuple[Letter, ...]
-    _key: tuple[Letter, ...] = field(init=False, repr=False)
+    _key: tuple[Letter, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
         _check_letters(letters)
         object.__setattr__(self, "letters", letters)
-        n = len(letters)
-        best = min(letters[k:] + letters[:k] for k in range(n))
-        object.__setattr__(self, "_key", best)
+
+    @classmethod
+    def _from_checked(cls, letters: tuple[Letter, ...]) -> "Word":
+        """Wrap a nonempty tuple of letters that are already known to be valid:
+        taken from a checked word, or minted under a name that passed
+        `_check_symbol`."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "_key", None)
+        return word
+
+    def _least(self) -> tuple[Letter, ...]:
+        key = self._key
+        if key is None:
+            k = _least_rotation(self.letters)
+            key = self.letters[k:] + self.letters[:k]
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -103,10 +152,10 @@ class Word:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self._key == other._key
+        return self._least() == other._least()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._least())
 
     def __repr__(self) -> str:
         return f"Word({self.render()!r})"
@@ -120,10 +169,10 @@ class Word:
     def rotated(self, offset: int) -> "Word":
         n = len(self.letters)
         k = offset % n
-        return Word(self.letters[k:] + self.letters[:k])
+        return Word._from_checked(self.letters[k:] + self.letters[:k])
 
     def reflected(self) -> "Word":
-        return Word(tuple(let.inverse() for let in reversed(self.letters)))
+        return Word._from_checked(tuple(let.inverse() for let in reversed(self.letters)))
 
     def render(self) -> str:
         """Text of the stored rotation, one token per side."""
@@ -131,7 +180,7 @@ class Word:
 
     def display(self) -> str:
         """Text of the lexicographically least rotation."""
-        return " ".join(let.render() for let in self._key)
+        return " ".join(let.render() for let in self._least())
 
 
 def parse_word(text: str) -> Word:
@@ -176,8 +225,15 @@ def parse_word(text: str) -> Word:
     return Word(tuple(letters))
 
 
-def render_word(word: Word) -> str:
-    return word.render()
+def _check_pairing(counts: dict[str, int]) -> None:
+    """Raise the pairing error naming every symbol not counted exactly twice."""
+    bad = sorted((s, c) for s, c in counts.items() if c != 2)
+    if bad:
+        parts = [
+            f"symbol {s} occurs once" if c == 1 else f"symbol {s} occurs {c} times"
+            for s, c in bad
+        ]
+        raise ValidationError("; ".join(parts))
 
 
 def validate(word: Word) -> Word:
@@ -189,14 +245,7 @@ def validate(word: Word) -> Word:
     counts: dict[str, int] = {}
     for let in word.letters:
         counts[let.symbol] = counts.get(let.symbol, 0) + 1
-    bad = [(s, c) for s, c in counts.items() if c != 2]
-    if bad:
-        bad.sort()
-        parts = [
-            f"symbol {s} occurs once" if c == 1 else f"symbol {s} occurs {c} times"
-            for s, c in bad
-        ]
-        raise ValidationError("; ".join(parts))
+    _check_pairing(counts)
     return word
 
 
@@ -223,45 +272,54 @@ def mint_fresh(used: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _trace_corners(letters: Sequence[Letter], nxt: Sequence[int]) -> list[int]:
+    """Least corner index of each corner's vertex class.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _side_endpoints(index: int, exponent: int, n: int) -> tuple[int, int]:
-    # (tail corner, head corner) of the identification arrow on side `index`
-    if exponent > 0:
-        return index, (index + 1) % n
-    return (index + 1) % n, index
+    Side g runs from corner g to corner nxt[g], so a multi-polygon complex
+    traces like one polygon once its sides are numbered consecutively.
+    Sides with equal exponents join start to start and end to end, opposite
+    exponents start to end.  Roots are always linked under the smaller
+    root, so parent[x] <= x throughout and one ascending pass resolves
+    every corner to the least index of its class.
+    """
+    parent = list(range(len(letters)))
+    first: dict[str, int] = {}  # first occurrence; -1 once the pair is joined
+    for g, let in enumerate(letters):
+        h = first.setdefault(let.symbol, g)
+        if h == g:
+            continue
+        if h < 0:
+            raise ValidationError("corner tracing needs a closed word")
+        first[let.symbol] = -1
+        if letters[h].exponent == let.exponent:
+            links = ((h, g), (nxt[h], nxt[g]))
+        else:
+            links = ((h, nxt[g]), (nxt[h], g))
+        for a, b in links:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    if 2 * len(first) != len(letters):
+        raise ValidationError("corner tracing needs a closed word")
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def corner_classes(word: Word) -> tuple[int, ...]:
-    """Representative corner index, per corner, under side identifications."""
+    """Representative corner index, per corner, under side identifications.
+
+    The representative of a class is its least corner index.
+    """
     n = len(word.letters)
-    uf = _UnionFind(n)
-    by_symbol: dict[str, list[tuple[int, int]]] = {}
-    for i, let in enumerate(word.letters):
-        by_symbol.setdefault(let.symbol, []).append((i, let.exponent))
-    for pair in by_symbol.values():
-        if len(pair) != 2:
-            raise ValidationError("corner tracing needs a closed word")
-        (i, ei), (j, ej) = pair
-        ti, hi = _side_endpoints(i, ei, n)
-        tj, hj = _side_endpoints(j, ej, n)
-        uf.union(ti, tj)
-        uf.union(hi, hj)
-    return tuple(uf.find(i) for i in range(n))
+    return tuple(_trace_corners(word.letters, [*range(1, n), 0]))
 
 
 def vertex_cycle_count(word: Word) -> int:
@@ -418,13 +476,8 @@ class PolygonSet:
 
 
 def validate_polygon_set(polys: PolygonSet) -> PolygonSet:
-    bad = [(s, c) for s, c in sorted(polys.symbol_counts().items()) if c != 2]
-    if bad:
-        parts = [
-            f"symbol {s} occurs once" if c == 1 else f"symbol {s} occurs {c} times"
-            for s, c in bad
-        ]
-        raise ValidationError("; ".join(parts))
+    """The closed-surface condition across the set, with `validate`'s message."""
+    _check_pairing(polys.symbol_counts())
     return polys
 
 
@@ -446,31 +499,16 @@ def parse_polygon_file(text: str) -> PolygonSet:
 
 def complex_euler(polys: PolygonSet) -> int:
     """V - E + F over the whole complex, before any merging."""
-    corners: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-    for p, poly in enumerate(polys.polygons):
-        for c in range(len(poly.letters)):
-            index[(p, c)] = len(corners)
-            corners.append((p, c))
-    uf = _UnionFind(len(corners))
-    occ: dict[str, list[tuple[int, int, int]]] = {}
-    for p, poly in enumerate(polys.polygons):
-        for i, let in enumerate(poly.letters):
-            occ.setdefault(let.symbol, []).append((p, i, let.exponent))
-    for sym, pair in occ.items():
-        if len(pair) != 2:
-            raise ValidationError(f"symbol {sym} does not occur exactly twice")
-        (p1, i1, e1), (p2, i2, e2) = pair
-        n1 = len(polys.polygons[p1].letters)
-        n2 = len(polys.polygons[p2].letters)
-        t1, h1 = _side_endpoints(i1, e1, n1)
-        t2, h2 = _side_endpoints(i2, e2, n2)
-        uf.union(index[(p1, t1)], index[(p2, t2)])
-        uf.union(index[(p1, h1)], index[(p2, h2)])
-    v = len({uf.find(i) for i in range(len(corners))})
-    e = len(occ)
-    f = len(polys.polygons)
-    return v - e + f
+    validate_polygon_set(polys)
+    letters: list[Letter] = []
+    nxt: list[int] = []
+    for poly in polys.polygons:
+        start = len(letters)
+        letters += poly.letters
+        nxt += range(start + 1, len(letters))
+        nxt.append(start)
+    v = len(set(_trace_corners(letters, nxt)))
+    return v - len(letters) // 2 + len(polys.polygons)
 
 
 def complex_is_orientable(polys: PolygonSet) -> bool:
@@ -480,6 +518,7 @@ def complex_is_orientable(polys: PolygonSet) -> bool:
     opposite exponents after each polygon's chosen orientation sign is
     applied; flipping a polygon negates all of its exponents.
     """
+    validate_polygon_set(polys)
     occ: dict[str, list[tuple[int, int]]] = {}
     for p, poly in enumerate(polys.polygons):
         for let in poly.letters:

@@ -20,6 +20,9 @@ from surfclass.moves import (
     replay,
 )
 from surfclass.words import (
+    Letter,
+    ValidationError,
+    Word,
     euler_characteristic,
     is_orientable,
     parse_word,
@@ -70,6 +73,13 @@ def test_cut_guards():
         cut(W("a b c"), 1, 1, "z")
     with pytest.raises(MoveError):
         cut(W("a b c"), 0, 2, "a")  # fresh name already used
+    with pytest.raises(ValidationError, match="^bad symbol name '1x'$"):
+        cut(W("a b c"), 0, 2, "1x")
+
+
+def test_paste_never_returns_an_empty_word():
+    with pytest.raises(MoveError, match="at least one letter"):
+        paste(Word((Letter("c", 1),)), Word((Letter("c", -1),)), "c")
 
 
 # ---------------------------------------------------------------------------

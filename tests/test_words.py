@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from conftest import words
+from surfclass.moves import ReplayError, parse_trace, replay
 from surfclass.words import (
     Letter,
     PolygonSet,
     SurfaceType,
+    SurfclassError,
     ValidationError,
     Word,
     WordSyntaxError,
@@ -13,6 +15,7 @@ from surfclass.words import (
     classify_by_invariants,
     complex_euler,
     complex_is_orientable,
+    corner_classes,
     edge_count,
     euler_characteristic,
     glue_polygons,
@@ -21,6 +24,7 @@ from surfclass.words import (
     parse_polygon_file,
     parse_word,
     validate,
+    validate_polygon_set,
     vertex_cycle_count,
 )
 
@@ -82,8 +86,75 @@ def test_cyclic_equality_and_hash():
 
 
 def test_reflect_is_not_cyclic_equal():
-    w = parse_word("a b c a' c' b'")
-    assert w != w.reflected()
+    for text in ("a b c a' c' b'", "a b c", "a a b", "x y' x y"):
+        w = parse_word(text)
+        assert w != w.reflected()
+        assert w.reflected().reflected() == w
+
+
+def _rotations(letters):
+    return [letters[k:] + letters[:k] for k in range(len(letters))]
+
+
+@given(words(max_pairs=8))
+def test_every_rotation_is_equal_and_hashes_equal(w):
+    for k in range(len(w)):
+        r = w.rotated(k)
+        assert r == w and w == r
+        assert hash(r) == hash(w)
+        assert Word(r.letters) == w
+        assert r.letters == w.letters[k:] + w.letters[:k]
+
+
+# letters drawn from three symbols so that ties and periodic words are common
+_SMALL_LETTERS = st.lists(
+    st.sampled_from([Letter("a", 1), Letter("a", -1), Letter("b", 1)]),
+    min_size=1,
+    max_size=14,
+)
+
+
+@given(_SMALL_LETTERS)
+@settings(max_examples=400)
+def test_display_is_least_rotation(letters):
+    w = Word(tuple(letters))
+    least = min(_rotations(tuple(letters)))
+    assert w.display() == " ".join(let.render() for let in least)
+    assert w == Word(least)
+    assert w.rotated(1).display() == w.display()
+
+
+def test_display_periodic_and_single():
+    assert parse_word("b a b a").display() == "a b a b"
+    assert parse_word("a a a a").display() == "a a a a"
+    # exponent -1 sorts before +1
+    assert parse_word("x x'").display() == "x' x"
+    assert Word((Letter("c", -1),)).display() == "c'"
+
+
+def test_word_constructor_errors():
+    with pytest.raises(ValidationError, match="^a word must have at least one letter$"):
+        Word(())
+    with pytest.raises(ValidationError, match=r"^exponent of 'a' must be \+1 or -1$"):
+        Word((Letter("b", 1), Letter("a", 2)))
+    with pytest.raises(ValidationError, match="^bad symbol name '1x'$"):
+        Word((Letter("a", 1), Letter("1x", -1)))
+    with pytest.raises(TypeError, match="^expected Letter, got tuple$"):
+        Word((Letter("a", 1), ("a", -1)))
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        ("cutpaste 0 2 1x a", "step 1 (cutpaste 0 2 1x a): bad symbol name '1x'"),
+        ("rename a 9b", "step 1 (rename a 9b): bad symbol name '9b'"),
+        ("insert 0 $", "step 1 (insert 0 $): bad symbol name '$'"),
+    ],
+)
+def test_replay_rejects_bad_introduced_names(step, message):
+    with pytest.raises(ReplayError) as exc:
+        replay(parse_trace(step, parse_word("a b a' b'")))
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +198,49 @@ VERTEX_GOLDENS = [
 @pytest.mark.parametrize("text,v", VERTEX_GOLDENS)
 def test_vertex_cycle_count(text, v):
     assert vertex_cycle_count(parse_word(text)) == v
+
+
+def _reference_classes(w):
+    """Vertex classes by relaxing labels to a fixpoint over the side links."""
+    n = len(w)
+    ends = {}
+    for i, let in enumerate(w.letters):
+        tail, head = (i, (i + 1) % n) if let.exponent > 0 else ((i + 1) % n, i)
+        ends.setdefault(let.symbol, []).append((tail, head))
+    links = [(p[0][0], p[1][0]) for p in ends.values()]
+    links += [(p[0][1], p[1][1]) for p in ends.values()]
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in links:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return tuple(label)
+
+
+@given(words(max_pairs=12))
+@settings(max_examples=300)
+def test_corner_representative_is_least_corner(w):
+    classes = corner_classes(w)
+    assert classes == _reference_classes(w)
+    for i, root in enumerate(classes):
+        assert root == min(j for j, r in enumerate(classes) if r == root)
+        assert classes[root] == root
+
+
+@given(words(max_pairs=8))
+def test_complex_euler_of_one_polygon(w):
+    assert complex_euler(PolygonSet((w,))) == euler_characteristic(w)
+    assert complex_is_orientable(PolygonSet((w,))) == is_orientable(w)
+
+
+def test_corner_classes_needs_closed_word():
+    for text in ("a b a", "a a a b b", "a a a a"):
+        with pytest.raises(ValidationError, match="corner tracing needs a closed word"):
+            corner_classes(parse_word(text))
 
 
 def test_euler_characteristic():
@@ -237,6 +351,69 @@ def test_complex_euler_and_orientability():
     cross = parse_polygon_file("a b\na b'\n")
     assert not complex_is_orientable(cross)
     assert complex_euler(cross) == 1
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a b\nc", "symbol a occurs once; symbol b occurs once; symbol c occurs once"),
+        ("a a a\nb b", "symbol a occurs 3 times"),
+    ],
+)
+def test_complex_invariants_reject_unpaired(text, message):
+    polys = parse_polygon_file(text)
+    for fn in (complex_euler, complex_is_orientable, glue_polygons, validate_polygon_set):
+        with pytest.raises(ValidationError) as exc:
+            fn(polys)
+        assert str(exc.value) == message
+
+
+_HOSTILE_TEXT = st.text(alphabet="abcx1_'^-# \n\t$?", max_size=40) | st.text(max_size=20)
+
+
+@given(_HOSTILE_TEXT)
+@settings(max_examples=400)
+def test_word_and_polygon_parsers_raise_only_surfclass_errors(text):
+    try:
+        parse_word(text)
+    except SurfclassError:
+        pass
+    try:
+        polys = parse_polygon_file(text)
+    except SurfclassError:
+        return
+    for fn in (glue_polygons, complex_euler, complex_is_orientable):
+        try:
+            fn(polys)
+        except SurfclassError:
+            pass
+
+
+_TRACE_ARGS = ["0", "1", "2", "3", "7", "-1", "x", "a", "b", "c", "1x", "$", "10" * 12]
+_TRACE_LINE = st.one_of(
+    st.builds(
+        " ".join,
+        st.tuples(
+            st.sampled_from(
+                ["rotate", "reflect", "rename", "flipedge", "cancel", "insert", "cutpaste", "wobble"]
+            ),
+            st.lists(st.sampled_from(_TRACE_ARGS), max_size=5).map(" ".join),
+        ),
+    ),
+    st.text(max_size=12),
+)
+
+
+@given(
+    st.sampled_from(["a b a' b'", "a a b b", "a a'", "a b c a' c' b'", "a b a"]),
+    st.lists(_TRACE_LINE, max_size=8),
+)
+@settings(max_examples=400)
+def test_trace_parser_and_replay_raise_only_surfclass_errors(word_text, lines):
+    try:
+        replay(parse_trace("\n".join(lines), parse_word(word_text)))
+    except SurfclassError:
+        pass
 
 
 def test_glue_pillow_is_sphere():

@@ -22,8 +22,10 @@ homeomorphism type and records every elementary move:
    and rename symbols left to right into the canonical alphabet.
 
 Each emitted move is checked to preserve the Euler characteristic and
-orientability, and the final word is required to equal the canonical word of
-the computed type letter for letter.  Any violation raises
+orientability: every word a move produces has its corners traced once, and a
+rotation is checked to be exactly the rotated letters, which keeps both.  The
+final word is required to equal the canonical word of the computed type
+letter for letter.  Any violation raises
 InternalInvariantError rather than returning a wrong certificate.
 """
 from __future__ import annotations
@@ -44,12 +46,12 @@ from .moves import (
 )
 from .words import (
     InternalInvariantError,
+    Letter,
     SurfaceType,
     Word,
     canonical_word,
     classify_by_invariants,
     corner_classes,
-    euler_characteristic,
     is_orientable,
     mint_fresh,
     validate,
@@ -61,25 +63,72 @@ class NormalizationResult(NamedTuple):
     trace: MoveTrace
 
 
+def _euler_from_classes(classes: tuple[int, ...]) -> int:
+    """V - E + 1 of a closed word from its corner classes.
+
+    V counts the distinct representatives, one per vertex class; E is half
+    the side count, since tracing accepts only closed words.
+    """
+    return len(set(classes)) - len(classes) // 2 + 1
+
+
 class _Rewriter:
-    """Mutable cursor over a word that records and checks each move."""
+    """Mutable cursor over a word that records and checks each move.
+
+    It keeps the corner classes of its current word.  Each word a move
+    produces is traced once, for the Euler-characteristic check, and vertex
+    reduction reads those classes instead of tracing again.  A rotation is
+    checked by its letters alone and leaves the classes to be traced when
+    next asked for.
+    """
 
     def __init__(self, word: Word) -> None:
         self.word = word
         self.steps: list[Move] = []
-        self._chi = euler_characteristic(word)
+        self._classes: tuple[int, ...] | None = corner_classes(word)
+        self._chi = _euler_from_classes(self._classes)
         self._orientable = is_orientable(word)
 
-    def emit(self, move: Move) -> None:
+    @property
+    def classes(self) -> tuple[int, ...]:
+        """Corner classes of the current word."""
+        if self._classes is None:
+            self._classes = corner_classes(self.word)
+        return self._classes
+
+    def emit(
+        self,
+        move: Move,
+        traced: tuple[tuple[Letter, ...], tuple[int, ...]] | None = None,
+    ) -> None:
+        """Apply, record and check one move.
+
+        `traced` holds letters the caller has already traced, with their
+        classes; the classes are reused when the move produces exactly
+        those letters.
+        """
+        old = self.word
         try:
-            self.word = apply_move(self.word, move)
+            self.word = apply_move(old, move)
         except MoveError as exc:
             raise InternalInvariantError(
                 f"normalization emitted an inapplicable move {move.render()}: {exc}"
             ) from exc
         self.steps.append(move)
+        if isinstance(move, Rotate):
+            k = move.offset % len(old)
+            if self.word.letters != old.letters[k:] + old.letters[:k]:
+                raise InternalInvariantError(
+                    f"move {move.render()} did not rotate {old.render()}"
+                )
+            self._classes = None
+            return
+        if traced is not None and self.word.letters == traced[0]:
+            self._classes = traced[1]
+        else:
+            self._classes = corner_classes(self.word)
         if (
-            euler_characteristic(self.word) != self._chi
+            _euler_from_classes(self._classes) != self._chi
             or is_orientable(self.word) != self._orientable
         ):
             raise InternalInvariantError(
@@ -110,10 +159,12 @@ def _cyclically_adjacent(i: int, j: int, n: int) -> bool:
     return j - i == 1 or (i == 0 and j == n - 1)
 
 
-def _first_nonadjacent_same_pair(word: Word) -> tuple[int, int] | None:
+def _first_nonadjacent_same_pair(
+    word: Word, pairs: dict[str, tuple[int, int]]
+) -> tuple[int, int] | None:
     n = len(word.letters)
     best: tuple[int, int] | None = None
-    for i, j in _pair_positions(word).values():
+    for i, j in pairs.values():
         if word[i].exponent != word[j].exponent:
             continue
         if _cyclically_adjacent(i, j, n):
@@ -123,9 +174,11 @@ def _first_nonadjacent_same_pair(word: Word) -> tuple[int, int] | None:
     return best
 
 
-def _opposite_pairs(word: Word) -> list[tuple[int, int]]:
+def _opposite_pairs(
+    word: Word, pairs: dict[str, tuple[int, int]]
+) -> list[tuple[int, int]]:
     out = []
-    for i, j in _pair_positions(word).values():
+    for i, j in pairs.values():
         if word[i].exponent == -word[j].exponent:
             out.append((i, j))
     return sorted(out)
@@ -194,7 +247,7 @@ def _reduce_vertices(rw: _Rewriter) -> None:
         n = len(rw.word)
         if n == 2:
             return
-        classes = corner_classes(rw.word)
+        classes = rw.classes
         sizes = _class_sizes(classes)
         if len(sizes) == 1:
             return
@@ -223,6 +276,8 @@ def _shrink_class(
     word = rw.word
     n = len(word.letters)
     old_profile = sorted(sizes.values())
+    # every trial is a rotation of `word`, so one fresh name serves them all
+    fresh = mint_fresh(word.symbols())
     in_q = [p for p in range(n) if classes[p] == qroot]
     others = [p for p in range(n) if classes[p] != qroot]
     for p in in_q + others:
@@ -233,16 +288,16 @@ def _shrink_class(
         for paste_symbol in (flank_a.symbol, flank_b.symbol):
             offset = (p - 1) % n
             trial = word.rotated(offset) if offset else word
+            move = CutPaste(0, 2, fresh, paste_symbol)
             try:
-                trial = apply_move(
-                    trial, CutPaste(0, 2, mint_fresh(trial.symbols()), paste_symbol)
-                )
+                trial = apply_move(trial, move)
             except MoveError:
                 continue
-            new_profile = sorted(_class_sizes(corner_classes(trial)).values())
+            trial_classes = corner_classes(trial)
+            new_profile = sorted(_class_sizes(trial_classes).values())
             if new_profile < old_profile:
                 rw.rotate_to(offset)
-                rw.emit(CutPaste(0, 2, rw.fresh(), paste_symbol))
+                rw.emit(move, (trial.letters, trial_classes))
                 return
     raise InternalInvariantError("no corner-shrinking move exists; bad class data")
 
@@ -369,11 +424,12 @@ def _gather(rw: _Rewriter) -> None:
     done: set[str] = set()
     guard = 20 * (len(rw.word) + 2) ** 2 + 64
     for _ in range(guard):
-        pair = _first_nonadjacent_same_pair(rw.word)
+        pairs = _pair_positions(rw.word)
+        pair = _first_nonadjacent_same_pair(rw.word, pairs)
         if pair is not None:
             _collect_crosscap(rw, *pair)
             continue
-        opposite = _opposite_pairs(rw.word)
+        opposite = _opposite_pairs(rw.word, pairs)
         if not opposite:
             return
         if not is_orientable(rw.word):

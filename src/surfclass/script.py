@@ -67,7 +67,12 @@ def parse_class_expr(expr: str, surf: RationalSurface, line_no: int) -> DivisorC
             raise ScriptError(
                 f"unknown basis name {name!r} (basis: {', '.join(surf.basis)})", line_no
             )
-        coeff = int(coeff_s) if coeff_s else 1
+        try:
+            coeff = int(coeff_s) if coeff_s else 1
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise ScriptError(
+                f"coefficient of {name!r} is too long ({len(coeff_s)} digits)", line_no
+            )
         coords[index[name]] += coeff if sign_s == "+" else -coeff
         pos += m.end()
         first = False
@@ -176,7 +181,7 @@ def run_script(text: str) -> ScriptOutcome:
             except ValidationError as e:
                 raise ScriptError(str(e), line_no)
         elif head == "line":
-            m = re.match(r"^line\s+([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.+)$", stmt)
+            m = re.match(r"^line\s+([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.+)$", stmt, re.IGNORECASE)
             if not m:
                 raise ScriptError("expected 'line <name> = <class expr>'", line_no)
             name, expr = m.group(1), m.group(2)

@@ -1,14 +1,17 @@
 import hashlib
+import importlib
 import random
+import sys
 from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import words
-from surfclass.moves import parse_trace, replay
+from surfclass.moves import Cancel, CutPaste, FlipEdge, Rename, Rotate, parse_trace, replay
 from surfclass.normalize import certificate_words, equivalent, normalize
 from surfclass.words import (
+    InternalInvariantError,
     Letter,
     SurfaceType,
     ValidationError,
@@ -17,10 +20,14 @@ from surfclass.words import (
     classify_by_invariants,
     euler_characteristic,
     is_orientable,
+    mint_fresh,
     parse_word,
 )
 
 W = parse_word
+# the package re-exports a function named `normalize`, which hides the module
+normalize_module = importlib.import_module("surfclass.normalize")
+words_module = importlib.import_module("surfclass.words")
 S = SurfaceType.sphere
 O = SurfaceType.orientable_genus
 N = SurfaceType.non_orientable
@@ -104,6 +111,73 @@ def test_all_intermediates_share_invariants(w):
     chi = euler_characteristic(w)
     for step_word in certificate_words(result.trace):
         assert euler_characteristic(step_word) == chi
+
+
+# ---------------------------------------------------------------------------
+# the per-move invariant check
+
+# its certificate emits every kind of move below, a phase-1 cut first
+ALL_KINDS_WORD = "s3' s2 s1' s2' s1 s4' s3' s0' s0 s4'"
+
+
+@pytest.mark.parametrize("kind", [CutPaste, Rotate, Rename, FlipEdge, Cancel])
+def test_every_move_kind_is_checked(monkeypatch, kind):
+    # the first emitted move of `kind` yields its true result with a fresh
+    # handle appended: still closed and of the same orientability, but with
+    # chi two lower, which normalize must refuse
+    real_apply = normalize_module.apply_move
+    bad: list = []
+
+    def tampering_apply(word, move):
+        result = real_apply(word, move)
+        emitted = sys._getframe(1).f_code.co_name == "emit"
+        if bad or not emitted or not isinstance(move, kind):
+            return result
+        bad.append(move)
+        x = mint_fresh(result.symbols())
+        y = mint_fresh(result.symbols() | {x})
+        handle = (Letter(x, 1), Letter(y, 1), Letter(x, -1), Letter(y, -1))
+        return Word(result.letters + handle)
+
+    monkeypatch.setattr(normalize_module, "apply_move", tampering_apply)
+    with pytest.raises(InternalInvariantError) as exc:
+        normalize(W(ALL_KINDS_WORD))
+    assert bad, f"no {kind.__name__} was emitted"
+    assert f"move {bad[0].render()} " in str(exc.value)
+
+
+def test_each_produced_word_is_traced_at_most_once(monkeypatch):
+    # one trace for the start word, one per non-rotation move, one per trial
+    # cut (the apply_move calls that emit no move) and one for the final
+    # classify_by_invariants cross-check
+    counts = {"traces": 0, "applies": 0}
+    real_trace = words_module.corner_classes
+    real_apply = normalize_module.apply_move
+
+    def counting_trace(word):
+        counts["traces"] += 1
+        return real_trace(word)
+
+    def counting_apply(word, move):
+        counts["applies"] += 1
+        return real_apply(word, move)
+
+    monkeypatch.setattr(words_module, "corner_classes", counting_trace)
+    monkeypatch.setattr(normalize_module, "corner_classes", counting_trace)
+    monkeypatch.setattr(normalize_module, "apply_move", counting_apply)
+    rng = random.Random(0x7ACE)
+    for n in range(50):
+        k = rng.randint(10, 40)
+        letters = []
+        for i in range(k):
+            e = rng.choice((1, -1))
+            letters += [Letter(f"s{i}", e), Letter(f"s{i}", -e if n % 2 else rng.choice((1, -1)))]
+        rng.shuffle(letters)
+        counts.update(traces=0, applies=0)
+        steps = normalize(Word(tuple(letters))).trace.steps
+        non_rotations = sum(not isinstance(m, Rotate) for m in steps)
+        trials = counts["applies"] - len(steps)
+        assert counts["traces"] <= non_rotations + trials + 2
 
 
 # ---------------------------------------------------------------------------

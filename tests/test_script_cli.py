@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfclass.cli import main
 from surfclass.lattice import BaseSurface, make_base
@@ -15,6 +16,7 @@ from surfclass.script import (
     run_script,
 )
 from surfclass.minimal import minimal_model
+from surfclass.words import SurfclassError
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,53 @@ def test_script_errors_carry_line_numbers(script, line_no, fragment):
     assert exc.value.line_no == line_no
     assert fragment in str(exc.value)
     assert str(exc.value).startswith(f"line {line_no}:")
+
+
+def test_script_keywords_ignore_case():
+    # every name in TWO_POINTS is already upper case, so only keywords change
+    assert run_script(TWO_POINTS.upper()).reports == run_script(TWO_POINTS).reports
+
+
+def test_script_rejects_overlong_coefficient():
+    with pytest.raises(ScriptError) as exc:
+        run_script(f"base cp2\nline L = {'7' * 5000}H\n")
+    assert exc.value.line_no == 2
+    assert exc.value.bare_message == "coefficient of 'H' is too long (5000 digits)"
+
+
+_SCRIPT_ARGS = ["cp2", "CP2", "hirzebruch", "on", "ON", "0", "1", "-1", "x", "H", "E1", "S", "L", "="]
+_EXPR_TERMS = ["H", "E1", "- E2", "+ 2E1", "S", "+ F", "- 3*F", "Q", "+", "7" * 4400 + "H"]
+_SCRIPT_LINE = st.one_of(
+    st.builds(
+        " ".join,
+        st.tuples(
+            st.sampled_from(
+                ["base", "BASE", "blowup", "BlowUp", "line", "blowdown", "minimal-model",
+                 "report", "wobble"]
+            ),
+            st.lists(st.sampled_from(_SCRIPT_ARGS), max_size=6).map(" ".join),
+        ),
+    ),
+    st.builds(
+        "{} {} = {}".format,
+        st.sampled_from(["line", "LINE"]),
+        st.sampled_from(["L", "M", "E1"]),
+        st.lists(st.sampled_from(_EXPR_TERMS), max_size=4).map(" ".join),
+    ),
+    st.text(max_size=12),
+)
+
+
+@given(
+    st.sampled_from(["base cp2", "base hirzebruch 0", "base hirzebruch 1", "base hirzebruch 3", ""]),
+    st.lists(_SCRIPT_LINE, max_size=8),
+)
+@settings(max_examples=400)
+def test_run_script_raises_only_surfclass_errors(first, lines):
+    try:
+        run_script("\n".join([first, *lines]))
+    except SurfclassError:
+        pass
 
 
 def test_script_rejects_contracting_plus_one_line():
@@ -276,6 +325,15 @@ def test_cli_rational_error_line(capsys, tmp_path):
     assert "H is a +1 line, not -1" in err
 
 
+def test_cli_rational_overlong_coefficient_exits_1(capsys, tmp_path):
+    f = tmp_path / "long.srf"
+    f.write_text(f"base cp2\nline L = {'1' * 5000}H\n", encoding="utf-8")
+    assert main(["rational", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2:")
+
+
 def test_cli_rational_rejects_repeated_line(capsys, tmp_path):
     f = tmp_path / "twice.srf"
     f.write_text("base cp2\nblowup\nblowup on H E1 H\n", encoding="utf-8")
@@ -285,13 +343,23 @@ def test_cli_rational_rejects_repeated_line(capsys, tmp_path):
     assert "line name 'H' is repeated" in err
 
 
-def test_two_points_demo_script_runs():
+def _run_repo_script(name, *args):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "two_points_demo.py")],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_two_points_demo_script_runs():
+    proc = _run_repo_script("two_points_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "minimal type: Hirzebruch(0)"
+
+
+def test_orbit_census_script_runs():
+    proc = _run_repo_script("orbit_census.py", "--symbols", "a,b")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "orbit partition matches type classes"

@@ -39,13 +39,19 @@ from .words import (
 )
 
 
-def _type_fields(t: SurfaceType) -> dict:
-    return {
+def _print_type_json(t: SurfaceType, trace: Optional[MoveTrace] = None) -> None:
+    """The ``--json`` line of the edge-word commands: the type's numbers,
+    its canonical word and, when given, the rendered moves of a trace."""
+    payload = {
         "type": str(t),
         "genus": t.genus if t.orientable else 0,
         "crosscaps": 0 if t.orientable else t.genus,
         "euler": t.euler,
+        "canonical": canonical_word(t).render(),
     }
+    if trace is not None:
+        payload["trace"] = [m.render() for m in trace.steps]
+    print(json.dumps(payload))
 
 
 def _print_word_report(word: Word, t: SurfaceType, out) -> None:
@@ -58,9 +64,7 @@ def cmd_classify(args) -> int:
     word = validate(parse_word(args.word))
     t = classify_by_invariants(word)
     if args.json:
-        payload = _type_fields(t)
-        payload["canonical"] = canonical_word(t).render()
-        print(json.dumps(payload))
+        _print_type_json(t)
     else:
         _print_word_report(word, t, sys.stdout)
     return 0
@@ -70,19 +74,14 @@ def cmd_normalize(args) -> int:
     word = parse_word(args.word)
     result = normalize(word)
     t = result.type
-    canonical = canonical_word(t).render()
     if args.json:
-        payload = _type_fields(t)
-        payload["canonical"] = canonical
-        if args.trace:
-            payload["trace"] = [m.render() for m in result.trace.steps]
-        print(json.dumps(payload))
+        _print_type_json(t, result.trace if args.trace else None)
     elif args.trace:
         # a replayable document: comments carry the summary, the rest is
         # one move per line in the trace grammar
         print(f"# initial: {word.render()}")
         print(f"# type: {t.describe()}")
-        print(f"# canonical: {canonical}")
+        print(f"# canonical: {canonical_word(t).render()}")
         print(f"# moves: {len(result.trace.steps)}")
         rendered = result.trace.render()
         if rendered:
@@ -99,9 +98,7 @@ def cmd_sum(args) -> int:
     total = connected_sum_words(w1, w2)
     t = normalize(total).type
     if args.json:
-        payload = _type_fields(t)
-        payload["canonical"] = canonical_word(t).render()
-        print(json.dumps(payload))
+        _print_type_json(t)
     else:
         _print_word_report(total, t, sys.stdout)
     return 0
@@ -113,9 +110,7 @@ def cmd_glue(args) -> int:
     merged = glue_polygons(polys)
     t = normalize(merged).type
     if args.json:
-        payload = _type_fields(t)
-        payload["canonical"] = canonical_word(t).render()
-        print(json.dumps(payload))
+        _print_type_json(t)
     else:
         print(f"polygons: {len(polys.polygons)}", file=sys.stdout)
         _print_word_report(merged, t, sys.stdout)
@@ -129,10 +124,7 @@ def cmd_replay(args) -> int:
     final = replay(trace)
     t = classify_by_invariants(final)
     if args.json:
-        payload = _type_fields(t)
-        payload["canonical"] = canonical_word(t).render()
-        payload["trace"] = [m.render() for m in trace.steps]
-        print(json.dumps(payload))
+        _print_type_json(t, trace)
     else:
         print(f"initial: {word.render()}")
         print(f"final: {final.render()}")

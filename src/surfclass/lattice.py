@@ -13,7 +13,6 @@ chart maps used for the bundle cocycle checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .words import InternalInvariantError, ValidationError
@@ -282,79 +281,6 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
     return RationalSurface(surf.base, basis, gram, canonical, tuple(tracked))
 
 
-# -- exact linear algebra over the integers ---------------------------------
-
-
-def _hnf_columns(cols: Sequence[Sequence[int]]) -> list:
-    """Column-style Hermite reduction; returns the nonzero columns spanning
-    the same lattice, in a deterministic order."""
-    mat = [list(col) for col in cols]
-    m = len(mat[0]) if mat else 0
-    row = 0
-    fixed = 0
-    while row < m and fixed < len(mat):
-        live = [k for k in range(fixed, len(mat)) if mat[k][row] != 0]
-        if not live:
-            row += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda k: abs(mat[k][row]))
-            base = live[0]
-            for k in live[1:]:
-                q = mat[k][row] // mat[base][row]
-                mat[k] = [a - q * b for a, b in zip(mat[k], mat[base])]
-            live = [k for k in live if mat[k][row] != 0]
-        pivot = live[0]
-        mat[fixed], mat[pivot] = mat[pivot], mat[fixed]
-        if mat[fixed][row] < 0:
-            mat[fixed] = [-a for a in mat[fixed]]
-        fixed += 1
-        row += 1
-    out = [tuple(col) for col in mat if any(col)]
-    return out
-
-
-def _solve_integer(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Tuple[int, ...]:
-    """Express ``target`` as an integer combination of ``rows`` (exact; the
-    rows are a lattice basis, so failure is an internal error)."""
-    k = len(rows)
-    n = len(target)
-    aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        sel = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            raise InternalInvariantError("class does not lie in the sublattice")
-    coeffs = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        coeffs[c] = aug[i][k]
-    if any(x.denominator != 1 for x in coeffs):
-        raise InternalInvariantError("sublattice coordinates are not integral")
-    return tuple(int(x) for x in coeffs)
-
-
-def _sign_normalize(vec: Tuple[int, ...]) -> Tuple[int, ...]:
-    for a in vec:
-        if a > 0:
-            return vec
-        if a < 0:
-            return tuple(-x for x in vec)
-    return vec
-
-
 def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     """Contract a tracked -1 line.
 
@@ -364,15 +290,19 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     drops the contracted class.  Lines whose class collapses to zero were
     other names for the contracted curve and are removed.
 
-    With w = G c, the branch is picked from w.  When some entry w_p is a
-    unit (the usual case; every exceptional curve has one), the complement
-    basis is e_i - s w_i e_p for i != p with s = w_p, each row sign
-    normalized.  The new Gram matrix is then a rank-one update of the old
-    one and a moved class keeps its coordinates with slot p dropped, so the
-    contraction costs O(n^2) integer operations and needs no solve.
-    Otherwise the basis comes from Hermite-reducing the columns of a
-    projector onto the complement, the Gram matrix is the dense product
-    r G r', and classes are pushed by an exact ``Fraction`` solve.
+    There is one path, in integers, driven by w = G c.  Not every -1 class
+    pairs to a unit with some basis vector: 6H - 2E1 - ... - 2E7 - 3E8 pairs
+    to 6, 2, ..., 2, 3.  So Euclid's algorithm first runs on w as unimodular
+    basis changes e_i <- e_i - q e_j, each an O(n) row and column update of
+    the Gram matrix, until some entry w_p is a unit.  It must get there
+    because gcd(w) = 1 (c.c = -1), it takes O(log max|w|) steps, and it takes
+    none when w already has a unit.  The complement basis is then
+    e_i - s w_i e_p for i != p with s = w_p, each row signed so its first
+    nonzero entry in the old coordinates is positive.  The new Gram matrix
+    is a rank-one update of the reduced one and a moved class keeps its
+    reduced coordinates with slot p dropped, so the contraction costs O(n^2)
+    integer operations and needs no solve.  A row that is an untouched old
+    basis vector keeps its name; every other row gets a fresh ``B`` name.
     """
     c = surf.tracked_class(line)
     c2 = intersect(surf, c, c)
@@ -387,61 +317,63 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         )
 
     n = surf.rank
-    old = surf.gram
+    g = [list(row) for row in surf.gram]
     support = [(j, a) for j, a in enumerate(c.coords) if a]
-    w = [sum([row[j] * a for j, a in support]) for row in old]
+    w = [sum([row[j] * a for j, a in support]) for row in g]
+
+    # Euclid on w: reduce some entry not divisible by the smallest one, w_j,
+    # to a remainder of at most |w_j| / 2.  Only w_i changes, so a unit can
+    # only appear there.  ``frame`` holds each changed basis vector in the
+    # old coordinates, ``steps`` the changes in order.
+    steps = []
+    frame = {}
+
+    def vec(k: int) -> list:
+        return frame[k] if k in frame else list(_unit(n, k).coords)
 
     pivot = next((i for i in range(n) if abs(w[i]) == 1), None)
-    if pivot is not None:
-        # basis row i is sigma_i (e_i - u_i e_p) with u = s w: _sign_normalize
-        # negates e_i - u_i e_p exactly when i > p and u_i > 0, since its
-        # first nonzero entry is then -u_i at slot p
-        u = [w[pivot] * x for x in w]
+    while pivot is None:
+        m, j = min([(abs(x), k) for k, x in enumerate(w) if x])
+        i = next((k for k, x in enumerate(w) if x % m), None)
+        if i is None:
+            raise InternalInvariantError("contracted class is not primitive")
+        q, r = divmod(w[i], w[j])
+        if 2 * abs(r) > m:
+            q += 1
+        w[i] -= q * w[j]
+        for row in g:
+            row[i] -= q * row[j]
+        g[i] = [a - q * b for a, b in zip(g[i], g[j])]
+        frame[i] = [a - q * b for a, b in zip(vec(i), vec(j))]
+        steps.append((i, j, q))
+        pivot = i if abs(w[i]) == 1 else None
+
+    # basis row i is sigma_i (e_i - u_i e_p) with u = s w.  Without basis
+    # changes its first nonzero entry is -u_i at slot p exactly when i > p
+    # and u_i > 0; after them it is read off the old coordinates.  A
+    # changed slot never has w_i = 0, so the rows kept by name are exactly
+    # the untouched old basis vectors.
+    u = [w[pivot] * x for x in w]
+    slots = [i for i in range(n) if i != pivot]
+    if not frame:
         sigma = [-1 if i > pivot and x > 0 else 1 for i, x in enumerate(u)]
-        slots = [i for i in range(n) if i != pivot]
-        keep = [i if w[i] == 0 else None for i in slots]
-        gp = old[pivot]
-        gpp = gp[pivot]
-        new_rows = []
-        for a in slots:
-            ga, ua, sa = old[a], u[a], sigma[a]
-            gap = ga[pivot]
-            new_rows.append(tuple([
-                sa * sigma[b] * (ga[b] - u[b] * gap - ua * gp[b] + ua * u[b] * gpp)
-                for b in slots
-            ]))
-        gram = tuple(new_rows)
-
-        def solve(moved: Tuple[int, ...]) -> Tuple[int, ...]:
-            if sum([m * x for m, x in zip(moved, w)]) != 0:
-                raise InternalInvariantError("class does not lie in the sublattice")
-            return tuple([sigma[i] * moved[i] for i in slots])
-
     else:
-        # gcd of w is 1 because c.c = -1; build a projector onto the
-        # complement and Hermite-reduce its column lattice
-        v = _bezout_vector(w)
-        cols = []
-        for j in range(n):
-            col = [((1 if i == j else 0) - v[i] * w[j]) for i in range(n)]
-            cols.append(col)
-        rows = [_sign_normalize(col) for col in _hnf_columns(cols)]
-        if len(rows) != n - 1:
-            raise InternalInvariantError("complement basis has wrong rank")
-        keep = []
-        for r in rows:
-            ones = [j for j, a in enumerate(r) if a != 0]
-            keep.append(ones[0] if len(ones) == 1 and r[ones[0]] == 1 else None)
-        gram = tuple([
-            tuple([
-                sum(ra[i] * old[i][j] * rb[j] for i in range(n) for j in range(n))
-                for rb in rows
-            ])
-            for ra in rows
-        ])
-
-        def solve(moved: Tuple[int, ...]) -> Tuple[int, ...]:
-            return _solve_integer(rows, moved)
+        sigma = [1] * n
+        for i in slots:
+            lead = next(a - u[i] * b for a, b in zip(vec(i), vec(pivot)) if a != u[i] * b)
+            sigma[i] = 1 if lead > 0 else -1
+    keep = [i if w[i] == 0 else None for i in slots]
+    gp = g[pivot]
+    gpp = gp[pivot]
+    new_rows = []
+    for a in slots:
+        ga, ua, sa = g[a], u[a], sigma[a]
+        gap = ga[pivot]
+        new_rows.append(tuple([
+            sa * sigma[b] * (ga[b] - u[b] * gap - ua * gp[b] + ua * u[b] * gpp)
+            for b in slots
+        ]))
+    gram = tuple(new_rows)
 
     names = []
     avoid = set(surf.basis) | {nm for nm, _ in surf.tracked}
@@ -457,13 +389,26 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     if len(set(names)) != len(names):
         raise InternalInvariantError("duplicate basis name after contraction")
 
-    def push(cls: Tuple[int, ...]) -> DivisorClass:
-        lc = sum([a * x for a, x in zip(cls, w)])
-        if lc:
-            cls = tuple([a + lc * b for a, b in zip(cls, c.coords)])
-        return DivisorClass(solve(cls))
+    def reduced(cls: Sequence[int]) -> list:
+        # coordinates after the basis changes: e_i <- e_i - q e_j moves
+        # x_i of the old e_i onto x_j
+        x = list(cls)
+        for i, j, q in steps:
+            x[j] += q * x[i]
+        return x
 
-    canonical = push(tuple([k - ci for k, ci in zip(surf.canonical.coords, c.coords)]))
+    cr = reduced(c.coords)
+
+    def push(cls: Sequence[int]) -> DivisorClass:
+        x = reduced(cls)
+        lc = sum([a * b for a, b in zip(x, w)])
+        if lc:
+            x = [a + lc * b for a, b in zip(x, cr)]
+            if sum([a * b for a, b in zip(x, w)]) != 0:
+                raise InternalInvariantError("class does not lie in the sublattice")
+        return DivisorClass(tuple([sigma[i] * x[i] for i in slots]))
+
+    canonical = push([k - ci for k, ci in zip(surf.canonical.coords, c.coords)])
     tracked = []
     for nm, cls in surf.tracked:
         if nm == line:
@@ -477,38 +422,6 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     if n - 1 < base.rank:
         base = BaseSurface.cp2()
     return RationalSurface(base, tuple(names), gram, canonical, tuple(tracked))
-
-
-def _bezout_vector(w: Sequence[int]) -> Tuple[int, ...]:
-    """Integer vector v with v.w = 1; exists because gcd(w) = 1."""
-    from math import gcd
-
-    v = [0] * len(w)
-    g = 0
-    gv = [0] * len(w)  # combination achieving g over the prefix
-    for i, wi in enumerate(w):
-        if wi == 0:
-            continue
-        if g == 0:
-            g = abs(wi)
-            gv = [0] * len(w)
-            gv[i] = 1 if wi > 0 else -1
-            continue
-        # extended gcd of g and wi
-        a, b = g, wi
-        x0, x1 = 1, 0
-        y0, y1 = 0, 1
-        while b:
-            q = a // b
-            a, b = b, a - q * b
-            x0, x1 = x1, x0 - q * x1
-            y0, y1 = y1, y0 - q * y1
-        gv = [x0 * t for t in gv]
-        gv[i] += y0
-        g = a
-    if g != 1:
-        raise InternalInvariantError("contracted class is not primitive")
-    return tuple(gv)
 
 
 def euler_characteristic_cx(surf: RationalSurface) -> int:
@@ -540,12 +453,18 @@ def topological_model(surf: RationalSurface) -> TopologicalModel:
 def signature(surf: RationalSurface) -> Tuple[int, int]:
     """Inertia (positive, negative) of the intersection form.
 
+    Integer-preserving symmetric elimination (Bareiss): pivoting on slot k with
+    the previous pivot ``prev`` replaces each later entry a_ij by
+    (a_kk a_ij - a_ik a_kj) / prev, an exact division that keeps every entry
+    a minor of the form.  The k-th pivot is then the k-th leading principal
+    minor, so the sign of pivot / prev is the sign the slot contributes.
     Rational surface lattices are unimodular, so a zero eigenvalue means the
     bookkeeping broke.
     """
     n = surf.rank
-    a = [[Fraction(surf.gram[i][j]) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in surf.gram]
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
@@ -558,21 +477,18 @@ def signature(surf: RationalSurface) -> Tuple[int, int]:
                     row[k], row[j] = row[j], row[k]
             else:
                 # both diagonals vanish; adding slot j puts 2*a[k][j] on it
-                for i in range(n):
+                for i in range(k, n):
                     a[i][k] += a[i][j]
-                for i in range(n):
+                for i in range(k, n):
                     a[k][i] += a[j][i]
         d = a[k][k]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        tail = a[k][k + 1:]
         for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f == 0:
-                continue
-            for j in range(n):
-                a[i][j] -= f * a[k][j]
-            for j in range(n):
-                a[j][i] -= f * a[j][k]
+            f = a[i][k]
+            a[i][k + 1:] = [(d * x - f * y) // prev for x, y in zip(a[i][k + 1:], tail)]
+        prev = d
     return pos, neg

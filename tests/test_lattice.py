@@ -1,4 +1,5 @@
 import cmath
+import functools
 import random
 from fractions import Fraction
 
@@ -228,7 +229,7 @@ def test_hirzebruch_one_section_contracts_to_plane():
 
 def test_blow_down_without_unit_pivot():
     # contrived form where e_i . c is (-2, 3): no unit entry, so the
-    # complement basis comes from the projector + Hermite reduction path
+    # contraction runs the Euclid reduction before the rank-one update
     surf = RationalSurface(
         base=BaseSurface.hirzebruch(0),
         basis=("u", "v"),
@@ -387,19 +388,25 @@ def test_blow_down_guards_pushforward(monkeypatch):
         blow_down(s, "H")
 
 
-def test_blow_down_without_unit_pivot_from_script(monkeypatch):
+def test_blow_down_without_unit_pivot_from_script():
     # 6H - 2E1 - ... - 2E7 - 3E8 on the plane blown up 8 times: a -1 line
-    # whose pairing with every basis vector (6, 2, ..., 2, 3) is a non-unit
-    hnf_calls = []
-    real_hnf = lattice._hnf_columns
-    monkeypatch.setattr(lattice, "_hnf_columns", lambda cols: hnf_calls.append(1) or real_hnf(cols))
+    # whose pairing with every basis vector (6, 2, ..., 2, 3) is a non-unit,
+    # so the contraction has to run the Euclid reduction first
     expr = "6H " + " ".join(f"- 2E{i}" for i in range(1, 8)) + " - 3E8"
-    out = run_script("base cp2\n" + "blowup\n" * 8 + f"line C = {expr}\nblowdown C\n")
+    script = "base cp2\n" + "blowup\n" * 8 + f"line C = {expr}\n"
+    before = run_script(script).surface
+    c = before.tracked_class("C")
+    w = [intersect(before, _unit_class(before.rank, i), c) for i in range(before.rank)]
+    assert w == [6] + [2] * 7 + [3]
+    out = run_script(script + "blowdown C\n")
     surf = out.surface
-    assert hnf_calls == [1]
     assert surf.rank == 8
     assert surf.k_squared + surf.rank == 10
     assert signature(surf) == (1, surf.rank - 1)
+
+
+def _unit_class(rank, i):
+    return DivisorClass(tuple(int(k == i) for k in range(rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,4 +469,299 @@ def test_lattice_conservation_along_random_scripts():
                 statements += 1
                 assert surf.k_squared + surf.rank == 10, lines
                 assert signature(surf) == (1, surf.rank - 1), lines
+                assert signature(surf) == _fraction_signature(surf.gram), lines
     assert statements > 300
+
+
+# ---------------------------------------------------------------------------
+# contractions with no unit pairing: Cremona images of an exceptional curve
+
+
+def _surface(base, tracked):
+    return RationalSurface(base.base, base.basis, base.gram, base.canonical, tuple(tracked))
+
+
+def _reflections(surf, cls, rng, points, count):
+    """The images of cls under ``count`` successive reflections
+    x -> x + (x.r) r in random classes r = H - Ei - Ej - Ek over the given
+    points; r.r = -2 and r.K = 0, so each reflection keeps the form and K
+    and maps -1 curves to -1 curves."""
+    x = {i: a for i, a in enumerate(cls.coords) if a}
+    for _ in range(count):
+        r = [(0, 1)] + [(i, -1) for i in rng.sample(points, 3)]
+        xr = sum([a * surf.gram[i][j] * b for i, a in x.items() for j, b in r])
+        for j, b in r:
+            x[j] = x.get(j, 0) + xr * b
+        yield DivisorClass(tuple(x.get(i, 0) for i in range(surf.rank)))
+
+
+def _cremona_image(surf, cls, rng, points):
+    """cls under 2-12 random Cremona reflections."""
+    *_, image = _reflections(surf, cls, rng, points, rng.randint(2, 12))
+    return image
+
+
+def _sparse_rows(surf):
+    """The nonzero entries (j, g) of each Gram row; the forms here are
+    mostly diagonal."""
+    return [[(j, g) for j, g in enumerate(row) if g] for row in surf.gram]
+
+
+def _gram_times(rows, cls):
+    """G c, the pairings of c with the basis vectors."""
+    gc = [0] * len(rows)
+    for i, y in enumerate(cls.coords):
+        if y:
+            for j, g in rows[i]:
+                gc[j] += g * y
+    return gc
+
+
+def _pairings(surf, classes):
+    """Matrix of every pairing a.b among the given classes."""
+    rows = _sparse_rows(surf)
+    images = [_gram_times(rows, b) for b in classes]
+    supports = [[(i, x) for i, x in enumerate(a.coords) if x] for a in classes]
+    return [[sum([x * gb[i] for i, x in sa]) for gb in images] for sa in supports]
+
+
+@functools.lru_cache(maxsize=None)
+def _cremona_corpus():
+    """200 distinct (surface, class) pairs: the plane blown up 8-40 times,
+    and an image of E1 under 2-12 reflections on the first <= 10 points
+    that pairs to no basis vector with +-1, so every contraction runs the
+    Euclid reduction."""
+    rng = random.Random(0xC4E)
+    blown = {}
+    seen = set()
+    corpus = []
+    while len(corpus) < 200:
+        n = rng.randint(8, 40)
+        if n not in blown:
+            surf = make_base(BaseSurface.cp2())
+            for _ in range(n):
+                surf = blow_up(surf)
+            blown[n] = surf, _sparse_rows(surf)
+        surf, rows = blown[n]
+        images = _reflections(surf, _unit_class(surf.rank, 1), rng, range(1, min(n, 10) + 1), 12)
+        for c in list(images)[1:]:
+            if not any(abs(x) == 1 for x in _gram_times(rows, c)) and c.coords not in seen:
+                seen.add(c.coords)
+                corpus.append((surf, c))
+    return tuple(corpus[:200])
+
+
+def _det(gram):
+    """Determinant by Bareiss elimination with row swaps."""
+    a = [list(row) for row in gram]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        d, tail = a[k][k], a[k][k + 1:]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i][k + 1:] = [(d * x - f * y) // prev for x, y in zip(a[i][k + 1:], tail)]
+        prev = d
+    return sign * prev
+
+
+def test_blow_down_cremona_corpus():
+    # 200 no-unit classes at rank 9-41, each contracted under 5 different
+    # sets of tracked lines (1,000 contractions); the tracked lines do not
+    # touch the Gram matrix, so rank, signature and determinant are checked
+    # once per class and the Gram matrix is asserted equal across the five
+    rng = random.Random(0xC4F)
+    contractions = 0
+    ranks = set()
+    for surf, c in _cremona_corpus():
+        n = surf.rank
+        points = range(1, min(n - 1, 10) + 1)
+        gram = None
+        for variant in range(5):
+            exceptional = [(nm, cls) for nm, cls in surf.tracked if nm != "H"]
+            tracked = [surf.tracked[0]] + rng.sample(exceptional, min(6, len(exceptional)))
+            for k in range(rng.randint(1, 3)):
+                e = _unit_class(n, rng.choice(points))
+                tracked.append((f"L{k}", _cremona_image(surf, e, rng, points)))
+            i, j = rng.sample(points, 2)
+            tracked.append(("M", _unit_class(n, 0) - _unit_class(n, i) - _unit_class(n, j)))
+            if variant == 0:
+                tracked.append(("A", c))  # another name for C: dropped
+            tracked.append(("C", c))
+            before = _surface(surf, tracked)
+            down = blow_down(before, "C")
+            contractions += 1
+
+            assert down.rank == n - 1
+            assert down.k_squared + down.rank == 10
+            if gram is None:
+                gram = down.gram
+                assert signature(down) == (1, down.rank - 1)
+                assert abs(_det(down.gram)) == 1
+                ranks.add(n)
+            assert down.gram == gram
+
+            # the pairing of every two surviving classes, K included, is the
+            # old pairing of l + (l.c) c
+            wc = _gram_times(_sparse_rows(before), c)
+            moved = {"K": before.canonical - c}
+            for nm, cls in before.tracked:
+                lc = sum([x * y for x, y in zip(cls.coords, wc) if x])
+                m = cls + lc * c if lc else cls
+                if nm != "C" and not m.is_zero:
+                    moved[nm] = m
+            pushed = {"K": down.canonical, **down.tracked_lines}
+            assert list(pushed) == list(moved)
+            # a basis name that survives still names its own old curve
+            for slot, nm in enumerate(down.basis):
+                if nm in pushed:
+                    assert pushed[nm] == _unit_class(down.rank, slot), (c, nm)
+            assert _pairings(down, list(pushed.values())) == _pairings(
+                before, list(moved.values())
+            ), c
+    assert contractions >= 1000
+    assert min(ranks) <= 12 and max(ranks) == 41
+
+
+# ---------------------------------------------------------------------------
+# signature against the Fraction elimination it replaced
+
+
+def _fraction_signature(gram):
+    """Inertia (positive, negative) by symmetric elimination over Fraction."""
+    n = len(gram)
+    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+            if j is None:
+                raise InternalInvariantError("degenerate intersection form")
+            if a[j][j] != 0:
+                # symmetric swap of slots k and j
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                # both diagonals vanish; adding slot j puts 2*a[k][j] on it
+                for i in range(n):
+                    a[i][k] += a[i][j]
+                for i in range(n):
+                    a[k][i] += a[j][i]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f == 0:
+                continue
+            for j in range(n):
+                a[i][j] -= f * a[k][j]
+            for j in range(n):
+                a[j][i] -= f * a[j][k]
+    return pos, neg
+
+
+def _form(gram):
+    n = len(gram)
+    return RationalSurface(
+        base=BaseSurface.cp2(),
+        basis=tuple(f"x{i}" for i in range(n)),
+        gram=tuple(tuple(row) for row in gram),
+        canonical=DivisorClass((0,) * n),
+        tracked=(),
+    )
+
+
+def _congruent(gram, rng, moves):
+    """P^T G P for a random unimodular P: elementary row-and-column
+    additions, swaps and sign changes applied to both sides."""
+    a = [list(row) for row in gram]
+    n = len(a)
+    for _ in range(moves):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.random()
+        if kind < 0.6:
+            q = rng.choice([-2, -1, 1, 2])
+            for row in a:
+                row[i] += q * row[j]
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        elif kind < 0.8:
+            a[i], a[j] = a[j], a[i]
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+        else:
+            a[i] = [-x for x in a[i]]
+            for row in a:
+                row[i] = -row[i]
+    return a
+
+
+def test_signature_matches_fraction_reference_on_cremona_corpus():
+    for surf, c in _cremona_corpus():
+        down = blow_down(_surface(surf, surf.tracked + (("C", c),)), "C")
+        assert signature(down) == _fraction_signature(down.gram) == (1, down.rank - 1)
+
+
+def test_signature_matches_fraction_reference_on_hyperbolic_sums():
+    # m U + k <-1>, with U the hyperbolic plane ((0, 1), (1, 0)): the
+    # untransformed forms open on a zero diagonal whose partner diagonal is
+    # also zero, the "add slot j" step; the congruent images mix them up
+    rng = random.Random(0x0B)
+    for m in range(1, 4):
+        for k in range(0, 6):
+            n = 2 * m + k
+            gram = [[0] * n for _ in range(n)]
+            for h in range(m):
+                gram[2 * h][2 * h + 1] = gram[2 * h + 1][2 * h] = 1
+            for i in range(2 * m, n):
+                gram[i][i] = -1
+            expected = (m, m + k)
+            assert signature(_form(gram)) == _fraction_signature(gram) == expected
+            for moves in (1, 3, 10, 40):
+                image = _congruent(gram, rng, moves)
+                assert signature(_form(image)) == _fraction_signature(image) == expected
+
+
+def test_signature_matches_fraction_reference_on_zero_diagonal_forms():
+    # random symmetric forms with an all-zero diagonal keep meeting zero
+    # pivots, also after elimination; degenerate ones must raise in both
+    rng = random.Random(0x2D)
+    degenerate = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.choice([-2, -1, 0, 0, 1, 2])
+        try:
+            expected = _fraction_signature(gram)
+        except InternalInvariantError:
+            degenerate += 1
+            with pytest.raises(InternalInvariantError, match="degenerate"):
+                signature(_form(gram))
+            continue
+        assert signature(_form(gram)) == expected, gram
+    assert 0 < degenerate < 200
+
+
+def test_signature_rejects_degenerate_forms():
+    rng = random.Random(0xDE)
+    for gram in (
+        [[1, 1], [1, 1]],
+        [[0, 0], [0, -1]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        _congruent([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]], rng, 20),
+    ):
+        with pytest.raises(InternalInvariantError, match="degenerate"):
+            signature(_form(gram))
+        with pytest.raises(InternalInvariantError, match="degenerate"):
+            _fraction_signature(gram)

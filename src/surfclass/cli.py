@@ -7,9 +7,11 @@ Every subcommand accepts ``--json`` for machine-readable output carrying the
 same numbers as the human report.
 
 Exit codes: 0 on success, 1 for bad input (syntax, validation, script
-errors), 2 for an internal invariant violation or a trace whose replay
-produces an invalid intermediate, which indicates a bug rather than a user
-mistake.
+errors, unreadable or non-UTF-8 files), 2 for an internal invariant
+violation or a trace whose replay produces an invalid intermediate, which
+indicates a bug rather than a user mistake.  A malformed command line (no
+subcommand, an unknown one, a missing argument) also exits 2, from
+argparse, with a usage message on standard error; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def main(argv: Optional[list] = None) -> int:
     except SurfclassError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

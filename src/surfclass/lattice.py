@@ -113,6 +113,14 @@ class DivisorClass:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple([int(c) for c in self.coords]))
 
+    @classmethod
+    def _from_checked(cls, coords: Tuple[int, ...]) -> "DivisorClass":
+        """Wrap a tuple of coordinates that are already ints: computed by
+        integer arithmetic from the coordinates of checked classes."""
+        dc = object.__new__(cls)
+        object.__setattr__(dc, "coords", coords)
+        return dc
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple([a + b for a, b in zip(self.coords, other.coords, strict=True)]))
 
@@ -144,7 +152,7 @@ class DivisorClass:
 
 
 def _unit(rank: int, i: int) -> DivisorClass:
-    return DivisorClass((0,) * i + (1,) + (0,) * (rank - i - 1))
+    return DivisorClass._from_checked((0,) * i + (1,) + (0,) * (rank - i - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +280,11 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
     n = surf.rank
     basis = surf.basis + (ename,)
     gram = tuple([row + (0,) for row in surf.gram]) + ((0,) * n + (-1,),)
-    canonical = DivisorClass(surf.canonical.coords + (1,))
+    canonical = DivisorClass._from_checked(surf.canonical.coords + (1,))
     tracked = []
     for nm, cls in surf.tracked:
         ext = cls.coords + ((-1,) if nm in seen else (0,))
-        tracked.append((nm, DivisorClass(ext)))
+        tracked.append((nm, DivisorClass._from_checked(ext)))
     tracked.append((ename, _unit(n + 1, n)))
     return RationalSurface(surf.base, basis, gram, canonical, tuple(tracked))
 
@@ -301,8 +309,13 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     nonzero entry in the old coordinates is positive.  The new Gram matrix
     is a rank-one update of the reduced one and a moved class keeps its
     reduced coordinates with slot p dropped, so the contraction costs O(n^2)
-    integer operations and needs no solve.  A row that is an untouched old
-    basis vector keeps its name; every other row gets a fresh ``B`` name.
+    integer operations and needs no solve.  The update is support-sparse:
+    a row i with w_i = 0 is the old row with slot p dropped, patched only at
+    the columns where w is nonzero, and only the rows with w_i != 0 are
+    recomputed in full.  Contracting a fresh exceptional curve, whose w has
+    the pivot as its only nonzero entry, copies the other rows unchanged.
+    A row that is an untouched old basis vector keeps its name; every other
+    row gets a fresh ``B`` name.
     """
     c = surf.tracked_class(line)
     c2 = intersect(surf, c, c)
@@ -363,16 +376,30 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
             lead = next(a - u[i] * b for a, b in zip(vec(i), vec(pivot)) if a != u[i] * b)
             sigma[i] = 1 if lead > 0 else -1
     keep = [i if w[i] == 0 else None for i in slots]
+
+    # entry (a, b) of the new Gram matrix is
+    # sigma_a sigma_b (g_ab - u_b g_ap - u_a g_pb + u_a u_b g_pp).  A slot
+    # with u_a = 0 is an untouched old basis vector, so sigma_a = 1, and the
+    # terms in u_a vanish: its row is the old row with slot p dropped except
+    # at the columns b with u_b != 0, which ``patch`` lists with their new
+    # slots.  Only the few rows with u_a != 0 need the full formula.
+    patch = [(b - (b > pivot), b) for b in slots if u[b]]
     gp = g[pivot]
     gpp = gp[pivot]
     new_rows = []
     for a in slots:
         ga, ua, sa = g[a], u[a], sigma[a]
         gap = ga[pivot]
-        new_rows.append(tuple([
-            sa * sigma[b] * (ga[b] - u[b] * gap - ua * gp[b] + ua * u[b] * gpp)
-            for b in slots
-        ]))
+        if ua:
+            row = [
+                sa * sigma[b] * (ga[b] - u[b] * gap - ua * gp[b] + ua * u[b] * gpp)
+                for b in slots
+            ]
+        else:
+            row = ga[:pivot] + ga[pivot + 1:]
+            for k, b in patch:
+                row[k] = sigma[b] * (ga[b] - u[b] * gap)
+        new_rows.append(tuple(row))
     gram = tuple(new_rows)
 
     names = []
@@ -406,7 +433,7 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
             x = [a + lc * b for a, b in zip(x, cr)]
             if sum([a * b for a, b in zip(x, w)]) != 0:
                 raise InternalInvariantError("class does not lie in the sublattice")
-        return DivisorClass(tuple([sigma[i] * x[i] for i in slots]))
+        return DivisorClass._from_checked(tuple([sigma[i] * x[i] for i in slots]))
 
     canonical = push([k - ci for k, ci in zip(surf.canonical.coords, c.coords)])
     tracked = []

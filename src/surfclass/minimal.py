@@ -11,7 +11,7 @@ report records the order taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .lattice import (
     DivisorClass,
@@ -71,17 +71,22 @@ class ReductionReport:
     final_surface: RationalSurface
 
 
-def find_minus_one_lines(surf: RationalSurface) -> List[str]:
-    """Names of tracked lines with square -1 and K-degree -1, in insertion
-    order."""
-    out = []
+def _minus_one_lines(surf: RationalSurface) -> Iterator[str]:
+    """Yield the names of tracked lines with square -1 and K-degree -1, in
+    insertion order, testing each line only when the next name is asked
+    for."""
     for name, cls in surf.tracked:
         if (
             intersect(surf, cls, cls) == -1
             and intersect(surf, cls, surf.canonical) == -1
         ):
-            out.append(name)
-    return out
+            yield name
+
+
+def find_minus_one_lines(surf: RationalSurface) -> List[str]:
+    """Names of tracked lines with square -1 and K-degree -1, in insertion
+    order."""
+    return list(_minus_one_lines(surf))
 
 
 def classify_minimal(surf: RationalSurface) -> MinimalType:
@@ -117,14 +122,18 @@ def classify_minimal(surf: RationalSurface) -> MinimalType:
 
 
 def minimal_model(surf: RationalSurface) -> ReductionReport:
-    """Contract the first -1 line in insertion order until none remain."""
+    """Contract the first -1 line in insertion order until none remain.
+
+    Each scan stops at the first contractible line: only that one is
+    contracted, and the next scan starts over on the contracted surface,
+    whose classes have all moved.
+    """
     steps: List[Tuple[str, DivisorClass]] = []
     current = surf
     for _ in range(surf.rank):
-        lines = find_minus_one_lines(current)
-        if not lines:
+        name = next(_minus_one_lines(current), None)
+        if name is None:
             break
-        name = lines[0]
         steps.append((name, current.tracked_class(name)))
         current = blow_down(current, name)
     else:

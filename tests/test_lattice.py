@@ -1,6 +1,7 @@
 import cmath
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,12 @@ from surfclass.lattice import (
     signature,
     topological_model,
 )
-from surfclass.minimal import find_minus_one_lines
+from surfclass.minimal import (
+    ReductionReport,
+    classify_minimal,
+    find_minus_one_lines,
+    minimal_model,
+)
 from surfclass.script import run_script
 from surfclass.words import InternalInvariantError, ValidationError
 
@@ -349,12 +355,47 @@ def _dense_unit_pivot_blow_down(surf, line):
     return tuple(names), gram, canonical, tuple(tracked)
 
 
+def _recording_blow_down(updates):
+    """``blow_down`` that also appends (pivot, u, sigma) of each contraction
+    to ``updates``, read off its frame as it returns, so a corpus can show
+    which cases of the Gram update it reached."""
+    code = blow_down.__code__
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            f = frame.f_locals
+            updates.append((f["pivot"], f["u"], f["sigma"]))
+
+    def contract(surf, line):
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            return blow_down(surf, line)
+        finally:
+            sys.setprofile(previous)
+
+    return contract
+
+
+def _assert_update_cases_reached(updates):
+    """The corpus reaches every case of the support-sparse Gram update."""
+    off_pivot = [[x for a, x in enumerate(u) if a != p] for p, u, _ in updates]
+    # a row with u_a = 0 patched at a column with u_b != 0: |supp u| >= 2
+    assert any(0 in xs and any(xs) for xs in off_pivot)
+    # a row sign sigma_b = -1
+    assert any(-1 in sigma for _, _, sigma in updates)
+    # a row off the pivot with u_a != 0, which takes the full formula
+    assert any(any(xs) for xs in off_pivot)
+
+
 def test_blow_down_matches_dense_reference():
     # random blow-up sequences up to rank 12, some on tracked lines, then
     # contractions; every -1 line of every surface on the way is compared
     rng = random.Random(20260)
     bases = [BaseSurface.cp2()] + [BaseSurface.hirzebruch(k) for k in range(6)]
     compared = 0
+    updates = []
+    contract = _recording_blow_down(updates)
     while compared < 1000:
         surf = make_base(rng.choice(bases))
         for _ in range(rng.randint(1, 12 - surf.rank)):
@@ -369,13 +410,14 @@ def test_blow_down_matches_dense_reference():
                 break
             for line in lines:
                 names, gram, canonical, tracked = _dense_unit_pivot_blow_down(surf, line)
-                down = blow_down(surf, line)
+                down = contract(surf, line)
                 assert down.basis == names
                 assert down.gram == gram
                 assert down.canonical.coords == canonical
                 assert tuple((nm, cls.coords) for nm, cls in down.tracked) == tracked
                 compared += 1
             surf = blow_down(surf, rng.choice(lines))
+    _assert_update_cases_reached(updates)
 
 
 def test_blow_down_guards_pushforward(monkeypatch):
@@ -438,10 +480,12 @@ def _minus_one_expr(surf, rng):
     return rng.choice(options).render(surf.basis) if options else None
 
 
-def test_lattice_conservation_along_random_scripts():
+def _random_scripts():
+    """40 seeded random scripts of blow-ups, blow-downs of tracked and of
+    scripted -1 lines, and minimal-model statements.  Yields each script's
+    lines and its outcome after every statement."""
     rng = random.Random(3)
     bases = ["cp2"] + [f"hirzebruch {k}" for k in range(6)]
-    statements = 0
     for _ in range(40):
         lines = [f"base {rng.choice(bases)}"]
         surf = run_script(lines[0]).surface
@@ -465,12 +509,51 @@ def test_lattice_conservation_along_random_scripts():
                 new = ["blowup"]
             for stmt in new:
                 lines.append(stmt)
-                surf = run_script("\n".join(lines) + "\n").surface
-                statements += 1
-                assert surf.k_squared + surf.rank == 10, lines
-                assert signature(surf) == (1, surf.rank - 1), lines
-                assert signature(surf) == _fraction_signature(surf.gram), lines
+                outcome = run_script("\n".join(lines) + "\n")
+                surf = outcome.surface
+                yield lines, outcome
+
+
+def test_lattice_conservation_along_random_scripts():
+    statements = 0
+    for lines, outcome in _random_scripts():
+        surf = outcome.surface
+        statements += 1
+        assert surf.k_squared + surf.rank == 10, lines
+        assert signature(surf) == (1, surf.rank - 1), lines
+        assert signature(surf) == _fraction_signature(surf.gram), lines
     assert statements > 300
+
+
+def _assert_int_classes(surf, steps=()):
+    """Every coordinate of K, of each tracked class and of each step class
+    is a Python int, and so is every Gram entry."""
+    classes = [surf.canonical] + [cls for _, cls in surf.tracked] + [cls for _, cls in steps]
+    for cls in classes:
+        assert all(type(x) is int for x in cls.coords), cls
+    assert all(type(x) is int for row in surf.gram for x in row)
+
+
+def test_internal_classes_are_ints_along_random_scripts():
+    # blow_up, blow_down and minimal_model build their classes unchecked
+    # from int arithmetic; the scripts run all three, and each surface
+    # along them is also blown up, blown down and reduced directly
+    for _, outcome in _random_scripts():
+        surf = outcome.surface
+        _assert_int_classes(surf)
+        for report in outcome.reductions:
+            _assert_int_classes(report.final_surface, report.steps)
+        _assert_int_classes(blow_up(surf, [nm for nm, _ in surf.tracked][:1]))
+        for line in find_minus_one_lines(surf)[:2]:
+            _assert_int_classes(blow_down(surf, line))
+        report = minimal_model(surf)
+        _assert_int_classes(report.final_surface, report.steps)
+
+
+def test_divisor_class_constructor_normalizes_to_int():
+    cls = DivisorClass((True, 2.0))
+    assert cls.coords == (1, 2)
+    assert [type(x) for x in cls.coords] == [int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +661,8 @@ def test_blow_down_cremona_corpus():
     # once per class and the Gram matrix is asserted equal across the five
     rng = random.Random(0xC4F)
     contractions = 0
+    updates = []
+    contract = _recording_blow_down(updates)
     ranks = set()
     for surf, c in _cremona_corpus():
         n = surf.rank
@@ -595,7 +680,7 @@ def test_blow_down_cremona_corpus():
                 tracked.append(("A", c))  # another name for C: dropped
             tracked.append(("C", c))
             before = _surface(surf, tracked)
-            down = blow_down(before, "C")
+            down = contract(before, "C")
             contractions += 1
 
             assert down.rank == n - 1
@@ -627,6 +712,72 @@ def test_blow_down_cremona_corpus():
             ), c
     assert contractions >= 1000
     assert min(ranks) <= 12 and max(ranks) == 41
+    _assert_update_cases_reached(updates)
+
+
+# ---------------------------------------------------------------------------
+# minimal_model against the loop it replaced
+
+
+def _reference_minimal_model(surf):
+    """The reduction loop before the scan stopped at the first hit: list
+    every -1 line, contract the first."""
+    steps = []
+    current = surf
+    for _ in range(surf.rank):
+        lines = find_minus_one_lines(current)
+        if not lines:
+            break
+        steps.append((lines[0], current.tracked_class(lines[0])))
+        current = blow_down(current, lines[0])
+    else:
+        raise AssertionError("reduction did not terminate within rank steps")
+    return ReductionReport(tuple(steps), classify_minimal(current), current)
+
+
+def _minimal_model_corpus():
+    """Plain 10/20/40/80 blow-ups over CP2 and F0-F5, 10/20 blow-ups with
+    some points on tracked lines, every surface along the random scripts,
+    and scripted no-unit-pivot contractions of Cremona classes, with the
+    surface before and after the contraction."""
+    rng = random.Random(0x3A1)
+    for base in [BaseSurface.cp2()] + [BaseSurface.hirzebruch(k) for k in range(6)]:
+        for n in (10, 20, 40, 80):
+            surf = make_base(base)
+            for _ in range(n):
+                surf = blow_up(surf)
+            yield surf
+        for n in (10, 20):
+            surf = make_base(base)
+            for _ in range(n):
+                names = [nm for nm, _ in surf.tracked]
+                k = min(len(names), rng.randint(1, 2))
+                surf = blow_up(surf, rng.sample(names, k) if rng.random() < 0.3 else [])
+            yield surf
+    for _, outcome in _random_scripts():
+        yield outcome.surface
+    for surf, c in _cremona_corpus()[:20]:
+        script = "base cp2\n" + "blowup\n" * (surf.rank - 1) + f"line C = {c.render(surf.basis)}\n"
+        yield run_script(script).surface
+        yield run_script(script + "blowdown C\n").surface
+
+
+def test_minimal_model_matches_full_scan_reference():
+    surfaces = contractions = 0
+    for surf in _minimal_model_corpus():
+        report = minimal_model(surf)
+        reference = _reference_minimal_model(surf)
+        assert report.steps == reference.steps
+        assert report.final == reference.final
+        final, ref = report.final_surface, reference.final_surface
+        assert final.basis == ref.basis
+        assert final.gram == ref.gram
+        assert final.canonical == ref.canonical
+        assert final.tracked == ref.tracked
+        assert report == reference
+        surfaces += 1
+        contractions += len(report.steps)
+    assert surfaces > 500 and contractions >= 3000
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfclass.cli import main
+from surfclass.cli import build_parser, main
 from surfclass.lattice import BaseSurface, make_base
 from surfclass.script import (
     ScriptError,
@@ -16,7 +19,10 @@ from surfclass.script import (
     run_script,
 )
 from surfclass.minimal import minimal_model
-from surfclass.words import SurfclassError
+from surfclass.moves import ReplayError
+from surfclass.words import InternalInvariantError, SurfclassError
+
+from conftest import words
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +349,111 @@ def test_cli_rational_rejects_repeated_line(capsys, tmp_path):
     assert "line name 'H' is repeated" in err
 
 
+# ---------------------------------------------------------------------------
+# the exit-code contract under random command lines
+
+
+_COMMANDS = ["classify", "normalize", "sum", "glue", "replay", "rational"]
+_DOCUMENTS = [
+    TWO_POINTS,
+    "base hirzebruch 1\nblowup on S\nminimal-model\nreport\n",
+    "a b c\na' b' c'\n",
+    "# comment\nrotate 1\nreflect\n",
+    "rename q r\n",  # parses, then fails mid-replay: exit 2
+]
+_FILE_BYTES = st.one_of(
+    st.sampled_from(_DOCUMENTS).map(str.encode),
+    st.text(max_size=40).map(str.encode),
+    st.binary(max_size=40),
+)
+# FILE0 and FILE1 name the drawn files, MISSING a file that does not exist,
+# DIR a directory
+_FILE = st.sampled_from(["FILE0", "FILE0", "FILE1", "MISSING", "DIR"])
+_WORD = st.one_of(
+    words(max_pairs=4).map(lambda w: w.render()),
+    st.sampled_from(["a a'", "a b a' b'", "a a b b", "a a a", "a b"]),
+    st.text(max_size=12),
+)
+_ARG = st.one_of(
+    st.sampled_from(_COMMANDS + ["bogus", "--json", "--trace", "--stats", "-x", "", "--"]),
+    _FILE,
+    _WORD,
+)
+# each command with the positional arguments it takes, then flags
+_SHAPES = {
+    "classify": [_WORD], "normalize": [_WORD], "sum": [_WORD, _WORD],
+    "glue": [_FILE], "replay": [_WORD, _FILE], "rational": [_FILE],
+}
+_FLAGS = st.lists(st.sampled_from(["--json", "--trace"]), max_size=2, unique=True)
+_ARGV = st.one_of(
+    *[
+        st.builds(lambda c, args, flags: [c, *args, *flags], st.just(c), st.tuples(*shape), _FLAGS)
+        for c, shape in _SHAPES.items()
+    ],
+    st.builds(lambda c, rest: [c, *rest], st.sampled_from(_COMMANDS), st.lists(_ARG, max_size=4)),
+    st.lists(_ARG, max_size=5),
+)
+
+
+def _run_main(argv):
+    """(return code or None, SystemExit code or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = exit_code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            exit_code = e.code
+    return code, exit_code, out.getvalue(), err.getvalue()
+
+
+@given(_ARGV, _FILE_BYTES, _FILE_BYTES)
+@settings(max_examples=300)
+def test_cli_exit_code_contract(argv, data0, data1):
+    # 0 success, 1 bad input, 2 only from ReplayError or
+    # InternalInvariantError; argparse usage errors exit 2 with a usage
+    # message, --help exits 0; no other exception escapes main
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"FILE0": Path(tmp) / "f0", "FILE1": Path(tmp) / "f1",
+                 "MISSING": Path(tmp) / "missing", "DIR": Path(tmp)}
+        paths["FILE0"].write_bytes(data0)
+        paths["FILE1"].write_bytes(data1)
+        argv = [str(paths[a]) if a in paths else a for a in argv]
+        code, exit_code, out, err = _run_main(argv)
+        if code is None:
+            if exit_code == 0:
+                assert out.startswith("usage:"), argv
+            else:
+                assert exit_code == 2, argv
+                assert err.startswith("usage:"), argv
+            return
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.startswith("error: "), argv
+        if code == 2:
+            args = build_parser().parse_args(argv)
+            with redirect_stdout(io.StringIO()), pytest.raises(
+                (ReplayError, InternalInvariantError)
+            ):
+                args.func(args)
+
+
+@pytest.mark.parametrize("argv", [[], ["classify"], ["bogus"]])
+def test_cli_usage_errors_exit_2(argv):
+    code, exit_code, out, err = _run_main(argv)
+    assert (code, exit_code, out) == (None, 2, "")
+    assert err.startswith("usage: surfclass")
+
+
+def test_cli_undecodable_file_exits_1(tmp_path):
+    f = tmp_path / "latin1.srf"
+    f.write_bytes(b"base cp2\n# caf\xe9\n")
+    for command in ("glue", "rational"):
+        code, exit_code, out, err = _run_main([command, str(f)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "utf-8" in err
+
+
 def _run_repo_script(name, *args):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -363,3 +474,18 @@ def test_orbit_census_script_runs():
     proc = _run_repo_script("orbit_census.py", "--symbols", "a,b")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "orbit partition matches type classes"
+
+
+def test_perfbench_lattice_smoke_run():
+    # one traced second of the lattice workload: the tracer looks up every
+    # layer it wraps by name, so a renamed layer fails here
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "lattice-scripts",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Optional
 
-from .lattice import RationalSurface, euler_characteristic_cx, intersect
+from .lattice import RationalSurface, euler_characteristic_cx
 from .minimal import ReductionReport
 from .moves import MoveTrace, ReplayError, parse_trace, replay
 from .normalize import normalize
@@ -56,10 +56,10 @@ def _print_type_json(t: SurfaceType, trace: Optional[MoveTrace] = None) -> None:
     print(json.dumps(payload))
 
 
-def _print_word_report(word: Word, t: SurfaceType, out) -> None:
-    print(f"word: {word.render()}", file=out)
-    print(f"type: {t.describe()}", file=out)
-    print(f"canonical: {canonical_word(t).render()}", file=out)
+def _print_word_report(word: Word, t: SurfaceType) -> None:
+    print(f"word: {word.render()}")
+    print(f"type: {t.describe()}")
+    print(f"canonical: {canonical_word(t).render()}")
 
 
 def cmd_classify(args) -> int:
@@ -68,7 +68,7 @@ def cmd_classify(args) -> int:
     if args.json:
         _print_type_json(t)
     else:
-        _print_word_report(word, t, sys.stdout)
+        _print_word_report(word, t)
     return 0
 
 
@@ -89,7 +89,7 @@ def cmd_normalize(args) -> int:
         if rendered:
             print(rendered)
     else:
-        _print_word_report(word, t, sys.stdout)
+        _print_word_report(word, t)
         print(f"moves: {len(result.trace.steps)}")
     return 0
 
@@ -102,7 +102,7 @@ def cmd_sum(args) -> int:
     if args.json:
         _print_type_json(t)
     else:
-        _print_word_report(total, t, sys.stdout)
+        _print_word_report(total, t)
     return 0
 
 
@@ -114,8 +114,8 @@ def cmd_glue(args) -> int:
     if args.json:
         _print_type_json(t)
     else:
-        print(f"polygons: {len(polys.polygons)}", file=sys.stdout)
-        _print_word_report(merged, t, sys.stdout)
+        print(f"polygons: {len(polys.polygons)}")
+        _print_word_report(merged, t)
     return 0
 
 

@@ -6,9 +6,12 @@ homeomorphism type and records every elementary move:
 1. Vertex reduction.  While the identified polygon has more than one vertex
    class, shrink a smallest class.  A class of size one forces its two
    flanking sides to be an adjacent inverse pair, which is cancelled; a
-   larger class loses a corner to a neighbouring class through a triangle
-   cut-and-paste.  Sphere words bottom out at the two-sided polygon instead,
-   since a single vertex is impossible when the characteristic is 2.
+   larger class loses a corner through a triangle cut-and-paste, picked by
+   rule: a cut at a corner of class Q moves exactly one corner from Q into
+   a neighbouring class, and only a cut whose receiving class is another
+   class no smaller than Q is built.  Sphere words bottom out at the
+   two-sided polygon, since one vertex is impossible when the
+   characteristic is 2.
 2. A one-shot split of a word that is already a run of adjacent
    same-exponent pairs, which reroutes it through the interleaved form
    before regathering.  On the four-sided Klein-bottle word this is the
@@ -23,9 +26,10 @@ homeomorphism type and records every elementary move:
 
 Each emitted move is checked to preserve the Euler characteristic and
 orientability: every word a move produces has its corners traced once, and a
-rotation is checked to be exactly the rotated letters, which keeps both.  The
-final word is required to equal the canonical word of the computed type
-letter for letter.  Any violation raises
+rotation is checked to be exactly the rotated letters, which keeps both.  A
+vertex-reduction cut must also strictly shrink the sorted class-size profile
+of those classes, and the final word must equal the canonical word of the
+computed type letter for letter.  Any violation raises
 InternalInvariantError rather than returning a wrong certificate.
 """
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .moves import (
 )
 from .words import (
     InternalInvariantError,
-    Letter,
     SurfaceType,
     Word,
     canonical_word,
@@ -77,9 +80,9 @@ class _Rewriter:
 
     It keeps the corner classes of its current word.  Each word a move
     produces is traced once, for the Euler-characteristic check, and vertex
-    reduction reads those classes instead of tracing again.  A rotation is
-    checked by its letters alone and leaves the classes to be traced when
-    next asked for.
+    reduction reads those classes to pick its next cut and to check that the
+    last one shrank the class-size profile.  A rotation is checked by its
+    letters alone and leaves the classes to be traced when next asked for.
     """
 
     def __init__(self, word: Word) -> None:
@@ -96,17 +99,8 @@ class _Rewriter:
             self._classes = corner_classes(self.word)
         return self._classes
 
-    def emit(
-        self,
-        move: Move,
-        traced: tuple[tuple[Letter, ...], tuple[int, ...]] | None = None,
-    ) -> None:
-        """Apply, record and check one move.
-
-        `traced` holds letters the caller has already traced, with their
-        classes; the classes are reused when the move produces exactly
-        those letters.
-        """
+    def emit(self, move: Move) -> None:
+        """Apply, record and check one move."""
         old = self.word
         try:
             self.word = apply_move(old, move)
@@ -123,10 +117,7 @@ class _Rewriter:
                 )
             self._classes = None
             return
-        if traced is not None and self.word.letters == traced[0]:
-            self._classes = traced[1]
-        else:
-            self._classes = corner_classes(self.word)
+        self._classes = corner_classes(self.word)
         if (
             _euler_from_classes(self._classes) != self._chi
             or is_orientable(self.word) != self._orientable
@@ -269,15 +260,18 @@ def _shrink_class(
 ) -> None:
     """Transplant one corner out of the chosen class via a triangle cut.
 
-    Candidates are tried in a fixed order and the first one that strictly
-    shrinks the sorted class-size profile is taken, so the outcome is
-    deterministic and the loop measure is explicit.
+    The cut at apex corner p joins corners p - 1 and p + 1.  Pasting along
+    `flank_a`, the side ending at p, moves one corner from p's class into
+    that of corner p + 1; pasting along `flank_b` moves it into that of
+    corner p - 1.  A move from a class of size s into another of size d
+    shrinks the sorted profile exactly when s <= d (s >= 2, as singletons
+    are cancelled first), so the first candidate, in a fixed order, that
+    passes this test is the only cut built, and the shrink is then checked
+    on the classes `emit` traced.
     """
     word = rw.word
     n = len(word.letters)
     old_profile = sorted(sizes.values())
-    # every trial is a rotation of `word`, so one fresh name serves them all
-    fresh = mint_fresh(word.symbols())
     in_q = [p for p in range(n) if classes[p] == qroot]
     others = [p for p in range(n) if classes[p] != qroot]
     for p in in_q + others:
@@ -285,19 +279,20 @@ def _shrink_class(
         flank_b = word[p]
         if flank_a.symbol == flank_b.symbol:
             continue
-        for paste_symbol in (flank_a.symbol, flank_b.symbol):
-            offset = (p - 1) % n
-            trial = word.rotated(offset) if offset else word
-            move = CutPaste(0, 2, fresh, paste_symbol)
-            try:
-                trial = apply_move(trial, move)
-            except MoveError:
-                continue
-            trial_classes = corner_classes(trial)
-            new_profile = sorted(_class_sizes(trial_classes).values())
-            if new_profile < old_profile:
-                rw.rotate_to(offset)
-                rw.emit(move, (trial.letters, trial_classes))
+        src = classes[p]
+        for paste, dst in (
+            (flank_a.symbol, classes[(p + 1) % n]),
+            (flank_b.symbol, classes[(p - 1) % n]),
+        ):
+            if dst != src and sizes[src] <= sizes[dst]:
+                rw.rotate_to((p - 1) % n)
+                move = CutPaste(0, 2, rw.fresh(), paste)
+                rw.emit(move)
+                if sorted(_class_sizes(rw.classes).values()) >= old_profile:
+                    raise InternalInvariantError(
+                        f"move {move.render()} did not shrink the vertex classes"
+                        f" {old_profile} of {word.render()}"
+                    )
                 return
     raise InternalInvariantError("no corner-shrinking move exists; bad class data")
 

@@ -24,8 +24,6 @@ from .moves import (
     CutPaste,
     FlipEdge,
     Insert,
-    Move,
-    MoveError,
     Reflect,
     Rename,
     apply_move,

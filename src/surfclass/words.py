@@ -28,10 +28,12 @@ class SurfclassError(Exception):
 
 
 class WordSyntaxError(SurfclassError):
-    """Unparseable word text; carries a 1-based character position."""
+    """Unparseable word text at a 1-based character position (and file line)."""
 
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"syntax error at position {position}: {message}")
+    def __init__(self, message: str, position: int, line: int | None = None) -> None:
+        where = f"line {line}: " if line else ""
+        super().__init__(f"{where}syntax error at position {position}: {message}")
+        self.message = message
         self.position = position
 
 
@@ -491,7 +493,7 @@ def parse_polygon_file(text: str) -> PolygonSet:
         try:
             polygons.append(parse_word(line))
         except WordSyntaxError as exc:
-            raise WordSyntaxError(f"line {lineno}: {exc}", exc.position) from exc
+            raise WordSyntaxError(exc.message, exc.position, lineno) from exc
     if not polygons:
         raise ValidationError("no polygons in input")
     return PolygonSet(tuple(polygons))

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import words
-from surfclass.moves import Cancel, CutPaste, FlipEdge, Rename, Rotate, parse_trace, replay
+from surfclass.moves import (
+    Cancel,
+    CutPaste,
+    FlipEdge,
+    Rename,
+    Rotate,
+    apply_move,
+    parse_trace,
+    replay,
+)
 from surfclass.normalize import certificate_words, equivalent, normalize
 from surfclass.words import (
     InternalInvariantError,
@@ -18,6 +27,7 @@ from surfclass.words import (
     Word,
     canonical_word,
     classify_by_invariants,
+    corner_classes,
     euler_characteristic,
     is_orientable,
     mint_fresh,
@@ -146,10 +156,23 @@ def test_every_move_kind_is_checked(monkeypatch, kind):
     assert f"move {bad[0].render()} " in str(exc.value)
 
 
+def _seeded_words(seed, count, lo, hi):
+    """`count` words of lo-hi pairs over s0, s1, ...; odd-numbered ones orientable."""
+    rng = random.Random(seed)
+    for n in range(count):
+        k = rng.randint(lo, hi)
+        letters = []
+        for i in range(k):
+            e = rng.choice((1, -1))
+            letters += [Letter(f"s{i}", e), Letter(f"s{i}", -e if n % 2 else rng.choice((1, -1)))]
+        rng.shuffle(letters)
+        yield Word(tuple(letters))
+
+
 def test_each_produced_word_is_traced_at_most_once(monkeypatch):
-    # one trace for the start word, one per non-rotation move, one per trial
-    # cut (the apply_move calls that emit no move) and one for the final
-    # classify_by_invariants cross-check
+    # every apply_move that normalize makes emits a move, and every word is
+    # traced at most once: the start word, one per non-rotation move and the
+    # final classify_by_invariants cross-check
     counts = {"traces": 0, "applies": 0}
     real_trace = words_module.corner_classes
     real_apply = normalize_module.apply_move
@@ -165,19 +188,55 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
     monkeypatch.setattr(words_module, "corner_classes", counting_trace)
     monkeypatch.setattr(normalize_module, "corner_classes", counting_trace)
     monkeypatch.setattr(normalize_module, "apply_move", counting_apply)
-    rng = random.Random(0x7ACE)
-    for n in range(50):
-        k = rng.randint(10, 40)
-        letters = []
-        for i in range(k):
-            e = rng.choice((1, -1))
-            letters += [Letter(f"s{i}", e), Letter(f"s{i}", -e if n % 2 else rng.choice((1, -1)))]
-        rng.shuffle(letters)
+    for word in _seeded_words(0x7ACE, 50, 10, 40):
         counts.update(traces=0, applies=0)
-        steps = normalize(Word(tuple(letters))).trace.steps
+        steps = normalize(word).trace.steps
         non_rotations = sum(not isinstance(m, Rotate) for m in steps)
-        trials = counts["applies"] - len(steps)
-        assert counts["traces"] <= non_rotations + trials + 2
+        assert counts["applies"] == len(steps)
+        assert counts["traces"] <= non_rotations + 2
+
+
+def test_corner_cut_rule_matches_traced_cuts(monkeypatch):
+    # the reference is the trial loop the rule replaced: every candidate
+    # triangle cut is built in full and traced.  Its class-size profile must
+    # be the one the rule predicts (one corner moves from the apex's class
+    # into that of corner p + 1 when pasting along the side ending at p, of
+    # corner p - 1 when pasting along the side starting at p), and vertex
+    # reduction must move to the first cut that shrinks the profile
+    real_shrink = normalize_module._shrink_class
+    counts = {"shrinks": 0, "cuts": 0}
+
+    def checked_shrink(rw, classes, sizes, qroot):
+        word = rw.word
+        n = len(word)
+        fresh = mint_fresh(word.symbols())
+        old_profile = sorted(sizes.values())
+        first = None
+        in_q = [p for p in range(n) if classes[p] == qroot]
+        others = [p for p in range(n) if classes[p] != qroot]
+        for p in in_q + others:
+            flank_a, flank_b = word[(p - 1) % n], word[p]
+            if flank_a.symbol == flank_b.symbol:
+                continue
+            for paste, q in ((flank_a.symbol, (p + 1) % n), (flank_b.symbol, (p - 1) % n)):
+                cut = apply_move(word.rotated((p - 1) % n), CutPaste(0, 2, fresh, paste))
+                profile = sorted(normalize_module._class_sizes(corner_classes(cut)).values())
+                predicted = dict(sizes)
+                predicted[classes[p]] -= 1
+                predicted[classes[q]] += 1
+                assert profile == sorted(predicted.values()), (word.render(), p, paste)
+                if first is None and profile < old_profile:
+                    first = cut
+                counts["cuts"] += 1
+        real_shrink(rw, classes, sizes, qroot)
+        assert first is not None and rw.word.letters == first.letters
+        counts["shrinks"] += 1
+
+    monkeypatch.setattr(normalize_module, "_shrink_class", checked_shrink)
+    for word in _seeded_words(0x5EED, 40, 4, 30):
+        result = normalize(word)
+        assert result.type == classify_by_invariants(word)
+    assert counts["shrinks"] > 200 and counts["cuts"] > 10 * counts["shrinks"]
 
 
 # ---------------------------------------------------------------------------

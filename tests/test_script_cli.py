@@ -276,6 +276,15 @@ def test_cli_replay_exit_codes(capsys, tmp_path):
     assert "step 1" in capsys.readouterr().err
 
 
+def test_cli_glue_syntax_error_names_line_then_position(capsys, tmp_path):
+    f = tmp_path / "polys.txt"
+    f.write_text("a b c\n# comment\na b' c!\n")
+    assert main(["glue", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: syntax error at position 7: unexpected character '!'\n"
+
+
 def test_cli_missing_file(capsys, tmp_path):
     assert main(["glue", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -333,6 +333,13 @@ def test_parse_polygon_file_reports_line():
         parse_polygon_file("a b c\na ?\n")
 
 
+def test_parse_polygon_file_error_names_position_once():
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_polygon_file("a b c\n# comment\na b' c!\n")
+    assert str(exc.value) == "line 3: syntax error at position 7: unexpected character '!'"
+    assert exc.value.position == 7
+
+
 def test_polygon_set_validation():
     with pytest.raises(ValidationError, match="symbol c occurs once"):
         glue_polygons(parse_polygon_file("a b c\na' b'\n"))

@@ -15,6 +15,7 @@ were checked when that word was made, so only a name the move introduces
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -196,10 +197,10 @@ def apply_move(word: Word, move: Move) -> Word:
         used = word.symbols()
         if move.old not in used:
             raise MoveError(f"symbol {move.old} does not occur")
-        if move.new in used:
-            raise MoveError(f"symbol {move.new} already occurs")
         if move.new == move.old:
             raise MoveError("rename must change the symbol")
+        if move.new in used:
+            raise MoveError(f"symbol {move.new} already occurs")
         _check_symbol(move.new)
         return Word._from_checked(
             tuple(
@@ -286,6 +287,20 @@ def replay(trace: MoveTrace, collect: list[Word] | None = None) -> Word:
     return word
 
 
+_NUMBER = re.compile(r"-?[0-9]+")
+
+
+def _number(text: str) -> int:
+    """A move number: ASCII digits with an optional leading minus sign."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"expected a number, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int-string digit limit
+        digits = len(text.lstrip("-"))
+        raise ValueError(f"number is too long ({digits} digits)") from None
+
+
 def parse_trace(text: str, initial: Word) -> MoveTrace:
     """Parse the line-oriented trace format back into a MoveTrace."""
     steps: list[Move] = []
@@ -297,7 +312,7 @@ def parse_trace(text: str, initial: Word) -> MoveTrace:
         op, args = parts[0], parts[1:]
         try:
             if op == "rotate" and len(args) == 1:
-                steps.append(Rotate(int(args[0])))
+                steps.append(Rotate(_number(args[0])))
             elif op == "reflect" and not args:
                 steps.append(Reflect())
             elif op == "rename" and len(args) == 2:
@@ -305,11 +320,12 @@ def parse_trace(text: str, initial: Word) -> MoveTrace:
             elif op == "flipedge" and len(args) == 1:
                 steps.append(FlipEdge(args[0]))
             elif op == "cancel" and len(args) == 1:
-                steps.append(Cancel(int(args[0])))
+                steps.append(Cancel(_number(args[0])))
             elif op == "insert" and len(args) == 2:
-                steps.append(Insert(int(args[0]), args[1]))
+                steps.append(Insert(_number(args[0]), args[1]))
             elif op == "cutpaste" and len(args) == 4:
-                steps.append(CutPaste(int(args[0]), int(args[1]), args[2], args[3]))
+                i, j = _number(args[0]), _number(args[1])
+                steps.append(CutPaste(i, j, args[2], args[3]))
             else:
                 raise ValueError(f"unknown move {line!r}")
         except ValueError as exc:

@@ -25,15 +25,22 @@ homeomorphism type and records every elementary move:
    and rename symbols left to right into the canonical alphabet.
 
 Each emitted move is checked to preserve the Euler characteristic and
-orientability: every word a move produces has its corners traced once, and a
-rotation is checked to be exactly the rotated letters, which keeps both.  A
-vertex-reduction cut must also strictly shrink the sorted class-size profile
-of those classes, and the final word must equal the canonical word of the
-computed type letter for letter.  Any violation raises
-InternalInvariantError rather than returning a wrong certificate.
+orientability.  A cut or a cancellation has the corners of the word it
+produces traced once.  Rotations, renames and edge flips are checked by their
+letters instead: a rotation must give exactly the rotated letters, and a
+rename or flip must change only the two letters of its symbol, a rename to a
+symbol not yet in the word with the same exponents, a flip to the inverse
+letters.  Each such move keeps which positions pair and whether the pair's
+exponents agree, so it keeps both invariants, and after a rename or a flip
+the corner classes carry over unchanged.  A vertex-reduction cut must also
+strictly shrink the sorted class-size profile of those classes, and the final
+word must equal the canonical word of the computed type letter for letter.
+Any violation raises InternalInvariantError rather than returning a wrong
+certificate.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .moves import (
@@ -50,6 +57,7 @@ from .moves import (
 )
 from .words import (
     InternalInvariantError,
+    Letter,
     SurfaceType,
     Word,
     canonical_word,
@@ -78,11 +86,13 @@ def _euler_from_classes(classes: tuple[int, ...]) -> int:
 class _Rewriter:
     """Mutable cursor over a word that records and checks each move.
 
-    It keeps the corner classes of its current word.  Each word a move
-    produces is traced once, for the Euler-characteristic check, and vertex
-    reduction reads those classes to pick its next cut and to check that the
-    last one shrank the class-size profile.  A rotation is checked by its
-    letters alone and leaves the classes to be traced when next asked for.
+    It keeps the corner classes of its current word.  Each word a cut or a
+    cancellation produces is traced once, for the Euler-characteristic
+    check, and vertex reduction reads those classes to pick its next cut and
+    to check that the last one shrank the class-size profile.  Rotations,
+    renames and edge flips are checked by their letters alone.  A rename or
+    a flip keeps the classes as they are; a rotation leaves them to be traced
+    when next asked for.
     """
 
     def __init__(self, word: Word) -> None:
@@ -117,6 +127,12 @@ class _Rewriter:
                 )
             self._classes = None
             return
+        if isinstance(move, (Rename, FlipEdge)):
+            if not _relabels(old.letters, self.word.letters, move):
+                raise InternalInvariantError(
+                    f"move {move.render()} changed an invariant of {self.word.render()}"
+                )
+            return
         self._classes = corner_classes(self.word)
         if (
             _euler_from_classes(self._classes) != self._chi
@@ -132,6 +148,41 @@ class _Rewriter:
 
     def fresh(self) -> str:
         return mint_fresh(self.word.symbols())
+
+
+def _relabels(
+    old: tuple[Letter, ...], new: tuple[Letter, ...], move: Rename | FlipEdge
+) -> bool:
+    """True when `new` is `old` with only the two letters of the moved
+    symbol changed: renamed to a symbol absent from `old` with the same
+    exponents, or inverted by a flip.
+
+    `old` is a closed word, so the moved symbol occurs exactly twice.  The
+    unchanged stretches are compared as tuple slices.
+    """
+    if len(new) != len(old):
+        return False
+    symbols = list(map(itemgetter(0), old))
+    if isinstance(move, Rename):
+        if move.new in symbols:
+            return False
+        sym = move.old
+    else:
+        sym = move.symbol
+    i = symbols.index(sym)
+    j = symbols.index(sym, i + 1)
+    if isinstance(move, Rename):
+        want_i = Letter(move.new, old[i].exponent)
+        want_j = Letter(move.new, old[j].exponent)
+    else:
+        want_i, want_j = old[i].inverse(), old[j].inverse()
+    return (
+        new[i] == want_i
+        and new[j] == want_j
+        and new[:i] == old[:i]
+        and new[i + 1 : j] == old[i + 1 : j]
+        and new[j + 1 :] == old[j + 1 :]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +204,11 @@ def _cyclically_adjacent(i: int, j: int, n: int) -> bool:
 def _first_nonadjacent_same_pair(
     word: Word, pairs: dict[str, tuple[int, int]]
 ) -> tuple[int, int] | None:
-    n = len(word.letters)
+    letters = word.letters
+    n = len(letters)
     best: tuple[int, int] | None = None
     for i, j in pairs.values():
-        if word[i].exponent != word[j].exponent:
+        if letters[i].exponent != letters[j].exponent:
             continue
         if _cyclically_adjacent(i, j, n):
             continue
@@ -168,9 +220,10 @@ def _first_nonadjacent_same_pair(
 def _opposite_pairs(
     word: Word, pairs: dict[str, tuple[int, int]]
 ) -> list[tuple[int, int]]:
+    letters = word.letters
     out = []
     for i, j in pairs.values():
-        if word[i].exponent == -word[j].exponent:
+        if letters[i].exponent == -letters[j].exponent:
             out.append((i, j))
     return sorted(out)
 

@@ -18,7 +18,9 @@ direction is an explicit move in the rewriting module.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from string import ascii_lowercase
 from typing import Iterator, NamedTuple, Sequence
 
@@ -244,10 +246,10 @@ def validate(word: Word) -> Word:
     Returns the word unchanged so call sites can chain.  The error message
     lists every offending symbol with its occurrence count.
     """
-    counts: dict[str, int] = {}
-    for let in word.letters:
-        counts[let.symbol] = counts.get(let.symbol, 0) + 1
-    _check_pairing(counts)
+    letters = word.letters
+    counts = Counter(map(itemgetter(0), letters))
+    if 2 * len(counts) != len(letters) or max(counts.values()) != 2:
+        _check_pairing(counts)
     return word
 
 

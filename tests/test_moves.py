@@ -98,6 +98,8 @@ def test_rename():
         apply_move(W("a b a' b'"), Rename("a", "b"))  # collision
     with pytest.raises(MoveError):
         apply_move(W("a a'"), Rename("x", "y"))  # absent
+    with pytest.raises(MoveError, match="^rename must change the symbol$"):
+        apply_move(W("a b a' b'"), Rename("a", "a"))
 
 
 def test_flipedge():
@@ -166,6 +168,31 @@ def test_parse_trace_errors_carry_line():
         parse_trace("reflect\nwobble 3\n", W("a a'"))
     with pytest.raises(MoveError, match="line 1"):
         parse_trace("cutpaste 0 not-a-number c b", W("a a b b"))
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("rotate \u0663", "trace line 1: expected a number, got '\u0663'"),
+        ("rotate \uff13", "trace line 1: expected a number, got '\uff13'"),
+        ("rotate 1_0", "trace line 1: expected a number, got '1_0'"),
+        ("cancel +2", "trace line 1: expected a number, got '+2'"),
+        ("rotate x", "trace line 1: expected a number, got 'x'"),
+        ("insert 0x1 c", "trace line 1: expected a number, got '0x1'"),
+        ("cutpaste 0 - c b", "trace line 1: expected a number, got '-'"),
+        ("rotate " + "7" * 5000, "trace line 1: number is too long (5000 digits)"),
+    ],
+    ids=["arabic-indic", "fullwidth", "underscore", "plus", "letter", "hex", "minus", "long"],
+)
+def test_parse_trace_reads_ascii_numbers_only(line, message):
+    with pytest.raises(MoveError) as exc:
+        parse_trace(line, W("a b a' b'"))
+    assert str(exc.value) == message
+
+
+def test_parse_trace_reads_signed_numbers():
+    trace = parse_trace("rotate -3\ncancel 0\ncutpaste 0 2 c b\n", W("a b a' b'"))
+    assert trace.steps == (Rotate(-3), Cancel(0), CutPaste(0, 2, "c", "b"))
 
 
 def test_replay_collects_intermediates():

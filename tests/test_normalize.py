@@ -130,30 +130,78 @@ def test_all_intermediates_share_invariants(w):
 ALL_KINDS_WORD = "s3' s2 s1' s2' s1 s4' s3' s0' s0 s4'"
 
 
+def _append_handle(word, move, result):
+    # the true result with a fresh handle appended: still closed and of the
+    # same orientability, but with chi two lower
+    x = mint_fresh(result.symbols())
+    y = mint_fresh(result.symbols() | {x})
+    handle = (Letter(x, 1), Letter(y, 1), Letter(x, -1), Letter(y, -1))
+    return Word(result.letters + handle)
+
+
+def _flip_one_occurrence(word, move, result):
+    # only the first occurrence of the flipped symbol is inverted
+    k = word.occurrences(move.symbol)[0]
+    letters = list(word.letters)
+    letters[k] = letters[k].inverse()
+    return Word(tuple(letters))
+
+
+def _rename_onto_used(word, move, result):
+    # the renamed letters take a symbol the word already has
+    taken = next(let.symbol for let in word if let.symbol != move.old)
+    return Word(tuple(
+        Letter(taken, let.exponent) if let.symbol == move.old else let for let in word
+    ))
+
+
+def _also_flip_another(word, move, result):
+    # the true result with one more pair flipped, which keeps every invariant
+    moved = move.symbol if isinstance(move, FlipEdge) else move.new
+    other = next(let.symbol for let in result if let.symbol != moved)
+    return apply_move(result, FlipEdge(other))
+
+
+# the tampers after the first keep the length of the true result, so a
+# rename or flip must be refused by its letters
+TAMPERS = {
+    CutPaste: [_append_handle],
+    Rotate: [_append_handle],
+    Rename: [_append_handle, _rename_onto_used, _also_flip_another],
+    FlipEdge: [_append_handle, _flip_one_occurrence, _also_flip_another],
+    Cancel: [_append_handle],
+}
+
+
 @pytest.mark.parametrize("kind", [CutPaste, Rotate, Rename, FlipEdge, Cancel])
 def test_every_move_kind_is_checked(monkeypatch, kind):
-    # the first emitted move of `kind` yields its true result with a fresh
-    # handle appended: still closed and of the same orientability, but with
-    # chi two lower, which normalize must refuse
+    # the first emitted move of `kind` yields a tampered result, which
+    # normalize must refuse by naming that move
     real_apply = normalize_module.apply_move
-    bad: list = []
+    for tamper in TAMPERS[kind]:
+        bad: list = []
 
-    def tampering_apply(word, move):
-        result = real_apply(word, move)
-        emitted = sys._getframe(1).f_code.co_name == "emit"
-        if bad or not emitted or not isinstance(move, kind):
-            return result
-        bad.append(move)
-        x = mint_fresh(result.symbols())
-        y = mint_fresh(result.symbols() | {x})
-        handle = (Letter(x, 1), Letter(y, 1), Letter(x, -1), Letter(y, -1))
-        return Word(result.letters + handle)
+        def tampering_apply(word, move):
+            result = real_apply(word, move)
+            emitted = sys._getframe(1).f_code.co_name == "emit"
+            if bad or not emitted or not isinstance(move, kind):
+                return result
+            bad.append(move)
+            return tamper(word, move, result)
 
-    monkeypatch.setattr(normalize_module, "apply_move", tampering_apply)
-    with pytest.raises(InternalInvariantError) as exc:
-        normalize(W(ALL_KINDS_WORD))
-    assert bad, f"no {kind.__name__} was emitted"
-    assert f"move {bad[0].render()} " in str(exc.value)
+        monkeypatch.setattr(normalize_module, "apply_move", tampering_apply)
+        with pytest.raises(InternalInvariantError) as exc:
+            normalize(W(ALL_KINDS_WORD))
+        assert bad, f"no {kind.__name__} was emitted"
+        assert f"move {bad[0].render()} " in str(exc.value), tamper.__name__
+
+
+def test_relabel_check_refuses_a_taken_name():
+    # apply_move refuses such a rename itself, so only a direct call reaches
+    # the letter check's own test of the new name
+    old, new = W("a b a' b'").letters, W("b b b' b'").letters
+    assert not normalize_module._relabels(old, new, Rename("a", "b"))
+    assert normalize_module._relabels(old, W("c b c' b'").letters, Rename("a", "c"))
 
 
 def _seeded_words(seed, count, lo, hi):
@@ -171,8 +219,9 @@ def _seeded_words(seed, count, lo, hi):
 
 def test_each_produced_word_is_traced_at_most_once(monkeypatch):
     # every apply_move that normalize makes emits a move, and every word is
-    # traced at most once: the start word, one per non-rotation move and the
-    # final classify_by_invariants cross-check
+    # traced at most once: the start word, one per move that is neither a
+    # rotation, a rename nor a flip, and the final classify_by_invariants
+    # cross-check
     counts = {"traces": 0, "applies": 0}
     real_trace = words_module.corner_classes
     real_apply = normalize_module.apply_move
@@ -192,8 +241,10 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
         counts.update(traces=0, applies=0)
         steps = normalize(word).trace.steps
         non_rotations = sum(not isinstance(m, Rotate) for m in steps)
+        renames = sum(isinstance(m, Rename) for m in steps)
+        flips = sum(isinstance(m, FlipEdge) for m in steps)
         assert counts["applies"] == len(steps)
-        assert counts["traces"] <= non_rotations + 2
+        assert counts["traces"] <= non_rotations - renames - flips + 2
 
 
 def test_corner_cut_rule_matches_traced_cuts(monkeypatch):

@@ -485,12 +485,12 @@ def test_orbit_census_script_runs():
     assert proc.stdout.splitlines()[-1] == "orbit partition matches type classes"
 
 
-def test_perfbench_lattice_smoke_run():
-    # one traced second of the lattice workload: the tracer looks up every
-    # layer it wraps by name, so a renamed layer fails here
+def _perfbench_smoke_run(workload):
+    # one traced second of a workload: the tracer looks up every layer it
+    # wraps by name, so a renamed layer fails here
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "lattice-scripts",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=root, capture_output=True, text=True, timeout=120,
     )
@@ -498,3 +498,11 @@ def test_perfbench_lattice_smoke_run():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_perfbench_lattice_smoke_run():
+    _perfbench_smoke_run("lattice-scripts")
+
+
+def test_perfbench_edgeword_smoke_run():
+    _perfbench_smoke_run("edgeword-long")

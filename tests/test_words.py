@@ -11,6 +11,7 @@ from surfclass.words import (
     ValidationError,
     Word,
     WordSyntaxError,
+    _check_pairing,
     canonical_word,
     classify_by_invariants,
     complex_euler,
@@ -170,6 +171,39 @@ def test_validate_messages():
 
 def test_validate_passes():
     validate(parse_word("a a'"))
+
+
+def _validate_by_dict_loop(word):
+    """The counting loop `validate` used before it counted with Counter."""
+    counts = {}
+    for let in word.letters:
+        counts[let.symbol] = counts.get(let.symbol, 0) + 1
+    _check_pairing(counts)
+
+
+@st.composite
+def letter_sequences(draw):
+    """Letters over a few symbols, each occurring 1 to 4 times, in any order."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    letters = []
+    for i in range(k):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            letters.append(Letter(f"s{i}", draw(st.sampled_from([1, -1]))))
+    return Word(tuple(draw(st.permutations(letters))))
+
+
+def _error_of(check, word):
+    try:
+        check(word)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@given(letter_sequences())
+@settings(max_examples=300)
+def test_validate_matches_dict_loop(word):
+    assert _error_of(validate, word) == _error_of(_validate_by_dict_loop, word)
 
 
 def test_mint_fresh():

@@ -13,6 +13,8 @@ chart maps used for the bundle cocycle checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .words import InternalInvariantError, ValidationError
@@ -238,9 +240,11 @@ def make_base(b: BaseSurface) -> RationalSurface:
 def intersect(surf: RationalSurface, c1: DivisorClass, c2: DivisorClass) -> int:
     """Intersection number c1 . c2 under the surface's form.
 
-    Only the nonzero coordinates of the two classes contribute, so the cost
-    is the product of their support sizes rather than the square of the
-    rank.
+    Each nonzero coordinate a_i of one class contributes a_i (G_i . b), one
+    dot product of a Gram row with the other class b.  The form is
+    symmetric, so the sum runs over the class with fewer nonzero
+    coordinates, and its cost is that support times the rank, with the
+    inner products taken at C level.
     """
     n = surf.rank
     if len(c1.coords) != n or len(c2.coords) != n:
@@ -249,8 +253,10 @@ def intersect(surf: RationalSurface, c1: DivisorClass, c2: DivisorClass) -> int:
             f"got {len(c1.coords)} and {len(c2.coords)}"
         )
     gram = surf.gram
-    right = [(j, b) for j, b in enumerate(c2.coords) if b]
-    return sum([a * gram[i][j] * b for i, a in enumerate(c1.coords) if a for j, b in right])
+    left, right = c1.coords, c2.coords
+    if left.count(0) < right.count(0):
+        left, right = right, left
+    return sum([left[i] * sum(map(mul, gram[i], right)) for i in compress(range(n), left)])
 
 
 def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurface:
@@ -281,12 +287,11 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
     basis = surf.basis + (ename,)
     gram = tuple([row + (0,) for row in surf.gram]) + ((0,) * n + (-1,),)
     canonical = DivisorClass._from_checked(surf.canonical.coords + (1,))
-    tracked = []
-    for nm, cls in surf.tracked:
-        ext = cls.coords + ((-1,) if nm in seen else (0,))
-        tracked.append((nm, DivisorClass._from_checked(ext)))
-    tracked.append((ename, _unit(n + 1, n)))
-    return RationalSurface(surf.base, basis, gram, canonical, tuple(tracked))
+    tracked = tuple([
+        (nm, DivisorClass._from_checked(cls.coords + ((-1,) if nm in seen else (0,))))
+        for nm, cls in surf.tracked
+    ]) + ((ename, _unit(n + 1, n)),)
+    return RationalSurface(surf.base, basis, gram, canonical, tracked)
 
 
 def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
@@ -298,24 +303,30 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     drops the contracted class.  Lines whose class collapses to zero were
     other names for the contracted curve and are removed.
 
-    There is one path, in integers, driven by w = G c.  Not every -1 class
-    pairs to a unit with some basis vector: 6H - 2E1 - ... - 2E7 - 3E8 pairs
-    to 6, 2, ..., 2, 3.  So Euclid's algorithm first runs on w as unimodular
-    basis changes e_i <- e_i - q e_j, each an O(n) row and column update of
-    the Gram matrix, until some entry w_p is a unit.  It must get there
-    because gcd(w) = 1 (c.c = -1), it takes O(log max|w|) steps, and it takes
-    none when w already has a unit.  The complement basis is then
-    e_i - s w_i e_p for i != p with s = w_p, each row signed so its first
-    nonzero entry in the old coordinates is positive.  The new Gram matrix
-    is a rank-one update of the reduced one and a moved class keeps its
-    reduced coordinates with slot p dropped, so the contraction costs O(n^2)
-    integer operations and needs no solve.  The update is support-sparse:
-    a row i with w_i = 0 is the old row with slot p dropped, patched only at
-    the columns where w is nonzero, and only the rows with w_i != 0 are
-    recomputed in full.  Contracting a fresh exceptional curve, whose w has
-    the pivot as its only nonzero entry, copies the other rows unchanged.
-    A row that is an untouched old basis vector keeps its name; every other
-    row gets a fresh ``B`` name.
+    There is one path, in integers, driven by w = G c, summed from the Gram
+    rows at the nonzero entries of c.  Not every -1 class pairs to a unit
+    with some basis vector: 6H - 2E1 - ... - 2E7 - 3E8 pairs to 6, 2, ...,
+    2, 3.  So Euclid's algorithm first runs on w as unimodular basis changes
+    e_i <- e_i - q e_j, each an O(n) row and column update of the Gram
+    matrix, until some entry w_p is a unit.  It must get there because
+    gcd(w) = 1 (c.c = -1), it takes O(log max|w|) steps, and it takes none
+    when w already has a unit.  The complement basis is then e_i - s w_i e_p
+    for i != p with s = w_p, each row signed so its first nonzero entry in
+    the old coordinates is positive.  The new Gram matrix is a rank-one
+    update of the reduced one and a moved class keeps its reduced
+    coordinates with slot p dropped, so the contraction costs O(n^2)
+    integer operations at most and needs no solve.
+
+    Everything after w works only on the support of w.  A slot with
+    w_i = 0 is an untouched old basis vector: it keeps its name and its
+    sign, and its Gram row is the old row with slot p dropped, patched only
+    at the columns where w is nonzero; only the rows with w_i != 0 are
+    recomputed in full and renamed with a fresh ``B`` name.  A tracked
+    class l moves by (l.c) c with l.c summed over the support of w; when
+    l.c = 0, as for most lines, the moved class is l with slot p dropped
+    and the signs flipped at the few negated slots.  Contracting a fresh
+    exceptional curve, whose w has the pivot as its only nonzero entry,
+    slices every row, name and class and recomputes nothing.
     """
     c = surf.tracked_class(line)
     c2 = intersect(surf, c, c)
@@ -330,24 +341,30 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         )
 
     n = surf.rank
-    g = [list(row) for row in surf.gram]
-    support = [(j, a) for j, a in enumerate(c.coords) if a]
-    w = [sum([row[j] * a for j, a in support]) for row in g]
+    g = surf.gram
+    w = [0] * n
+    for j in compress(range(n), c.coords):
+        a = c.coords[j]
+        w = [x + a * y for x, y in zip(w, g[j])]
+    support = list(compress(range(n), w))
 
     # Euclid on w: reduce some entry not divisible by the smallest one, w_j,
-    # to a remainder of at most |w_j| / 2.  Only w_i changes, so a unit can
-    # only appear there.  ``frame`` holds each changed basis vector in the
-    # old coordinates, ``steps`` the changes in order.
+    # to a remainder of at most |w_j| / 2.  Only w_i changes, and never to
+    # zero, so the support of w stays the same and a unit can only appear
+    # at w_i.  ``frame`` holds each changed basis vector in the old
+    # coordinates, ``steps`` the changes in order.
     steps = []
     frame = {}
 
     def vec(k: int) -> list:
         return frame[k] if k in frame else list(_unit(n, k).coords)
 
-    pivot = next((i for i in range(n) if abs(w[i]) == 1), None)
-    while pivot is None:
-        m, j = min([(abs(x), k) for k, x in enumerate(w) if x])
-        i = next((k for k, x in enumerate(w) if x % m), None)
+    p = next((i for i in support if abs(w[i]) == 1), None)
+    if p is None:
+        g = [list(row) for row in g]
+    while p is None:
+        m, j = min([(abs(w[k]), k) for k in support])
+        i = next((k for k in support if w[k] % m), None)
         if i is None:
             raise InternalInvariantError("contracted class is not primitive")
         q, r = divmod(w[i], w[j])
@@ -359,60 +376,68 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         g[i] = [a - q * b for a, b in zip(g[i], g[j])]
         frame[i] = [a - q * b for a, b in zip(vec(i), vec(j))]
         steps.append((i, j, q))
-        pivot = i if abs(w[i]) == 1 else None
+        p = i if abs(w[i]) == 1 else None
 
-    # basis row i is sigma_i (e_i - u_i e_p) with u = s w.  Without basis
-    # changes its first nonzero entry is -u_i at slot p exactly when i > p
-    # and u_i > 0; after them it is read off the old coordinates.  A
-    # changed slot never has w_i = 0, so the rows kept by name are exactly
-    # the untouched old basis vectors.
-    u = [w[pivot] * x for x in w]
-    slots = [i for i in range(n) if i != pivot]
+    # basis row i is sigma_i (e_i - u_i e_p) with u = s w, so u, sigma and
+    # the fresh names live on ``moved``, the support of w off the pivot;
+    # every other slot keeps sigma_i = +1.  Without basis changes the first
+    # nonzero entry of row i is -u_i at slot p exactly when i > p and
+    # u_i > 0; after them it is read off the old coordinates.  A changed
+    # slot never has w_i = 0, so the slots off ``moved`` are exactly the
+    # untouched old basis vectors.
+    u = {i: w[p] * w[i] for i in support}
+    moved = [i for i in support if i != p]
     if not frame:
-        sigma = [-1 if i > pivot and x > 0 else 1 for i, x in enumerate(u)]
+        sigma = {i: -1 if i > p and u[i] > 0 else 1 for i in moved}
     else:
-        sigma = [1] * n
-        for i in slots:
-            lead = next(a - u[i] * b for a, b in zip(vec(i), vec(pivot)) if a != u[i] * b)
+        sigma = {}
+        for i in moved:
+            ui = u[i]
+            lead = next(a - ui * b for a, b in zip(vec(i), vec(p)) if a != ui * b)
             sigma[i] = 1 if lead > 0 else -1
-    keep = [i if w[i] == 0 else None for i in slots]
 
     # entry (a, b) of the new Gram matrix is
-    # sigma_a sigma_b (g_ab - u_b g_ap - u_a g_pb + u_a u_b g_pp).  A slot
-    # with u_a = 0 is an untouched old basis vector, so sigma_a = 1, and the
-    # terms in u_a vanish: its row is the old row with slot p dropped except
-    # at the columns b with u_b != 0, which ``patch`` lists with their new
-    # slots.  Only the few rows with u_a != 0 need the full formula.
-    patch = [(b - (b > pivot), b) for b in slots if u[b]]
-    gp = g[pivot]
-    gpp = gp[pivot]
-    new_rows = []
-    for a in slots:
-        ga, ua, sa = g[a], u[a], sigma[a]
-        gap = ga[pivot]
-        if ua:
-            row = [
-                sa * sigma[b] * (ga[b] - u[b] * gap - ua * gp[b] + ua * u[b] * gpp)
-                for b in slots
-            ]
-        else:
-            row = ga[:pivot] + ga[pivot + 1:]
-            for k, b in patch:
-                row[k] = sigma[b] * (ga[b] - u[b] * gap)
-        new_rows.append(tuple(row))
-    gram = tuple(new_rows)
+    # sigma_a sigma_b (g_ab - u_b g_ap - u_a g_pb + u_a u_b g_pp).  A row
+    # off ``moved`` has u_a = 0 and sigma_a = 1: it is the old row with
+    # slot p dropped except at the columns b in ``moved``, which ``patch``
+    # lists with their new slots.  A row in ``moved`` is
+    # sigma_a (g_ab - u_a g_pb) off ``moved`` and takes the full formula on it.
+    # Basis changes leave at least two slots in the support, so rows copied
+    # to lists for them come back as tuples here.
+    rows = [ga[:p] + ga[p + 1:] for ga in g]
+    del rows[p]
+    if moved:
+        patch = [(b - (b > p), b, u[b], sigma[b]) for b in moved]
+        gp = g[p]
+        gpp = gp[p]
+        gp_rest = gp[:p] + gp[p + 1:]
+        for k, row in enumerate(rows):
+            a = k + (k >= p)
+            ga = g[a]
+            gap = ga[p]
+            if a in sigma:
+                ua, sa = u[a], sigma[a]
+                row = [sa * (x - ua * y) for x, y in zip(row, gp_rest)]
+                for kb, b, ub, sb in patch:
+                    row[kb] = sa * sb * (ga[b] - ub * gap - ua * gp[b] + ua * ub * gpp)
+            else:
+                row = list(row)
+                for kb, b, ub, sb in patch:
+                    row[kb] = sb * (ga[b] - ub * gap)
+            rows[k] = tuple(row)
+    gram = tuple(rows)
 
-    names = []
-    avoid = set(surf.basis) | {nm for nm, _ in surf.tracked}
-    mint = 1
-    for k in keep:
-        if k is not None:
-            names.append(surf.basis[k])
-            continue
-        while f"B{mint}" in avoid:
+    names = surf.basis[:p] + surf.basis[p + 1:]
+    if moved:
+        names = list(names)
+        avoid = set(surf.basis) | {nm for nm, _ in surf.tracked}
+        mint = 1
+        for i in moved:
+            while f"B{mint}" in avoid:
+                mint += 1
+            names[i - (i > p)] = f"B{mint}"
             mint += 1
-        names.append(f"B{mint}")
-        mint += 1
+        names = tuple(names)
     if len(set(names)) != len(names):
         raise InternalInvariantError("duplicate basis name after contraction")
 
@@ -425,30 +450,38 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         return x
 
     cr = reduced(c.coords)
+    w_support = [w[i] for i in support]
+    negated = [i - (i > p) for i in moved if sigma[i] < 0]
 
-    def push(cls: Sequence[int]) -> DivisorClass:
-        x = reduced(cls)
-        lc = sum([a * b for a, b in zip(x, w)])
+    def push(cls: Sequence[int]) -> Tuple[int, ...]:
+        # l + (l.c) c in reduced coordinates, slot p dropped, signed by sigma
+        x = reduced(cls) if steps else cls
+        lc = sum(map(mul, map(x.__getitem__, support), w_support))
         if lc:
             x = [a + lc * b for a, b in zip(x, cr)]
-            if sum([a * b for a, b in zip(x, w)]) != 0:
+            if sum(map(mul, map(x.__getitem__, support), w_support)) != 0:
                 raise InternalInvariantError("class does not lie in the sublattice")
-        return DivisorClass._from_checked(tuple([sigma[i] * x[i] for i in slots]))
+        x = x[:p] + x[p + 1:]
+        if negated:
+            x = list(x)
+            for k in negated:
+                x[k] = -x[k]
+        return tuple(x)
 
-    canonical = push([k - ci for k, ci in zip(surf.canonical.coords, c.coords)])
+    canonical = DivisorClass._from_checked(
+        push([k - ci for k, ci in zip(surf.canonical.coords, c.coords)])
+    )
     tracked = []
     for nm, cls in surf.tracked:
-        if nm == line:
-            continue
-        newcls = push(cls.coords)
-        if newcls.is_zero:
-            continue
-        tracked.append((nm, newcls))
+        if nm != line:
+            x = push(cls.coords)
+            if any(x):
+                tracked.append((nm, DivisorClass._from_checked(x)))
 
     base = surf.base
     if n - 1 < base.rank:
         base = BaseSurface.cp2()
-    return RationalSurface(base, tuple(names), gram, canonical, tuple(tracked))
+    return RationalSurface(base, names, gram, canonical, tuple(tracked))
 
 
 def euler_characteristic_cx(surf: RationalSurface) -> int:

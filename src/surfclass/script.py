@@ -37,7 +37,10 @@ class ScriptError(SurfclassError):
         self.bare_message = message
 
 
-_TERM = re.compile(r"^\s*([+-])?\s*(\d+)?\s*\*?\s*([A-Za-z][A-Za-z0-9_]*)\s*")
+_TERM = re.compile(r"^\s*([+-])?\s*([0-9]+)?\s*\*?\s*([A-Za-z][A-Za-z0-9_]*)\s*")
+# script numbers are ASCII digits; a sign is read so that a negative index
+# reaches the base surface's own check
+_INDEX = re.compile(r"-?[0-9]+")
 
 
 def parse_class_expr(expr: str, surf: RationalSurface, line_no: int) -> DivisorClass:
@@ -152,8 +155,10 @@ def run_script(text: str) -> ScriptOutcome:
                 surf = make_base(BaseSurface.cp2())
             elif len(words) == 3 and words[1].lower() == "hirzebruch":
                 try:
-                    n = int(words[2])
-                except ValueError:
+                    n = int(words[2]) if _INDEX.fullmatch(words[2]) else None
+                except ValueError:  # past the interpreter's int-string digit limit
+                    n = None
+                if n is None:
                     raise ScriptError(f"bad Hirzebruch index {words[2]!r}", line_no)
                 try:
                     surf = make_base(BaseSurface.hirzebruch(n))

@@ -1,10 +1,12 @@
 import cmath
 import functools
+import hashlib
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfclass import lattice
 from surfclass.lattice import (
@@ -113,6 +115,45 @@ def test_intersect_dimension_mismatch():
     s = make_base(BaseSurface.cp2())
     with pytest.raises(ValidationError, match="dimension mismatch"):
         intersect(s, DivisorClass((1, 0)), DivisorClass((1,)))
+
+
+@st.composite
+def _form_and_classes(draw):
+    """A random symmetric integer form of rank 1-8 and two classes, with
+    zero and negative entries throughout."""
+    n = draw(st.integers(1, 8))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    a = draw(st.lists(entry, min_size=n, max_size=n))
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    return gram, a, b
+
+
+@given(_form_and_classes())
+@settings(max_examples=300)
+def test_intersect_matches_dense_sum(case):
+    gram, a, b = case
+    n = len(gram)
+    surf = _form(gram)
+
+    def dense(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+    ca, cb = DivisorClass(tuple(a)), DivisorClass(tuple(b))
+    assert intersect(surf, ca, cb) == dense(a, b)
+    assert intersect(surf, cb, ca) == dense(b, a)
+    assert intersect(surf, ca, ca) == dense(a, a)
+    longer = DivisorClass(tuple(b) + (1,))
+    for c1, c2 in ((ca, longer), (longer, ca)):
+        with pytest.raises(ValidationError) as exc:
+            intersect(surf, c1, c2)
+        assert str(exc.value) == (
+            f"class dimension mismatch: lattice rank {n}, "
+            f"got {len(c1.coords)} and {len(c2.coords)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +397,26 @@ def _dense_unit_pivot_blow_down(surf, line):
 
 
 def _recording_blow_down(updates):
-    """``blow_down`` that also appends (pivot, u, sigma) of each contraction
-    to ``updates``, read off its frame as it returns, so a corpus can show
-    which cases of the Gram update it reached."""
+    """``blow_down`` that also appends (n, pivot, u, sigma, pushes) of each
+    contraction to ``updates``: the rank, the pivot, ``u`` and ``sigma`` on
+    the support of w, and for each class it pushed forward whether l.c was
+    nonzero.  They are read off the frames of ``blow_down`` and of its
+    nested ``push`` as they return, so a corpus can show which cases of the
+    Gram update and of the pushforward it reached."""
     code = blow_down.__code__
+    push_code = next(k for k in code.co_consts if getattr(k, "co_name", None) == "push")
+    pushes = []
 
     def hook(frame, event, arg):
-        if event == "return" and frame.f_code is code:
+        if event != "return":
+            return
+        if frame.f_code is push_code:
             f = frame.f_locals
-            updates.append((f["pivot"], f["u"], f["sigma"]))
+            pushes.append(f["lc"] != 0)
+        elif frame.f_code is code:
+            f = frame.f_locals
+            updates.append((f["n"], f["p"], f["u"], f["sigma"], tuple(pushes)))
+            pushes.clear()
 
     def contract(surf, line):
         previous = sys.getprofile()
@@ -378,14 +430,18 @@ def _recording_blow_down(updates):
 
 
 def _assert_update_cases_reached(updates):
-    """The corpus reaches every case of the support-sparse Gram update."""
-    off_pivot = [[x for a, x in enumerate(u) if a != p] for p, u, _ in updates]
-    # a row with u_a = 0 patched at a column with u_b != 0: |supp u| >= 2
-    assert any(0 in xs and any(xs) for xs in off_pivot)
+    """The corpus reaches every case of the support-sparse Gram update and
+    both cases of the pushforward."""
+    # a row with u_a = 0 patched at a column with u_b != 0: the support of u
+    # has the pivot, another slot, and misses a third
+    assert any(1 < len(u) < n for n, _, u, _, _ in updates)
     # a row sign sigma_b = -1
-    assert any(-1 in sigma for _, _, sigma in updates)
+    assert any(-1 in sigma.values() for _, _, _, sigma, _ in updates)
     # a row off the pivot with u_a != 0, which takes the full formula
-    assert any(any(xs) for xs in off_pivot)
+    assert any(len(u) > 1 for _, _, u, _, _ in updates)
+    # a class with l.c = 0, pushed by slicing slot p out, and a class with
+    # l.c != 0, moved by (l.c) c and checked to lie in the complement
+    assert {moves for *_, pushes in updates for moves in pushes} == {False, True}
 
 
 def test_blow_down_matches_dense_reference():
@@ -778,6 +834,65 @@ def test_minimal_model_matches_full_scan_reference():
         surfaces += 1
         contractions += len(report.steps)
     assert surfaces > 500 and contractions >= 3000
+
+
+# ---------------------------------------------------------------------------
+# every contraction of the three corpora against a pinned digest
+
+
+def _dense_reference_contractions():
+    """The (surface, line) pairs ``test_blow_down_matches_dense_reference``
+    compares, drawn from the same seed in the same order."""
+    rng = random.Random(20260)
+    bases = [BaseSurface.cp2()] + [BaseSurface.hirzebruch(k) for k in range(6)]
+    compared = 0
+    while compared < 1000:
+        surf = make_base(rng.choice(bases))
+        for _ in range(rng.randint(1, 12 - surf.rank)):
+            through = []
+            if rng.random() < 0.4:
+                names = [nm for nm, _ in surf.tracked]
+                through = rng.sample(names, min(len(names), rng.randint(1, 2)))
+            surf = blow_up(surf, through)
+        for _ in range(rng.randint(1, surf.rank)):
+            lines = find_minus_one_lines(surf)
+            if not lines:
+                break
+            for line in lines:
+                yield surf, line
+                compared += 1
+            surf = blow_down(surf, rng.choice(lines))
+
+
+def _corpus_contractions():
+    """Every contraction of the dense-reference corpus, of each Cremona
+    class with all the plane's lines tracked, and of each minimal-model
+    reduction of ``_minimal_model_corpus``."""
+    yield from _dense_reference_contractions()
+    for surf, c in _cremona_corpus():
+        yield _surface(surf, surf.tracked + (("C", c),)), "C"
+    for surf in _minimal_model_corpus():
+        for name, _ in minimal_model(surf).steps:
+            yield surf, name
+            surf = blow_down(surf, name)
+
+
+# sha256 of every contraction's basis, Gram matrix, canonical class and
+# tracked classes, computed before the pushforward and ``intersect`` became
+# support-sparse; both the unit-pivot and the Euclid branch must keep it
+_CONTRACTION_DIGEST = "deffdc328e0951bfc4013cb176242fe7df8c5458b9b85f18b1cd89a9511d06dd"
+
+
+def test_blow_down_golden_digest():
+    digest = hashlib.sha256()
+    contractions = 0
+    for surf, line in _corpus_contractions():
+        down = blow_down(surf, line)
+        tracked = tuple((nm, cls.coords) for nm, cls in down.tracked)
+        digest.update(repr((line, down.basis, down.gram, down.canonical.coords, tracked)).encode())
+        contractions += 1
+    assert contractions == 4241
+    assert digest.hexdigest() == _CONTRACTION_DIGEST
 
 
 # ---------------------------------------------------------------------------

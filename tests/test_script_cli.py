@@ -143,6 +143,42 @@ def test_script_rejects_overlong_coefficient():
     assert exc.value.bare_message == "coefficient of 'H' is too long (5000 digits)"
 
 
+# numbers outside the script grammar, which takes ASCII digits only; int()
+# would read all but the last
+_MISSPELT_NUMBERS = [
+    ("base hirzebruch 1_0\n", 1, "bad Hirzebruch index '1_0'"),
+    ("base hirzebruch \u0663\n", 1, "bad Hirzebruch index '\u0663'"),
+    ("base hirzebruch +3\n", 1, "bad Hirzebruch index '+3'"),
+    ("base cp2\nblowup\nline L = \u0662H - E1\n", 3, "cannot read class expression at '\u0662H - E1'"),
+    ("base cp2\nblowup\nline L = H - 1_0E1\n", 3, "cannot read class expression at '- 1_0E1'"),
+]
+
+
+@pytest.mark.parametrize("script, line_no, message", _MISSPELT_NUMBERS)
+def test_script_numbers_are_ascii_digits(script, line_no, message):
+    with pytest.raises(ScriptError) as exc:
+        run_script(script)
+    assert exc.value.line_no == line_no
+    assert exc.value.bare_message == message
+
+
+@pytest.mark.parametrize("script, line_no, message", _MISSPELT_NUMBERS)
+def test_cli_rational_misspelt_number_exits_1(capsys, tmp_path, script, line_no, message):
+    f = tmp_path / "digits.srf"
+    f.write_text(script, encoding="utf-8")
+    assert main(["rational", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line_no}: {message}\n"
+
+
+def test_script_negative_index_is_reported_as_negative():
+    with pytest.raises(ScriptError) as exc:
+        run_script("base hirzebruch -2\n")
+    assert exc.value.bare_message == "Hirzebruch index must be non-negative"
+    assert run_script("base hirzebruch 03\n").surface.base == BaseSurface.hirzebruch(3)
+
+
 _SCRIPT_ARGS = ["cp2", "CP2", "hirzebruch", "on", "ON", "0", "1", "-1", "x", "H", "E1", "S", "L", "="]
 _EXPR_TERMS = ["H", "E1", "- E2", "+ 2E1", "S", "+ F", "- 3*F", "Q", "+", "7" * 4400 + "H"]
 _SCRIPT_LINE = st.one_of(
@@ -463,14 +499,20 @@ def test_cli_undecodable_file_exits_1(tmp_path):
         assert err.startswith("error: ") and "utf-8" in err
 
 
-def _run_repo_script(name, *args):
-    root = Path(__file__).resolve().parent.parent
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_python(*args):
+    """A child interpreter that imports surfclass from this checkout."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(root / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def _run_repo_script(name, *args):
+    return _run_python(str(_ROOT / "scripts" / name), *args)
 
 
 def test_two_points_demo_script_runs():
@@ -483,6 +525,46 @@ def test_orbit_census_script_runs():
     proc = _run_repo_script("orbit_census.py", "--symbols", "a,b")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "orbit partition matches type classes"
+
+
+# 1,000 construction scripts of 8/16/24 blow-ups over CP2 and F0-F3, half
+# of them with points on tracked lines, run in one interpreter; prints how
+# far the peak resident set grew, in bytes, past import and generation
+_RSS_CHILD = """
+import random, resource, sys
+from surfclass.script import run_script
+
+rng = random.Random(7)
+bases = ("cp2", "hirzebruch 0", "hirzebruch 1", "hirzebruch 2", "hirzebruch 3")
+scripts = []
+for k in range(1000):
+    base = bases[k % len(bases)]
+    names = ["H"] if base == "cp2" else ["S", "F"]
+    lines = ["base " + base]
+    for e in range(1, (8, 16, 24)[k % 3] + 1):
+        if k % 2 and rng.random() < 0.6:
+            lines.append("blowup on " + " ".join(rng.sample(names, min(len(names), rng.choice((1, 2))))))
+        else:
+            lines.append("blowup")
+        names.append("E%d" % e)
+    scripts.append("\\n".join(lines + ["minimal-model", "report"]) + "\\n")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for text in scripts:
+    run_script(text)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_run_script_peak_rss_stays_flat():
+    # the peak resident set of a long in-process run of scripts must not
+    # grow with the number of scripts: a regression of the allocation
+    # pattern on the lattice path shows here before a benchmark run
+    pytest.importorskip("resource")
+    proc = _run_python("-c", _RSS_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    grown = int(proc.stdout)
+    assert grown < 2 * 2**20, f"peak RSS grew {grown / 2**20:.2f} MiB over 1,000 scripts"
 
 
 def _perfbench_smoke_run(workload):

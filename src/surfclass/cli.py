@@ -41,6 +41,17 @@ from .words import (
 )
 
 
+def _read_file(path: str) -> str:
+    """Text of a UTF-8 file; a path ``open`` refuses as a value (an embedded
+    NUL byte) raises OSError, as an unopenable file does."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except ValueError as exc:
+        raise OSError(f"{exc}: {path!r}") from None
+    with fh:
+        return fh.read()
+
+
 def _print_type_json(t: SurfaceType, trace: Optional[MoveTrace] = None) -> None:
     """The ``--json`` line of the edge-word commands: the type's numbers,
     its canonical word and, when given, the rendered moves of a trace."""
@@ -107,8 +118,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        polys = parse_polygon_file(fh.read())
+    polys = parse_polygon_file(_read_file(args.file))
     merged = glue_polygons(polys)
     t = normalize(merged).type
     if args.json:
@@ -121,8 +131,7 @@ def cmd_glue(args) -> int:
 
 def cmd_replay(args) -> int:
     word = parse_word(args.word)
-    with open(args.tracefile, encoding="utf-8") as fh:
-        trace = parse_trace(fh.read(), word)
+    trace = parse_trace(_read_file(args.tracefile), word)
     final = replay(trace)
     t = classify_by_invariants(final)
     if args.json:
@@ -145,8 +154,7 @@ def _lattice_payload(surf: RationalSurface) -> dict:
 
 
 def cmd_rational(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        outcome = run_script(fh.read())
+    outcome = run_script(_read_file(args.file))
     surf = outcome.surface
     reductions = outcome.reductions
     if args.json:

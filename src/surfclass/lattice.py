@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .words import InternalInvariantError, ValidationError
 
@@ -24,24 +24,12 @@ from .words import InternalInvariantError, ValidationError
 # line bundles over CP^1 and chart bookkeeping
 
 
-@dataclass(frozen=True)
-class BundleDegree:
-    """Degree of a line bundle over CP^1, glued from two charts by the
-    cocycle z -> z^(-n) on the overlap."""
-
-    n: int
-
-
-def _degree(d) -> int:
-    return d.n if isinstance(d, BundleDegree) else int(d)
-
-
-def cocycle_at(n, z: complex) -> complex:
-    """Transition multiplier z^(-n) of the degree-``n`` bundle at overlap
-    coordinate ``z``."""
+def cocycle_at(n: int, z: complex) -> complex:
+    """Transition multiplier z^(-n) of the degree-``n`` line bundle O(n) over
+    CP^1, glued from two charts by this cocycle, at overlap coordinate ``z``."""
     if z == 0:
         raise ValidationError("cocycle is only defined away from z = 0")
-    return complex(z) ** (-_degree(n))
+    return complex(z) ** (-n)
 
 
 def blowup_chart_transition(t: complex, u: complex) -> Tuple[complex, complex]:
@@ -93,13 +81,13 @@ class BaseSurface:
         return "CP2" if self.is_cp2 else f"Hirzebruch({self.index})"
 
 
-def projectivize(a, b) -> BaseSurface:
+def projectivize(a: int, b: int) -> BaseSurface:
     """Base surface of the projectivized rank-2 bundle O(a)+O(b) over CP^1.
 
     Twisting by a line bundle leaves the projectivization unchanged, so only
     the degree gap matters and the index can be normalized non-negative.
     """
-    return BaseSurface.hirzebruch(abs(_degree(a) - _degree(b)))
+    return BaseSurface.hirzebruch(abs(a - b))
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +122,6 @@ class DivisorClass:
 
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(tuple([k * a for a in self.coords]))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def render(self, names: Sequence[str]) -> str:
         """Write the class as a signed combination of basis names."""
@@ -203,8 +187,10 @@ class RationalSurface:
         return self.rank - self.base.rank
 
     @property
-    def tracked_lines(self) -> Dict[str, DivisorClass]:
-        return dict(self.tracked)
+    def is_even(self) -> bool:
+        """Whether every class has even square.  x.x is congruent to
+        sum x_i g_ii mod 2, so the diagonal decides it."""
+        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     @property
     def k_squared(self) -> int:
@@ -485,15 +471,15 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
 
 
 def euler_characteristic_cx(surf: RationalSurface) -> int:
-    """Topological Euler number: each blow-up is a connected sum with a
-    reversed-orientation projective plane and adds one."""
-    return (3 if surf.base.is_cp2 else 4) + surf.blowups
+    """Topological Euler number 2 + b2: a rational surface has b1 = b3 = 0,
+    and b2 is the lattice rank."""
+    return surf.rank + 2
 
 
 @dataclass(frozen=True)
 class TopologicalModel:
-    """Connected-sum reading of the construction: the base with one
-    reversed-orientation projective plane per blow-up."""
+    """Connected-sum reading of the lattice: a minimal base with
+    ``reversed_cp2_summands`` reversed-orientation projective planes."""
 
     base: BaseSurface
     reversed_cp2_summands: int
@@ -502,12 +488,22 @@ class TopologicalModel:
 
 
 def topological_model(surf: RationalSurface) -> TopologicalModel:
-    return TopologicalModel(
-        base=surf.base,
-        reversed_cp2_summands=surf.blowups,
-        euler=euler_characteristic_cx(surf),
-        b2=surf.rank,
-    )
+    """The smooth 4-manifold the lattice names, read off its parity.
+
+    An odd indefinite unimodular form is diagonal (Serre, A Course in
+    Arithmetic, Ch. V), so an odd lattice of rank r is CP2 # (r - 1) reversed
+    CP2, and the form fixes the diffeomorphism type (C. T. C. Wall, "On
+    simply-connected 4-manifolds", 1964).  An even form of signature (1, n)
+    needs 1 - n divisible by 8; blow-ups add classes of square -1, so rank 2,
+    S2 x S2 = F_0, is the only even lattice a construction reaches.
+    """
+    if not surf.is_even:
+        base, summands = BaseSurface.cp2(), surf.rank - 1
+    elif surf.rank == 2:
+        base, summands = BaseSurface.hirzebruch(0), 0
+    else:
+        raise InternalInvariantError(f"even lattice of rank {surf.rank}")
+    return TopologicalModel(base, summands, euler_characteristic_cx(surf), surf.rank)
 
 
 def signature(surf: RationalSurface) -> Tuple[int, int]:

@@ -117,8 +117,7 @@ def classify_minimal(surf: RationalSurface) -> MinimalType:
                     continue
                 if intersect(surf, f, s) == 1:
                     return MinimalType.hirzebruch(0)
-    parity = "even" if all(surf.gram[i][i] % 2 == 0 for i in range(surf.rank)) else "odd"
-    return MinimalType.inconclusive(surf.rank, parity)
+    return MinimalType.inconclusive(surf.rank, "even" if surf.is_even else "odd")
 
 
 def minimal_model(surf: RationalSurface) -> ReductionReport:

@@ -41,7 +41,7 @@ certificate.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .moves import (
     Cancel,
@@ -53,18 +53,18 @@ from .moves import (
     Rename,
     Rotate,
     apply_move,
-    replay,
 )
 from .words import (
     InternalInvariantError,
     Letter,
     SurfaceType,
     Word,
+    _euler_from_classes,
     canonical_word,
-    classify_by_invariants,
     corner_classes,
     is_orientable,
     mint_fresh,
+    surface_type_from_invariants,
     validate,
 )
 
@@ -72,15 +72,6 @@ from .words import (
 class NormalizationResult(NamedTuple):
     type: SurfaceType
     trace: MoveTrace
-
-
-def _euler_from_classes(classes: tuple[int, ...]) -> int:
-    """V - E + 1 of a closed word from its corner classes.
-
-    V counts the distinct representatives, one per vertex class; E is half
-    the side count, since tracing accepts only closed words.
-    """
-    return len(set(classes)) - len(classes) // 2 + 1
 
 
 class _Rewriter:
@@ -92,15 +83,16 @@ class _Rewriter:
     to check that the last one shrank the class-size profile.  Rotations,
     renames and edge flips are checked by their letters alone.  A rename or
     a flip keeps the classes as they are; a rotation leaves them to be traced
-    when next asked for.
+    when next asked for.  `chi` and `orientable` are the input's invariants,
+    read once from its trace.
     """
 
     def __init__(self, word: Word) -> None:
         self.word = word
         self.steps: list[Move] = []
         self._classes: tuple[int, ...] | None = corner_classes(word)
-        self._chi = _euler_from_classes(self._classes)
-        self._orientable = is_orientable(word)
+        self.chi = _euler_from_classes(self._classes)
+        self.orientable = is_orientable(word)
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -135,8 +127,8 @@ class _Rewriter:
             return
         self._classes = corner_classes(self.word)
         if (
-            _euler_from_classes(self._classes) != self._chi
-            or is_orientable(self.word) != self._orientable
+            _euler_from_classes(self._classes) != self.chi
+            or is_orientable(self.word) != self.orientable
         ):
             raise InternalInvariantError(
                 f"move {move.render()} changed an invariant of {self.word.render()}"
@@ -228,49 +220,40 @@ def _opposite_pairs(
     return sorted(out)
 
 
-def _crosscap_alignment(word: Word) -> int | None:
-    """Smallest rotation offset making the word a run of (s, s) blocks."""
-    n = len(word.letters)
-    if n % 2:
-        return None
-    for r in range(n):
-        ok = True
-        for t in range(n // 2):
-            a = word[(r + 2 * t) % n]
-            b = word[(r + 2 * t + 1) % n]
-            if a.symbol != b.symbol or a.exponent != b.exponent:
-                ok = False
-                break
-        if ok:
-            return r
-    return None
+def _block_alignment(
+    word: Word, width: int, fits: Callable[[tuple[Letter, ...]], bool]
+) -> int | None:
+    """Smallest rotation offset splitting the word into blocks of `width`
+    letters that each `fits`.
 
-
-def _commutator_alignment(word: Word) -> int | None:
-    """Smallest rotation offset splitting the word into commutator blocks.
-
-    A block is four consecutive letters X Y X Y over two distinct symbols
-    with the second occurrences inverted, in any orientation.
+    Offsets r and r + width cut the same blocks, so only r < width is tried,
+    and a word that has no such split costs O(n).
     """
-    n = len(word.letters)
-    if n % 4:
+    letters = word.letters
+    n = len(letters)
+    if n % width:
         return None
-    for r in range(n):
-        ok = True
-        for t in range(0, n, 4):
-            c = [word[(r + t + k) % n] for k in range(4)]
-            if not (
-                c[0].symbol == c[2].symbol
-                and c[1].symbol == c[3].symbol
-                and c[0].symbol != c[1].symbol
-                and c[2].exponent == -c[0].exponent
-                and c[3].exponent == -c[1].exponent
-            ):
-                ok = False
-                break
-        if ok:
+    for r in range(width):
+        rotated = letters[r:] + letters[:r]
+        if all(fits(rotated[t : t + width]) for t in range(0, n, width)):
             return r
     return None
+
+
+def _is_crosscap(block: tuple[Letter, ...]) -> bool:
+    """An (s, s) block: one symbol twice with the same exponent."""
+    return block[0] == block[1]
+
+
+def _is_commutator(block: tuple[Letter, ...]) -> bool:
+    """X Y X Y over two distinct symbols with the second occurrences
+    inverted, in any orientation."""
+    x, y, x2, y2 = block
+    return (
+        x.symbol == x2.symbol != y.symbol == y2.symbol
+        and x2.exponent == -x.exponent
+        and y2.exponent == -y.exponent
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +342,7 @@ def _split_crosscap_run(rw: _Rewriter) -> None:
     n = len(rw.word)
     if n < 4:
         return
-    r = _crosscap_alignment(rw.word)
+    r = _block_alignment(rw.word, 2, _is_crosscap)
     if r is None:
         return
     rw.rotate_to(r)
@@ -387,12 +370,7 @@ def _seed_split(rw: _Rewriter) -> None:
     """
     word = rw.word
     n = len(word.letters)
-    start = None
-    for p in range(n):
-        a, b = word[p], word[(p + 1) % n]
-        if a.symbol == b.symbol and a.exponent == b.exponent:
-            start = p
-            break
+    start = next((p for p in range(n) if word[p] == word[p + 1]), None)
     if start is None:
         raise InternalInvariantError("seed split called without a cross-cap")
     rw.rotate_to(start)
@@ -451,17 +429,10 @@ def _collect_handle(rw: _Rewriter, done: set[str]) -> None:
     y = word[interleaver].symbol
     u = rw.fresh()
     rw.emit(CutPaste(0, p2 + 1, u, y))
-    # bring the positively oriented u to the front for the second cut
-    word = rw.word
-    u_pos = [k for k, let in enumerate(word.letters) if let.symbol == u]
-    u_plus = u_pos[0] if word[u_pos[0]].exponent > 0 else u_pos[1]
-    rw.rotate_to(u_plus)
-    word = rw.word
-    u_minus = [
-        k
-        for k, let in enumerate(word.letters)
-        if let.symbol == u and let.exponent < 0
-    ][0]
+    # bring the positively oriented u to the front for the second cut; the
+    # word is orientable, so u occurs once with each exponent
+    rw.rotate_to(rw.word.letters.index(Letter(u, 1)))
+    u_minus = rw.word.letters.index(Letter(u, -1))
     v = rw.fresh()
     rw.emit(CutPaste(0, u_minus + 1, v, x))
     done.add(u)
@@ -523,38 +494,28 @@ def _finish(rw: _Rewriter) -> SurfaceType:
             rw.emit(Rotate(1))
         _apply_renames(rw, {rw.word[0].symbol: "a1"})
         return SurfaceType.sphere()
-    if not is_orientable(word):
-        r = _crosscap_alignment(word)
-        if r is None:
-            raise InternalInvariantError(
-                f"expected a cross-cap run, got {word.render()}"
-            )
-        rw.rotate_to(r)
-        for t in range(len(rw.word) // 2):
-            if rw.word[2 * t].exponent < 0:
-                rw.emit(FlipEdge(rw.word[2 * t].symbol))
-        mapping = {
-            rw.word[2 * t].symbol: f"a{t + 1}" for t in range(len(rw.word) // 2)
-        }
-        _apply_renames(rw, mapping)
-        return SurfaceType.non_orientable(len(rw.word) // 2)
-    r = _commutator_alignment(word)
+    # a cross-cap block (a a) or a commutator block (a b a' b'): the leading
+    # letter of each of its symbols is made positive, then renamed in order
+    orientable = is_orientable(word)
+    if orientable:
+        width, fits, heads, what = 4, _is_commutator, "ab", "commutator blocks"
+    else:
+        width, fits, heads, what = 2, _is_crosscap, "a", "a cross-cap run"
+    r = _block_alignment(word, width, fits)
     if r is None:
-        raise InternalInvariantError(
-            f"expected commutator blocks, got {word.render()}"
-        )
+        raise InternalInvariantError(f"expected {what}, got {word.render()}")
     rw.rotate_to(r)
-    for t in range(0, len(rw.word), 4):
-        if rw.word[t].exponent < 0:
-            rw.emit(FlipEdge(rw.word[t].symbol))
-        if rw.word[t + 1].exponent < 0:
-            rw.emit(FlipEdge(rw.word[t + 1].symbol))
-    mapping = {}
-    for g in range(len(rw.word) // 4):
-        mapping[rw.word[4 * g].symbol] = f"a{g + 1}"
-        mapping[rw.word[4 * g + 1].symbol] = f"b{g + 1}"
-    _apply_renames(rw, mapping)
-    return SurfaceType.orientable_genus(len(rw.word) // 4)
+    starts = range(0, n, width)
+    for t in starts:
+        for k in range(len(heads)):
+            if rw.word[t + k].exponent < 0:
+                rw.emit(FlipEdge(rw.word[t + k].symbol))
+    _apply_renames(rw, {
+        rw.word[t + k].symbol: f"{head}{t // width + 1}"
+        for t in starts
+        for k, head in enumerate(heads)
+    })
+    return SurfaceType(orientable, n // width)
 
 
 # ---------------------------------------------------------------------------
@@ -575,21 +536,9 @@ def normalize(word: Word) -> NormalizationResult:
         raise InternalInvariantError(
             f"finished at {rw.word.render()}, not the canonical word of {t}"
         )
-    if t != classify_by_invariants(word):
+    if t != surface_type_from_invariants(rw.chi, rw.orientable):
         raise InternalInvariantError(
             f"normalized type {t} disagrees with the invariant classification"
         )
     trace = MoveTrace(word, tuple(rw.steps))
     return NormalizationResult(t, trace)
-
-
-def equivalent(w1: Word, w2: Word) -> bool:
-    """True when both words present the same surface."""
-    return normalize(w1).type == normalize(w2).type
-
-
-def certificate_words(trace: MoveTrace) -> list[Word]:
-    """Every intermediate word of a trace, initial and final included."""
-    seen: list[Word] = []
-    replay(trace, seen)
-    return seen

@@ -10,9 +10,6 @@ interact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 from .words import SurfaceType, Word, mint_fresh, validate
 
 
@@ -44,8 +41,8 @@ def connected_sum_type(t1: SurfaceType, t2: SurfaceType) -> SurfaceType:
 
     The sphere is the identity.  Genus adds between orientable surfaces and
     cross-caps add between non-orientable ones.  Mixing the two, every handle
-    trades for two cross-caps, so genus ``g`` against ``k`` cross-caps gives
-    ``2g + k`` cross-caps.
+    trades for two cross-caps (Dyck: T # P = P # P # P), so genus ``g``
+    against ``k`` cross-caps gives ``2g + k`` cross-caps.
     """
     if t1.is_sphere:
         return t2
@@ -58,32 +55,3 @@ def connected_sum_type(t1: SurfaceType, t2: SurfaceType) -> SurfaceType:
     orient, non = (t1, t2) if t1.orientable else (t2, t1)
     return SurfaceType.non_orientable(2 * orient.genus + non.genus)
 
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Prime connected-sum decomposition of a surface type."""
-
-    summands: Tuple[SurfaceType, ...]
-    note: str
-
-
-def decompose(t: SurfaceType) -> Decomposition:
-    """Express a type as a connected sum of primes.
-
-    Orientable surfaces split into tori, non-orientable ones into projective
-    planes, and the sphere is the empty sum.  The decomposition into these
-    primes is unique given the type, though words realizing it are not.
-    """
-    if t.is_sphere:
-        return Decomposition((), "sphere; identity for connected sum")
-    if t.orientable:
-        torus = SurfaceType.orientable_genus(1)
-        return Decomposition(
-            (torus,) * t.genus,
-            f"{t.genus} torus summand{'s' if t.genus != 1 else ''}",
-        )
-    plane = SurfaceType.non_orientable(1)
-    return Decomposition(
-        (plane,) * t.genus,
-        f"{t.genus} projective plane summand{'s' if t.genus != 1 else ''}",
-    )

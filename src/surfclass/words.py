@@ -167,9 +167,6 @@ class Word:
     def symbols(self) -> set[str]:
         return {let.symbol for let in self.letters}
 
-    def occurrences(self, symbol: str) -> list[int]:
-        return [i for i, let in enumerate(self.letters) if let.symbol == symbol]
-
     def rotated(self, offset: int) -> "Word":
         n = len(self.letters)
         k = offset % n
@@ -326,18 +323,19 @@ def corner_classes(word: Word) -> tuple[int, ...]:
     return tuple(_trace_corners(word.letters, [*range(1, n), 0]))
 
 
-def vertex_cycle_count(word: Word) -> int:
-    """Number of vertex classes of the identified polygon."""
-    return len(set(corner_classes(word)))
+def _euler_from_classes(classes: Sequence[int], faces: int = 1) -> int:
+    """V - E + F of a closed complex from its corner classes.
 
-
-def edge_count(word: Word) -> int:
-    return len(word.symbols())
+    V counts the distinct representatives, one per vertex class; E is half
+    the side count, since tracing accepts only closed complexes; F is the
+    number of polygons.
+    """
+    return len(set(classes)) - len(classes) // 2 + faces
 
 
 def euler_characteristic(word: Word) -> int:
     """V - E + F with one face; independent of any rewriting."""
-    return vertex_cycle_count(word) - edge_count(word) + 1
+    return _euler_from_classes(corner_classes(word))
 
 
 def is_orientable(word: Word) -> bool:
@@ -471,17 +469,10 @@ class PolygonSet:
             raise ValidationError("a polygon set must contain at least one polygon")
         object.__setattr__(self, "polygons", tuple(self.polygons))
 
-    def symbol_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for poly in self.polygons:
-            for let in poly.letters:
-                counts[let.symbol] = counts.get(let.symbol, 0) + 1
-        return counts
-
 
 def validate_polygon_set(polys: PolygonSet) -> PolygonSet:
     """The closed-surface condition across the set, with `validate`'s message."""
-    _check_pairing(polys.symbol_counts())
+    _check_pairing(Counter(let.symbol for poly in polys.polygons for let in poly.letters))
     return polys
 
 
@@ -511,8 +502,7 @@ def complex_euler(polys: PolygonSet) -> int:
         letters += poly.letters
         nxt += range(start + 1, len(letters))
         nxt.append(start)
-    v = len(set(_trace_corners(letters, nxt)))
-    return v - len(letters) // 2 + len(polys.polygons)
+    return _euler_from_classes(_trace_corners(letters, nxt), len(polys.polygons))
 
 
 def complex_is_orientable(polys: PolygonSet) -> bool:

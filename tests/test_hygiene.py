@@ -1,5 +1,6 @@
 """Static checks over the package source, read with the stdlib `ast`."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,51 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_references_every_import(module):
     assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+ROOT = SRC.parent.parent
+
+
+def _imported_by_init() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def _exported() -> list[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("__init__.py defines no __all__")
+
+
+def _referenced() -> set[str]:
+    """Names loaded or looked up as attributes in the modules and scripts.
+
+    A definition is a `def` or `class` statement, not a name node, and the
+    re-exports of `__init__.py` are left out, so a name counts only where it
+    is used."""
+    paths = [SRC / m for m in MODULES] + sorted((ROOT / "scripts").glob("*.py"))
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_all_lists_exactly_what_init_imports():
+    exported = _exported()
+    assert len(exported) == len(set(exported))
+    assert set(exported) == _imported_by_init()
+
+
+def test_every_export_is_used_or_documented():
+    # a name the package exports is referenced by its own code or scripts,
+    # or the README presents it in backticks
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used = _referenced()
+    unused = [n for n in _exported() if n not in used and not re.search(rf"`{n}\b", readme)]
+    assert unused == []

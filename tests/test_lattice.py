@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from surfclass import lattice
 from surfclass.lattice import (
     BaseSurface,
-    BundleDegree,
     DivisorClass,
     RationalSurface,
     blow_down,
@@ -66,7 +65,7 @@ def test_projectivize():
     assert projectivize(3, 0) == BaseSurface.hirzebruch(3)
     assert projectivize(0, 0) == BaseSurface.hirzebruch(0)
     assert projectivize(3, 1) == BaseSurface.hirzebruch(2)
-    assert projectivize(BundleDegree(1), BundleDegree(4)) == BaseSurface.hirzebruch(3)
+    assert projectivize(1, 4) == BaseSurface.hirzebruch(3)
 
 
 def test_projectivize_matrices_projectively_equal():
@@ -98,7 +97,7 @@ def test_make_base_cp2():
     assert s.gram == ((1,),)
     assert s.canonical.coords == (-3,)
     assert s.k_squared == 9
-    assert s.tracked_lines["H"].coords == (1,)
+    assert s.tracked_class("H").coords == (1,)
 
 
 def test_make_base_hirzebruch():
@@ -106,7 +105,7 @@ def test_make_base_hirzebruch():
     assert s.gram == ((-2, 1), (1, 0))
     assert s.canonical.coords == (-2, -4)
     assert s.k_squared == 8
-    sec = s.tracked_lines["S"]
+    sec = s.tracked_class("S")
     assert intersect(s, sec, sec) == -2
     assert make_base(BaseSurface.hirzebruch(0)).gram == ((0, 1), (1, 0))
 
@@ -163,7 +162,7 @@ def test_intersect_matches_dense_sum(case):
 def test_blow_up_generic():
     s = blow_up(make_base(BaseSurface.cp2()))
     assert s.basis == ("H", "E1")
-    e1 = s.tracked_lines["E1"]
+    e1 = s.tracked_class("E1")
     assert intersect(s, e1, e1) == -1
     assert s.canonical.coords == (-3, 1)
     assert s.k_squared == 8
@@ -172,7 +171,7 @@ def test_blow_up_generic():
 
 def test_blow_up_through_line():
     s = blow_up(make_base(BaseSurface.cp2()), through={"H"})
-    h = s.tracked_lines["H"]
+    h = s.tracked_class("H")
     assert h.coords == (1, -1)
     assert intersect(s, h, h) == 0
 
@@ -221,7 +220,7 @@ def test_blow_down_keeps_untouched_names():
     s = blow_up(blow_up(make_base(BaseSurface.cp2())))
     down = blow_down(s, "E2")
     assert down.basis == ("H", "E1")
-    assert down.tracked_lines["E1"].coords == (0, 1)
+    assert down.tracked_class("E1").coords == (0, 1)
 
 
 def test_blow_down_rejects_plus_one_line():
@@ -244,7 +243,7 @@ def test_blow_down_rejects_wrong_k_degree():
 
 def test_two_points_contraction():
     s = blow_up(blow_up(make_base(BaseSurface.cp2()), through={"H"}), through={"H"})
-    assert s.tracked_lines["H"].coords == (1, -1, -1)
+    assert s.tracked_class("H").coords == (1, -1, -1)
     withL = RationalSurface(
         s.base, s.basis, s.gram, s.canonical,
         s.tracked + (("L", DivisorClass((1, -1, -1))),),
@@ -252,9 +251,9 @@ def test_two_points_contraction():
     down = blow_down(withL, "L")
     assert down.gram == ((0, 1), (1, 0))
     assert down.basis == ("B1", "B2")
-    assert "H" not in down.tracked_lines  # same class as L: an alias, dropped
-    e1 = down.tracked_lines["E1"]
-    e2 = down.tracked_lines["E2"]
+    assert "H" not in dict(down.tracked)  # same class as L: an alias, dropped
+    e1 = down.tracked_class("E1")
+    e2 = down.tracked_class("E2")
     assert e1.coords == (0, 1) and e2.coords == (1, 0)
     assert intersect(down, e1, e1) == 0
     assert intersect(down, e2, e2) == 0
@@ -269,7 +268,7 @@ def test_hirzebruch_one_section_contracts_to_plane():
     assert down.basis == ("B1",)
     assert down.gram == ((1,),)
     assert down.canonical.coords == (-3,)
-    assert down.tracked_lines["F"].coords == (1,)
+    assert down.tracked_class("F").coords == (1,)
     assert down.base == BaseSurface.cp2()
     assert down.blowups == 0
 
@@ -303,8 +302,69 @@ def test_euler_and_topological_model():
     assert tm.reversed_cp2_summands == 2
     assert tm.euler == 5
     assert tm.b2 == 3
+    # F1 is CP2 blown up once: its form is odd, so one reversed summand
     tm1 = topological_model(make_base(BaseSurface.hirzebruch(1)))
-    assert (tm1.reversed_cp2_summands, tm1.euler, tm1.b2) == (0, 4, 2)
+    assert tm1.base == BaseSurface.cp2()
+    assert (tm1.reversed_cp2_summands, tm1.euler, tm1.b2) == (1, 4, 2)
+    tm0 = topological_model(make_base(BaseSurface.hirzebruch(4)))
+    assert (tm0.base, tm0.reversed_cp2_summands, tm0.euler) == (BaseSurface.hirzebruch(0), 0, 4)
+
+
+# the surface each script ends on, read off its lattice: a label kept from
+# the base it started from names the wrong one after these contractions
+PARITY_SCRIPTS = [
+    # the README example: the plane blown up twice, the joining line
+    # contracted, leaves the even form [[0, 1], [1, 0]]: S2 x S2
+    ("base cp2\nblowup\nblowup\nline L = H - E1 - E2\nblowdown L\n", True, BaseSurface.hirzebruch(0), 0),
+    # an elementary transformation of F3 lands on F2, even
+    ("base hirzebruch 3\nblowup on F\nline A = F - E1\nblowdown A\n", True, BaseSurface.hirzebruch(0), 0),
+    # one of F0 lands on F1, odd: CP2 # reversed CP2
+    ("base hirzebruch 0\nblowup\nline A = F - E1\nblowdown A\n", False, BaseSurface.cp2(), 1),
+]
+
+
+@pytest.mark.parametrize("script,even,base,summands", PARITY_SCRIPTS)
+def test_topological_model_reads_the_lattice_parity(script, even, base, summands):
+    surf = run_script(script).surface
+    assert surf.rank == 2 and surf.is_even == even
+    assert topological_model(surf) == lattice.TopologicalModel(base, summands, 4, 2)
+
+
+def test_topological_model_agrees_with_signature():
+    # the model's own form, diag(1, -1, ..., -1) or the hyperbolic plane,
+    # has the rank and signature of the lattice, and K^2 = 10 - rank
+    rng = random.Random(0x70B0)
+    for _ in range(200):
+        surf = make_base(rng.choice([BaseSurface.cp2()] + [BaseSurface.hirzebruch(n) for n in range(4)]))
+        for _ in range(rng.randint(0, 6)):
+            names = [nm for nm, _ in surf.tracked]
+            surf = blow_up(surf, rng.sample(names, rng.randint(0, min(2, len(names)))))
+        lines = find_minus_one_lines(surf)
+        if lines:
+            surf = blow_down(surf, rng.choice(lines))
+        tm = topological_model(surf)
+        assert tm.b2 == surf.rank and tm.euler == surf.rank + 2
+        summands = tm.reversed_cp2_summands
+        if tm.base == BaseSurface.cp2():
+            assert not surf.is_even and summands == surf.rank - 1
+        else:
+            assert surf.is_even and (tm.base, summands, surf.rank) == (BaseSurface.hirzebruch(0), 0, 2)
+        assert signature(surf) == (1, surf.rank - 1)
+        assert surf.k_squared == 10 - surf.rank
+
+
+def test_topological_model_rejects_an_unreachable_even_form():
+    # E8 plus a hyperbolic plane would be even of signature (1, 9); a
+    # smaller even form of rank 3 stands in for any such lattice here
+    surf = RationalSurface(
+        base=BaseSurface.hirzebruch(0),
+        basis=("u", "v", "w"),
+        gram=((0, 1, 0), (1, 0, 0), (0, 0, -2)),
+        canonical=DivisorClass((-2, -2, 0)),
+        tracked=(),
+    )
+    with pytest.raises(InternalInvariantError, match="even lattice of rank 3"):
+        topological_model(surf)
 
 
 def test_signature():
@@ -755,9 +815,9 @@ def test_blow_down_cremona_corpus():
             for nm, cls in before.tracked:
                 lc = sum([x * y for x, y in zip(cls.coords, wc) if x])
                 m = cls + lc * c if lc else cls
-                if nm != "C" and not m.is_zero:
+                if nm != "C" and any(m.coords):
                     moved[nm] = m
-            pushed = {"K": down.canonical, **down.tracked_lines}
+            pushed = {"K": down.canonical, **dict(down.tracked)}
             assert list(pushed) == list(moved)
             # a basis name that survives still names its own old curve
             for slot, nm in enumerate(down.basis):

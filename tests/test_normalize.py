@@ -18,7 +18,8 @@ from surfclass.moves import (
     parse_trace,
     replay,
 )
-from surfclass.normalize import certificate_words, equivalent, normalize
+from surfclass.normalize import normalize
+from surfclass.orbit import enumerate_words
 from surfclass.words import (
     InternalInvariantError,
     Letter,
@@ -80,7 +81,8 @@ def test_normalize_rejects_invalid():
 def test_trace_passes_through_split_form():
     # the Klein-bottle word detours through the mixed form a c a' c before
     # being regathered into cross-cap normal form
-    seen = certificate_words(normalize(W("a a b b")).trace)
+    seen = []
+    replay(normalize(W("a a b b")).trace, collect=seen)
     assert W("a c a' c") in seen
 
 
@@ -93,10 +95,13 @@ def test_already_canonical_inputs():
 
 
 def test_equivalent():
-    assert equivalent(W("a b a b"), W("c c"))
-    assert equivalent(W("a a b b"), W("x y x y'"))
-    assert not equivalent(W("a b a b"), W("a a b b"))
-    assert not equivalent(W("a b a' b'"), W("a a'"))
+    def same(w1, w2):
+        return normalize(w1).type == normalize(w2).type
+
+    assert same(W("a b a b"), W("c c"))
+    assert same(W("a a b b"), W("x y x y'"))
+    assert not same(W("a b a b"), W("a a b b"))
+    assert not same(W("a b a' b'"), W("a a'"))
 
 
 @given(words(max_pairs=6))
@@ -119,7 +124,9 @@ def test_normalize_trace_replays_to_canonical(w):
 def test_all_intermediates_share_invariants(w):
     result = normalize(w)
     chi = euler_characteristic(w)
-    for step_word in certificate_words(result.trace):
+    seen = []
+    replay(result.trace, collect=seen)
+    for step_word in seen:
         assert euler_characteristic(step_word) == chi
 
 
@@ -141,7 +148,7 @@ def _append_handle(word, move, result):
 
 def _flip_one_occurrence(word, move, result):
     # only the first occurrence of the flipped symbol is inverted
-    k = word.occurrences(move.symbol)[0]
+    k = next(i for i, let in enumerate(word.letters) if let.symbol == move.symbol)
     letters = list(word.letters)
     letters[k] = letters[k].inverse()
     return Word(tuple(letters))
@@ -204,6 +211,69 @@ def test_relabel_check_refuses_a_taken_name():
     assert normalize_module._relabels(old, W("c b c' b'").letters, Rename("a", "c"))
 
 
+# ---------------------------------------------------------------------------
+# the block scan against the full rotation scans it replaced
+
+
+def _reference_crosscap_alignment(word):
+    n = len(word.letters)
+    if n % 2:
+        return None
+    for r in range(n):
+        ok = True
+        for t in range(n // 2):
+            a = word[(r + 2 * t) % n]
+            b = word[(r + 2 * t + 1) % n]
+            if a.symbol != b.symbol or a.exponent != b.exponent:
+                ok = False
+                break
+        if ok:
+            return r
+    return None
+
+
+def _reference_commutator_alignment(word):
+    n = len(word.letters)
+    if n % 4:
+        return None
+    for r in range(n):
+        ok = True
+        for t in range(0, n, 4):
+            c = [word[(r + t + k) % n] for k in range(4)]
+            if not (
+                c[0].symbol == c[2].symbol
+                and c[1].symbol == c[3].symbol
+                and c[0].symbol != c[1].symbol
+                and c[2].exponent == -c[0].exponent
+                and c[3].exponent == -c[1].exponent
+            ):
+                ok = False
+                break
+        if ok:
+            return r
+    return None
+
+
+def test_block_alignment_matches_full_scans():
+    block_alignment = normalize_module._block_alignment
+    crosscap, commutator = normalize_module._is_crosscap, normalize_module._is_commutator
+    pool = list(enumerate_words("abc")) + list(_seeded_words(0xB10C, 60, 4, 40))
+    pool += [canonical_word(t) for g in range(1, 7) for t in (O(g), N(g))]
+    pool += [canonical_word(O(g)).reflected() for g in range(1, 7)]
+    hits = {"crosscap": 0, "commutator": 0}
+    for word in pool:
+        for r in range(len(word)):
+            w = word.rotated(r)
+            want = _reference_crosscap_alignment(w)
+            assert block_alignment(w, 2, crosscap) == want, w
+            hits["crosscap"] += want is not None
+            want = _reference_commutator_alignment(w)
+            assert block_alignment(w, 4, commutator) == want, w
+            hits["commutator"] += want is not None
+    # both kinds of block are found, at more than one offset
+    assert hits["crosscap"] > 100 and hits["commutator"] > 100
+
+
 def _seeded_words(seed, count, lo, hi):
     """`count` words of lo-hi pairs over s0, s1, ...; odd-numbered ones orientable."""
     rng = random.Random(seed)
@@ -219,9 +289,9 @@ def _seeded_words(seed, count, lo, hi):
 
 def test_each_produced_word_is_traced_at_most_once(monkeypatch):
     # every apply_move that normalize makes emits a move, and every word is
-    # traced at most once: the start word, one per move that is neither a
-    # rotation, a rename nor a flip, and the final classify_by_invariants
-    # cross-check
+    # traced at most once: the start word, whose trace also gives the
+    # invariants of the final type cross-check, and one per move that is
+    # neither a rotation, a rename nor a flip
     counts = {"traces": 0, "applies": 0}
     real_trace = words_module.corner_classes
     real_apply = normalize_module.apply_move
@@ -244,7 +314,7 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
         renames = sum(isinstance(m, Rename) for m in steps)
         flips = sum(isinstance(m, FlipEdge) for m in steps)
         assert counts["applies"] == len(steps)
-        assert counts["traces"] <= non_rotations - renames - flips + 2
+        assert counts["traces"] == non_rotations - renames - flips + 1
 
 
 def test_corner_cut_rule_matches_traced_cuts(monkeypatch):

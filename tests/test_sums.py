@@ -2,7 +2,7 @@ from hypothesis import given, settings
 
 from conftest import words
 from surfclass.normalize import normalize
-from surfclass.sums import Decomposition, connected_sum_type, connected_sum_words, decompose
+from surfclass.sums import connected_sum_type, connected_sum_words
 from surfclass.words import SurfaceType, parse_word, validate
 
 W = parse_word
@@ -50,19 +50,14 @@ def test_klein_bottle_two_ways():
     assert normalize(W("a b a b'")).type == N(2)
 
 
-def test_decompose():
-    d = decompose(S())
-    assert isinstance(d, Decomposition) and d.summands == ()
-    assert decompose(O(3)).summands == (O(1), O(1), O(1))
-    assert decompose(N(2)).summands == (N(1), N(1))
-    assert "2 projective plane summands" in decompose(N(2)).note
-
-
 def test_decompose_matches_sum_type():
-    for t in (O(1), O(4), N(1), N(5)):
+    # a type is the sum of its genus many primes: tori when orientable,
+    # projective planes otherwise, and the sphere is the empty sum
+    for t in (S(), O(1), O(4), N(1), N(5)):
+        prime = O(1) if t.orientable else N(1)
         total = S()
-        for part in decompose(t).summands:
-            total = connected_sum_type(total, part)
+        for _ in range(t.genus):
+            total = connected_sum_type(total, prime)
         assert total == t
 
 

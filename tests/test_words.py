@@ -17,7 +17,6 @@ from surfclass.words import (
     complex_euler,
     complex_is_orientable,
     corner_classes,
-    edge_count,
     euler_characteristic,
     glue_polygons,
     is_orientable,
@@ -26,7 +25,6 @@ from surfclass.words import (
     parse_word,
     validate,
     validate_polygon_set,
-    vertex_cycle_count,
 )
 
 
@@ -231,7 +229,7 @@ VERTEX_GOLDENS = [
 
 @pytest.mark.parametrize("text,v", VERTEX_GOLDENS)
 def test_vertex_cycle_count(text, v):
-    assert vertex_cycle_count(parse_word(text)) == v
+    assert len(set(corner_classes(parse_word(text)))) == v
 
 
 def _reference_classes(w):
@@ -281,7 +279,6 @@ def test_euler_characteristic():
     assert euler_characteristic(parse_word("a a'")) == 2
     assert euler_characteristic(parse_word("a b a' b'")) == 0
     assert euler_characteristic(parse_word("a a")) == 1
-    assert edge_count(parse_word("a b a' b'")) == 2
 
 
 def test_orientability():

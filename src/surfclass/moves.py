@@ -262,28 +262,23 @@ class MoveTrace:
         return "\n".join(step.render() for step in self.steps)
 
 
-def replay(trace: MoveTrace, collect: list[Word] | None = None) -> Word:
+def replay(trace: MoveTrace) -> Word:
     """Re-run a trace, revalidating every intermediate word.
 
     Any parameter that no longer fits, or any intermediate that stops being a
-    closed-surface word, raises ReplayError.  Pass `collect` to receive every
-    intermediate (the initial word included).
+    closed-surface word, raises ReplayError.
     """
     word = trace.initial
     try:
         validate(word)
     except ValidationError as exc:
         raise ReplayError(f"initial word invalid: {exc}") from exc
-    if collect is not None:
-        collect.append(word)
     for k, step in enumerate(trace.steps, start=1):
         try:
             word = apply_move(word, step)
             validate(word)
         except (MoveError, ValidationError) as exc:
             raise ReplayError(f"step {k} ({step.render()}): {exc}") from exc
-        if collect is not None:
-            collect.append(word)
     return word
 
 

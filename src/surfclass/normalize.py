@@ -20,7 +20,9 @@ homeomorphism type and records every elementary move:
    adjacent cross-cap; when cross-caps coexist with an inverse pair, cut so
    that the leading cross-cap becomes non-adjacent again, which converts one
    inverse pair into cross-cap material per round; on fully orientable words
-   gather interleaved pairs into contiguous commutator blocks.
+   gather interleaved pairs into contiguous commutator blocks.  Each round
+   reads one pair map, where each symbol's two letters sit, and every
+   choice of the round is made from it.
 4. Finish: rotate to a block boundary, reverse negatively oriented sides,
    and rename symbols left to right into the canonical alphabet.
 
@@ -40,6 +42,7 @@ certificate.
 """
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -60,6 +63,7 @@ from .words import (
     SurfaceType,
     Word,
     _euler_from_classes,
+    _pair_positions,
     canonical_word,
     corner_classes,
     is_orientable,
@@ -182,13 +186,6 @@ def _relabels(
 # ---------------------------------------------------------------------------
 
 
-def _pair_positions(word: Word) -> dict[str, tuple[int, int]]:
-    occ: dict[str, list[int]] = {}
-    for k, let in enumerate(word.letters):
-        occ.setdefault(let.symbol, []).append(k)
-    return {s: (p[0], p[1]) for s, p in occ.items()}
-
-
 def _cyclically_adjacent(i: int, j: int, n: int) -> bool:
     return j - i == 1 or (i == 0 and j == n - 1)
 
@@ -207,17 +204,6 @@ def _first_nonadjacent_same_pair(
         if best is None or (i, j) < best:
             best = (i, j)
     return best
-
-
-def _opposite_pairs(
-    word: Word, pairs: dict[str, tuple[int, int]]
-) -> list[tuple[int, int]]:
-    letters = word.letters
-    out = []
-    for i, j in pairs.values():
-        if letters[i].exponent == -letters[j].exponent:
-            out.append((i, j))
-    return sorted(out)
 
 
 def _block_alignment(
@@ -261,13 +247,6 @@ def _is_commutator(block: tuple[Letter, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _class_sizes(classes: tuple[int, ...]) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-    for root in classes:
-        sizes[root] = sizes.get(root, 0) + 1
-    return sizes
-
-
 def _reduce_vertices(rw: _Rewriter) -> None:
     guard = 8 * len(rw.word) * len(rw.word) + 64
     for _ in range(guard):
@@ -275,7 +254,7 @@ def _reduce_vertices(rw: _Rewriter) -> None:
         if n == 2:
             return
         classes = rw.classes
-        sizes = _class_sizes(classes)
+        sizes = Counter(classes)
         if len(sizes) == 1:
             return
         qroot = min(sizes, key=lambda r: (sizes[r], r))
@@ -291,7 +270,7 @@ def _reduce_vertices(rw: _Rewriter) -> None:
 def _shrink_class(
     rw: _Rewriter,
     classes: tuple[int, ...],
-    sizes: dict[int, int],
+    sizes: Counter[int],
     qroot: int,
 ) -> None:
     """Transplant one corner out of the chosen class via a triangle cut.
@@ -324,7 +303,7 @@ def _shrink_class(
                 rw.rotate_to((p - 1) % n)
                 move = CutPaste(0, 2, rw.fresh(), paste)
                 rw.emit(move)
-                if sorted(_class_sizes(rw.classes).values()) >= old_profile:
+                if sorted(Counter(rw.classes).values()) >= old_profile:
                     raise InternalInvariantError(
                         f"move {move.render()} did not shrink the vertex classes"
                         f" {old_profile} of {word.render()}"
@@ -355,18 +334,16 @@ def _split_crosscap_run(rw: _Rewriter) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _collect_crosscap(rw: _Rewriter, i: int, j: int) -> None:
-    rw.emit(CutPaste(i, j, rw.fresh(), rw.word[i].symbol))
-
-
-def _seed_split(rw: _Rewriter) -> None:
+def _seed_split(rw: _Rewriter, inverse: set[str]) -> None:
     """Break the leading cross-cap across an inverse pair.
 
     The word starts with an adjacent same-exponent pair after rotation; the
     cut runs from inside that pair to just past the first letter that belongs
-    to an inverse pair.  Pasting along that letter leaves the leading pair
-    non-adjacent, so the next round regathers it, and the pasted-away inverse
-    pair is gone for good; that is the strictly decreasing quantity.
+    to an inverse pair, one of the symbols in `inverse`.  A rotation keeps
+    which symbols are inverse pairs, so that set is read before rotating.
+    Pasting along that letter leaves the leading pair non-adjacent, so the
+    next round regathers it, and the pasted-away inverse pair is gone for
+    good; that is the strictly decreasing quantity.
     """
     word = rw.word
     n = len(word.letters)
@@ -375,60 +352,50 @@ def _seed_split(rw: _Rewriter) -> None:
         raise InternalInvariantError("seed split called without a cross-cap")
     rw.rotate_to(start)
     word = rw.word
-    pairs = _pair_positions(word)
-    q0 = None
-    for q in range(2, n):
-        i, j = pairs[word[q].symbol]
-        if word[i].exponent == -word[j].exponent:
-            q0 = q
-            break
+    q0 = next((q for q in range(2, n) if word[q].symbol in inverse), None)
     if q0 is None:
         raise InternalInvariantError("seed split called without an inverse pair")
-    rw.emit(CutPaste(1, q0 + 1, rw.fresh(), rw.word[q0].symbol))
+    rw.emit(CutPaste(1, q0 + 1, rw.fresh(), word[q0].symbol))
 
 
-def _collect_handle(rw: _Rewriter, done: set[str]) -> None:
-    """Gather one interleaved inverse pair into a contiguous commutator block.
+def _collect_handle(
+    rw: _Rewriter,
+    i: int,
+    p: int,
+    pairs: dict[str, tuple[int, int]],
+    done: set[str],
+) -> None:
+    """Gather the inverse pair at positions i < p into a contiguous
+    commutator block.
 
-    Two cuts: the first re-pastes along an interleaving pair, the second
+    `pairs` is the pair map `_gather` built for the current word this round.
+    The interleaver is read off it before any rotation: the first symbol not
+    done with one letter strictly between i and p and the other outside.
+    Two cuts follow: the first re-pastes along the interleaver, the second
     along the original pair; the two minted symbols u, v end up adjacent as
     u' v u v'.  Finished blocks are marked done and are never chosen as
     interleavers again; they cannot interleave anything anyway, because they
     stay contiguous under later cuts (cut boundaries always sit at letters of
     the pairs being worked on, never inside a finished block).
     """
-    word = rw.word
-    pairs = _pair_positions(word)
-    candidates = sorted(
-        (i, j)
-        for s, (i, j) in pairs.items()
-        if s not in done and word[i].exponent == -word[j].exponent
-    )
-    if not candidates:
-        raise InternalInvariantError("handle gathering called with nothing to do")
-    i, _ = candidates[0]
-    rw.rotate_to(i)
-    word = rw.word
-    x = word[0].symbol
-    pairs = _pair_positions(word)
-    p2 = pairs[x][1]
-    interleaver = None
-    for q in range(1, p2):
-        sym = word[q].symbol
-        if sym == x or sym in done:
-            continue
+    letters = rw.word.letters
+    x = letters[i].symbol
+    y = None
+    for q in range(i + 1, p):
+        sym = letters[q].symbol
         a, b = pairs[sym]
-        inside = (a if a != q else b)
-        if not (0 < inside < p2):
-            interleaver = q
+        # letter q lies between i and p; its pair interleaves unless the
+        # other letter does too
+        if sym not in done and (a < i or b > p):
+            y = sym
             break
-    if interleaver is None:
+    if y is None:
         raise InternalInvariantError(
             f"pair {x} in a one-vertex word has no usable interleaver"
         )
-    y = word[interleaver].symbol
+    rw.rotate_to(i)
     u = rw.fresh()
-    rw.emit(CutPaste(0, p2 + 1, u, y))
+    rw.emit(CutPaste(0, p - i + 1, u, y))
     # bring the positively oriented u to the front for the second cut; the
     # word is orientable, so u occurs once with each exponent
     rw.rotate_to(rw.word.letters.index(Letter(u, 1)))
@@ -440,23 +407,31 @@ def _collect_handle(rw: _Rewriter, done: set[str]) -> None:
 
 
 def _gather(rw: _Rewriter) -> None:
+    """Phase 3.  `done` holds the symbols of finished commutator blocks; it
+    stays empty on a non-orientable word, so one list of inverse pairs not
+    yet done serves the seed split and the handle gather alike."""
     done: set[str] = set()
     guard = 20 * (len(rw.word) + 2) ** 2 + 64
     for _ in range(guard):
-        pairs = _pair_positions(rw.word)
+        letters = rw.word.letters
+        pairs = _pair_positions(letters)
         pair = _first_nonadjacent_same_pair(rw.word, pairs)
         if pair is not None:
-            _collect_crosscap(rw, *pair)
+            i, j = pair
+            rw.emit(CutPaste(i, j, rw.fresh(), letters[i].symbol))
             continue
-        opposite = _opposite_pairs(rw.word, pairs)
-        if not opposite:
+        # the map lists symbols by first letter, so todo[0] sits leftmost
+        todo = [
+            s
+            for s, (i, j) in pairs.items()
+            if s not in done and letters[i].exponent != letters[j].exponent
+        ]
+        if not todo:
             return
-        if not is_orientable(rw.word):
-            _seed_split(rw)
+        if not rw.orientable:
+            _seed_split(rw, set(todo))
             continue
-        if all(rw.word[i].symbol in done for i, _ in opposite):
-            return
-        _collect_handle(rw, done)
+        _collect_handle(rw, *pairs[todo[0]], pairs, done)
     raise InternalInvariantError("gathering failed to terminate")
 
 
@@ -496,8 +471,7 @@ def _finish(rw: _Rewriter) -> SurfaceType:
         return SurfaceType.sphere()
     # a cross-cap block (a a) or a commutator block (a b a' b'): the leading
     # letter of each of its symbols is made positive, then renamed in order
-    orientable = is_orientable(word)
-    if orientable:
+    if rw.orientable:
         width, fits, heads, what = 4, _is_commutator, "ab", "commutator blocks"
     else:
         width, fits, heads, what = 2, _is_crosscap, "a", "a cross-cap run"
@@ -515,7 +489,7 @@ def _finish(rw: _Rewriter) -> SurfaceType:
         for t in starts
         for k, head in enumerate(heads)
     })
-    return SurfaceType(orientable, n // width)
+    return SurfaceType(rw.orientable, n // width)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import string
 from collections import deque
+from itertools import combinations, permutations, product
 from typing import NamedTuple, Sequence
 
 from .moves import (
@@ -28,7 +29,14 @@ from .moves import (
     Rename,
     apply_move,
 )
-from .words import Letter, ValidationError, Word, mint_fresh, validate
+from .words import (
+    Letter,
+    ValidationError,
+    Word,
+    _pair_positions,
+    mint_fresh,
+    validate,
+)
 
 
 class OrbitResult(NamedTuple):
@@ -103,14 +111,13 @@ def _successors(word: Word, universe: Sequence[str], temp: str) -> list[Word]:
             out.append(apply_move(word, Insert(p, fresh)))
 
     if n >= 3:
+        pairs = sorted(_pair_positions(word.letters).items())
         for i in range(n):
             for j in range(i + 1, n):
-                arc1 = {word.letters[k].symbol for k in range(i, j)}
-                arc2 = {word.letters[k % n].symbol for k in range(j, i + n)}
-                both = arc1 & arc2
-                if not both:
-                    continue
-                for paste_sym in sorted(both):
+                for paste_sym, (a, b) in pairs:
+                    # a paste symbol has exactly one letter on the arc [i, j)
+                    if (i <= a < j) == (i <= b < j):
+                        continue
                     if free:
                         out.append(apply_move(word, CutPaste(i, j, free[0], paste_sym)))
                     else:
@@ -155,10 +162,10 @@ def enumerate_words(symbols: Sequence[str]) -> set[Word]:
 
     Every nonempty subset of the pool contributes the words in which each
     chosen symbol occurs exactly twice, with all four exponent combinations.
-    Rotationally equal words collapse to one representative.
+    Rotationally equal words collapse to one representative, the first one
+    reached: symbol arrangements run in sorted order, so the stored rotation
+    does not follow the string hash seed.
     """
-    from itertools import combinations, permutations, product
-
     pool = list(dict.fromkeys(symbols))
     out: set[Word] = set()
     for k in range(1, len(pool) + 1):
@@ -166,7 +173,7 @@ def enumerate_words(symbols: Sequence[str]) -> set[Word]:
             base = []
             for s in subset:
                 base.extend([s, s])
-            for perm in set(permutations(base)):
+            for perm in sorted(set(permutations(base))):
                 for signs in product((1, -1), repeat=2 * k):
                     out.add(Word(tuple(Letter(s, e) for s, e in zip(perm, signs))))
     return out

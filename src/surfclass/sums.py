@@ -23,15 +23,14 @@ def connected_sum_words(w1: Word, w2: Word) -> Word:
     """
     validate(w1)
     validate(w2)
-    used = set(w1.symbols())
-    mapping = {}
+    clash = w1.symbols()
+    taken = clash | w2.symbols()
+    mapping: dict[str, str] = {}
     for letter in w2.letters:
         s = letter.symbol
-        if s in mapping or s not in used:
-            continue
-        fresh = mint_fresh(frozenset(used | set(w2.symbols()) | set(mapping.values())))
-        mapping[s] = fresh
-        used.add(fresh)
+        if s in clash and s not in mapping:
+            mapping[s] = mint_fresh(taken)
+            taken.add(mapping[s])
     renamed = tuple(letter._replace(symbol=mapping.get(letter.symbol, letter.symbol)) for letter in w2.letters)
     return Word(w1.letters + renamed)
 

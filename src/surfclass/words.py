@@ -198,19 +198,11 @@ def parse_word(text: str) -> Word:
     tokens = list(re.finditer(r"\S+", text))
     if len(tokens) == 1:
         tok = tokens[0].group()
-        start = tokens[0].start()
         if re.fullmatch(r"(?:[A-Za-z](?:'|\^-1)?){2,}", tok):
-            letters = []
-            pos = 0
-            while pos < len(tok):
-                m = _COMPACT_UNIT.match(tok, pos)
-                if m is None:
-                    raise WordSyntaxError(
-                        f"unexpected character {tok[pos]!r}", start + pos + 1
-                    )
-                letters.append(Letter(m.group()[0], -1 if m.group(1) else 1))
-                pos = m.end()
-            return Word(tuple(letters))
+            return Word(tuple(
+                Letter(m.group()[0], -1 if m.group(1) else 1)
+                for m in _COMPACT_UNIT.finditer(tok)
+            ))
     letters = []
     for tok_match in tokens:
         tok = tok_match.group()
@@ -248,6 +240,15 @@ def validate(word: Word) -> Word:
     if 2 * len(counts) != len(letters) or max(counts.values()) != 2:
         _check_pairing(counts)
     return word
+
+
+def _pair_positions(letters: Sequence[Letter]) -> dict[str, tuple[int, int]]:
+    """Positions of the two letters of each symbol of a closed word, in
+    order, keyed by symbol in order of first letter."""
+    occ: dict[str, list[int]] = {}
+    for k, s in enumerate(map(itemgetter(0), letters)):
+        occ.setdefault(s, []).append(k)
+    return {s: (p[0], p[1]) for s, p in occ.items()}
 
 
 def mint_fresh(used: set[str]) -> str:

@@ -48,21 +48,25 @@ def _exported() -> list[str]:
     raise AssertionError("__init__.py defines no __all__")
 
 
-def _referenced() -> set[str]:
-    """Names loaded or looked up as attributes in the modules and scripts.
+def _names(source: str) -> set[str]:
+    """Names loaded or looked up as attributes in one module's source.
 
-    A definition is a `def` or `class` statement, not a name node, and the
-    re-exports of `__init__.py` are left out, so a name counts only where it
-    is used."""
-    paths = [SRC / m for m in MODULES] + sorted((ROOT / "scripts").glob("*.py"))
+    A definition is a `def` or `class` statement, not a name node, so a name
+    counts only where it is used."""
     names: set[str] = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
+
+
+def _referenced() -> set[str]:
+    """Names used in the modules and scripts; the re-exports of
+    `__init__.py` are left out."""
+    paths = [SRC / m for m in MODULES] + sorted((ROOT / "scripts").glob("*.py"))
+    return set().union(*(_names(p.read_text(encoding="utf-8")) for p in paths))
 
 
 def test_all_lists_exactly_what_init_imports():
@@ -78,3 +82,35 @@ def test_every_export_is_used_or_documented():
     used = _referenced()
     unused = [n for n in _exported() if n not in used and not re.search(rf"`{n}\b", readme)]
     assert unused == []
+
+
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes that no module uses.
+
+    `sources` maps a module name to its text; an import alone is not a
+    use."""
+    used = set().union(*map(_names, sources.values()))
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+
+
+def test_unreferenced_private_is_found():
+    sources = {
+        "a": "def _kept():\n    pass\n\nclass _Left:\n    pass\n\ndef _unused():\n    return 1\n",
+        "b": "from a import _kept\n_kept()\n",
+    }
+    assert _unreferenced_private(sources) == ["a._Left", "a._unused"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private(sources) == []

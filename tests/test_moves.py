@@ -195,16 +195,6 @@ def test_parse_trace_reads_signed_numbers():
     assert trace.steps == (Rotate(-3), Cancel(0), CutPaste(0, 2, "c", "b"))
 
 
-def test_replay_collects_intermediates():
-    w = W("a a b b")
-    trace = MoveTrace(w, (CutPaste(1, 3, "c", "b"),))
-    seen = []
-    final = replay(trace, collect=seen)
-    assert seen[0] == w
-    assert seen[-1] == final
-    assert final == W("a c a' c")
-
-
 def test_replay_rejects_bad_step():
     trace = MoveTrace(W("a a b b"), (Cancel(0),))
     with pytest.raises(ReplayError, match="step 1"):

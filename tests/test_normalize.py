@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import random
 import sys
+from collections import Counter
+from itertools import accumulate
 from string import ascii_lowercase
 
 import pytest
@@ -81,9 +83,8 @@ def test_normalize_rejects_invalid():
 def test_trace_passes_through_split_form():
     # the Klein-bottle word detours through the mixed form a c a' c before
     # being regathered into cross-cap normal form
-    seen = []
-    replay(normalize(W("a a b b")).trace, collect=seen)
-    assert W("a c a' c") in seen
+    trace = normalize(W("a a b b")).trace
+    assert W("a c a' c") in accumulate(trace.steps, apply_move, initial=trace.initial)
 
 
 def test_already_canonical_inputs():
@@ -124,9 +125,8 @@ def test_normalize_trace_replays_to_canonical(w):
 def test_all_intermediates_share_invariants(w):
     result = normalize(w)
     chi = euler_characteristic(w)
-    seen = []
-    replay(result.trace, collect=seen)
-    for step_word in seen:
+    trace = result.trace
+    for step_word in accumulate(trace.steps, apply_move, initial=trace.initial):
         assert euler_characteristic(step_word) == chi
 
 
@@ -341,7 +341,7 @@ def test_corner_cut_rule_matches_traced_cuts(monkeypatch):
                 continue
             for paste, q in ((flank_a.symbol, (p + 1) % n), (flank_b.symbol, (p - 1) % n)):
                 cut = apply_move(word.rotated((p - 1) % n), CutPaste(0, 2, fresh, paste))
-                profile = sorted(normalize_module._class_sizes(corner_classes(cut)).values())
+                profile = sorted(Counter(corner_classes(cut)).values())
                 predicted = dict(sizes)
                 predicted[classes[p]] -= 1
                 predicted[classes[q]] += 1

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from surfclass.orbit import enumerate_words, orbit_oracle
-from surfclass.words import SurfaceType, ValidationError, parse_word
+from surfclass.moves import Cancel, CutPaste, FlipEdge, Insert, Reflect, Rename, apply_move
+from surfclass.orbit import _successors, _symbol_universe, enumerate_words, orbit_oracle
+from surfclass.words import SurfaceType, ValidationError, mint_fresh, parse_word
 
 W = parse_word
 
@@ -71,3 +77,77 @@ def test_orbit_respects_type():
     assert r.exhausted
     t = SurfaceType.orientable_genus(1)
     assert all(classify_by_invariants(w) == t for w in r.words)
+
+
+def test_enumerate_words_ignores_hash_seed():
+    # the rotation stored for each cyclic class, and so the rendered text,
+    # must not follow the string hash seed of the interpreter
+    code = (
+        "from surfclass.orbit import enumerate_words\n"
+        "print(sorted(w.render() for w in enumerate_words('abc')))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("'") >= 2 * 1055
+
+
+def _successors_by_arc_sets(word, universe, temp):
+    """`_successors` as it was before it read the pair map: the paste
+    symbols of each chord are the symbols in both of two per-arc sets."""
+    out = []
+    n = len(word)
+    used = word.symbols()
+    free = [s for s in universe if s not in used]
+    out.append(apply_move(word, Reflect()))
+    for s in sorted(used):
+        out.append(apply_move(word, FlipEdge(s)))
+        for t in free:
+            out.append(apply_move(word, Rename(s, t)))
+    if n > 2:
+        for p in range(n):
+            a = word.letters[p]
+            b = word.letters[(p + 1) % n]
+            if a.symbol == b.symbol and a.exponent == -b.exponent:
+                out.append(apply_move(word, Cancel(p)))
+    if len(used) < len(universe):
+        for p in range(n + 1):
+            out.append(apply_move(word, Insert(p, free[0])))
+    if n >= 3:
+        for i in range(n):
+            for j in range(i + 1, n):
+                arc1 = {word.letters[k].symbol for k in range(i, j)}
+                arc2 = {word.letters[k % n].symbol for k in range(j, i + n)}
+                for paste_sym in sorted(arc1 & arc2):
+                    if free:
+                        out.append(apply_move(word, CutPaste(i, j, free[0], paste_sym)))
+                    else:
+                        mid = apply_move(word, CutPaste(i, j, temp, paste_sym))
+                        out.append(apply_move(mid, Rename(temp, paste_sym)))
+    return out
+
+
+def test_successors_match_arc_set_reference():
+    # identical successor lists, letter for letter and in order; a cap of 3
+    # leaves a 3-symbol word no free name (the rename path), a cap of 4
+    # leaves one
+    checked = 0
+    for word in enumerate_words("abc"):
+        if len(word) < 3:
+            continue
+        for cap in (3, 4):
+            universe = _symbol_universe(word, cap)
+            temp = mint_fresh(frozenset(universe))
+            want = [w.letters for w in _successors_by_arc_sets(word, universe, temp)]
+            got = [w.letters for w in _successors(word, universe, temp)]
+            assert got == want, word.render()
+            checked += 1
+    assert checked == 2 * (1055 - 9)  # nine one-symbol words

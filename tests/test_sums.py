@@ -1,3 +1,5 @@
+from string import ascii_lowercase
+
 from hypothesis import given, settings
 
 from conftest import words
@@ -14,6 +16,17 @@ N = SurfaceType.non_orientable
 def test_sum_words_renames_collisions():
     out = connected_sum_words(W("a a"), W("a a"))
     assert out == W("a a b b")
+
+
+def test_sum_words_collision_heavy_names():
+    # every symbol of the second word clashes; fresh names skip the first
+    # word's, the second word's own and those already minted, in order of
+    # first occurrence
+    out = connected_sum_words(W("a b c a' b' c'"), W("c b a d e e' d' a' b c"))
+    assert out.render() == "a b c a' b' c' f g h d e e' d' h' g f"
+    full = " ".join(ascii_lowercase)
+    out = connected_sum_words(W(f"{full} {full}"), W("a1 z a a1 z a"))
+    assert out.render() == f"{full} {full} a1 b1 c1 a1 b1 c1"
 
 
 def test_sum_words_keeps_disjoint_names():

@@ -24,6 +24,7 @@ from .words import (
     SurfclassError,
     ValidationError,
     Word,
+    _SYMBOL,
     _check_symbol,
     _join_on_symbol,
     validate,
@@ -126,23 +127,30 @@ Move = Union[Rotate, Reflect, Rename, FlipEdge, Cancel, Insert, CutPaste]
 
 def _cut_letters(
     word: Word, i: int, j: int, fresh: str
-) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
-    n = len(word.letters)
+) -> tuple[tuple[Letter, ...], list[str], tuple[Letter, ...], list[str]]:
+    """The two pieces of a cut, each followed by the list of its symbols."""
+    letters = word.letters
+    n = len(letters)
     if n < 3:
         raise MoveError("cannot cut a polygon with fewer than 3 sides")
     if not (0 <= i < n and 0 <= j < n):
         raise MoveError(f"cut positions {i},{j} out of range for length {n}")
     if i == j:
         raise MoveError("cut needs two distinct corners; a piece would be empty")
-    if fresh in word.symbols():
+    symbols = list(map(_SYMBOL, letters))
+    if fresh in symbols:
         raise MoveError(f"diagonal symbol {fresh} already occurs in the word")
     _check_symbol(fresh)
-    letters = word.letters
-    if i < j:
-        arc1, arc2 = letters[i:j], letters[j:] + letters[:i]
-    else:
-        arc1, arc2 = letters[i:] + letters[:j], letters[j:i]
-    return arc1 + (Letter(fresh, 1),), (Letter(fresh, -1),) + arc2
+    # read from corner i: the first piece is the first k sides
+    k = (j - i) % n
+    letters = letters[i:] + letters[:i]
+    symbols = symbols[i:] + symbols[:i]
+    return (
+        letters[:k] + (Letter(fresh, 1),),
+        symbols[:k] + [fresh],
+        (Letter(fresh, -1),) + letters[k:],
+        [fresh] + symbols[k:],
+    )
 
 
 def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
@@ -152,7 +160,7 @@ def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
     remaining sides).  Gluing the two pieces back along `fresh` recovers the
     original cyclic word.
     """
-    piece1, piece2 = _cut_letters(word, i, j, fresh)
+    piece1, _, piece2, _ = _cut_letters(word, i, j, fresh)
     return Word._from_checked(piece1), Word._from_checked(piece2)
 
 
@@ -163,7 +171,10 @@ def paste(w1: Word, w2: Word, symbol: str) -> Word:
     the second polygon before joining.
     """
     try:
-        return Word(_join_on_symbol(w1.letters, w2.letters, symbol))
+        l1, l2 = w1.letters, w2.letters
+        return Word(_join_on_symbol(
+            l1, list(map(_SYMBOL, l1)), l2, list(map(_SYMBOL, l2)), symbol
+        ))
     except ValidationError as exc:
         raise MoveError(str(exc)) from exc
 
@@ -171,6 +182,24 @@ def paste(w1: Word, w2: Word, symbol: str) -> Word:
 # ---------------------------------------------------------------------------
 # applying moves
 # ---------------------------------------------------------------------------
+
+
+def _respell(
+    letters: tuple[Letter, ...], symbols: list[str], old: str, new: str, sign: int
+) -> tuple[Letter, ...]:
+    """`letters` with each letter of `old` replaced by a letter of `new`
+    whose exponent is `sign` times the replaced one.
+
+    `symbols` lists the symbols of `letters`; the letters between
+    occurrences are copied as tuple slices.
+    """
+    out: tuple[Letter, ...] = ()
+    start = 0
+    for _ in range(symbols.count(old)):
+        k = symbols.index(old, start)
+        out += letters[start:k] + (tuple.__new__(Letter, (new, sign * letters[k][1])),)
+        start = k + 1
+    return out + letters[start:]
 
 
 def apply_move(word: Word, move: Move) -> Word:
@@ -184,9 +213,9 @@ def apply_move(word: Word, move: Move) -> Word:
     if isinstance(move, CutPaste):
         if not move.i < move.j:
             raise MoveError("cut positions must satisfy i < j")
-        piece1, piece2 = _cut_letters(word, move.i, move.j, move.fresh)
+        pieces = _cut_letters(word, move.i, move.j, move.fresh)
         try:
-            return Word._from_checked(_join_on_symbol(piece1, piece2, move.paste))
+            return Word._from_checked(_join_on_symbol(*pieces, move.paste))
         except ValidationError as exc:
             raise MoveError(str(exc)) from exc
     if isinstance(move, Rotate):
@@ -194,28 +223,21 @@ def apply_move(word: Word, move: Move) -> Word:
     if isinstance(move, Reflect):
         return word.reflected()
     if isinstance(move, Rename):
-        used = word.symbols()
-        if move.old not in used:
+        symbols = list(map(_SYMBOL, letters))
+        if move.old not in symbols:
             raise MoveError(f"symbol {move.old} does not occur")
         if move.new == move.old:
             raise MoveError("rename must change the symbol")
-        if move.new in used:
+        if move.new in symbols:
             raise MoveError(f"symbol {move.new} already occurs")
         _check_symbol(move.new)
-        return Word._from_checked(
-            tuple(
-                Letter(move.new, let.exponent) if let.symbol == move.old else let
-                for let in letters
-            )
-        )
+        return Word._from_checked(_respell(letters, symbols, move.old, move.new, 1))
     if isinstance(move, FlipEdge):
-        if move.symbol not in word.symbols():
+        symbols = list(map(_SYMBOL, letters))
+        if move.symbol not in symbols:
             raise MoveError(f"symbol {move.symbol} does not occur")
         return Word._from_checked(
-            tuple(
-                let.inverse() if let.symbol == move.symbol else let
-                for let in letters
-            )
+            _respell(letters, symbols, move.symbol, move.symbol, -1)
         )
     if isinstance(move, Cancel):
         if n <= 2:

@@ -42,8 +42,8 @@ certificate.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .moves import (
@@ -62,6 +62,7 @@ from .words import (
     Letter,
     SurfaceType,
     Word,
+    _SYMBOL,
     _euler_from_classes,
     _pair_positions,
     canonical_word,
@@ -158,7 +159,7 @@ def _relabels(
     """
     if len(new) != len(old):
         return False
-    symbols = list(map(itemgetter(0), old))
+    symbols = list(map(_SYMBOL, old))
     if isinstance(move, Rename):
         if move.new in symbols:
             return False
@@ -193,17 +194,15 @@ def _cyclically_adjacent(i: int, j: int, n: int) -> bool:
 def _first_nonadjacent_same_pair(
     word: Word, pairs: dict[str, tuple[int, int]]
 ) -> tuple[int, int] | None:
+    """The leftmost same-exponent pair whose two letters are not cyclically
+    adjacent.  `pairs` lists symbols by first letter, so the first such pair
+    it yields is the leftmost."""
     letters = word.letters
     n = len(letters)
-    best: tuple[int, int] | None = None
     for i, j in pairs.values():
-        if letters[i].exponent != letters[j].exponent:
-            continue
-        if _cyclically_adjacent(i, j, n):
-            continue
-        if best is None or (i, j) < best:
-            best = (i, j)
-    return best
+        if letters[i].exponent == letters[j].exponent and not _cyclically_adjacent(i, j, n):
+            return i, j
+    return None
 
 
 def _block_alignment(
@@ -441,23 +440,29 @@ def _gather(rw: _Rewriter) -> None:
 
 
 def _apply_renames(rw: _Rewriter, mapping: dict[str, str]) -> None:
+    """Rename by `mapping`, least pending symbol first among those whose
+    target is free.  One set of the symbols in use and one sorted list of
+    the pending symbols are kept up to date across the renames."""
     pending = {old: new for old, new in mapping.items() if old != new}
+    order = sorted(pending)
+    used = rw.word.symbols()
     guard = 4 * len(pending) + 8
     for _ in range(guard):
-        if not pending:
+        if not order:
             return
-        used = rw.word.symbols()
-        free = [(old, new) for old, new in sorted(pending.items()) if new not in used]
-        if free:
-            old, new = free[0]
-            rw.emit(Rename(old, new))
-            del pending[old]
-            continue
-        # break a rename cycle through a temporary name
-        old = sorted(pending)[0]
-        tmp = mint_fresh(used | set(pending.values()))
-        rw.emit(Rename(old, tmp))
-        pending[tmp] = pending.pop(old)
+        old = next((old for old in order if pending[old] not in used), None)
+        if old is not None:
+            new = pending.pop(old)
+            order.remove(old)
+        else:
+            # break a rename cycle through a temporary name
+            old = order.pop(0)
+            new = mint_fresh(used | set(pending.values()))
+            pending[new] = pending.pop(old)
+            insort(order, new)
+        rw.emit(Rename(old, new))
+        used.remove(old)
+        used.add(new)
     raise InternalInvariantError("renaming failed to terminate")
 
 

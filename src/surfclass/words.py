@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, neg
 from string import ascii_lowercase
 from typing import Iterator, NamedTuple, Sequence
 
@@ -60,6 +61,22 @@ class Letter(NamedTuple):
 
     def render(self) -> str:
         return self.symbol + ("'" if self.exponent < 0 else "")
+
+
+# a letter's symbol and exponent, for maps that run without a Python frame
+# per letter; tuple.__new__(Letter, (symbol, exponent)) likewise builds a
+# letter without entering Letter's Python-level __new__
+_SYMBOL = itemgetter(0)
+_EXPONENT = itemgetter(1)
+
+
+def _reflect(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The letters read backwards, each inverted: the same polygon traversed
+    the other way round."""
+    rev = letters[::-1]
+    return tuple(map(
+        tuple.__new__, repeat(Letter), zip(map(_SYMBOL, rev), map(neg, map(_EXPONENT, rev)))
+    ))
 
 
 def _check_symbol(symbol: str) -> None:
@@ -165,7 +182,7 @@ class Word:
         return f"Word({self.render()!r})"
 
     def symbols(self) -> set[str]:
-        return {let.symbol for let in self.letters}
+        return set(map(_SYMBOL, self.letters))
 
     def rotated(self, offset: int) -> "Word":
         n = len(self.letters)
@@ -173,7 +190,7 @@ class Word:
         return Word._from_checked(self.letters[k:] + self.letters[:k])
 
     def reflected(self) -> "Word":
-        return Word._from_checked(tuple(let.inverse() for let in reversed(self.letters)))
+        return Word._from_checked(_reflect(self.letters))
 
     def render(self) -> str:
         """Text of the stored rotation, one token per side."""
@@ -236,7 +253,7 @@ def validate(word: Word) -> Word:
     lists every offending symbol with its occurrence count.
     """
     letters = word.letters
-    counts = Counter(map(itemgetter(0), letters))
+    counts = Counter(map(_SYMBOL, letters))
     if 2 * len(counts) != len(letters) or max(counts.values()) != 2:
         _check_pairing(counts)
     return word
@@ -246,7 +263,7 @@ def _pair_positions(letters: Sequence[Letter]) -> dict[str, tuple[int, int]]:
     """Positions of the two letters of each symbol of a closed word, in
     order, keyed by symbol in order of first letter."""
     occ: dict[str, list[int]] = {}
-    for k, s in enumerate(map(itemgetter(0), letters)):
+    for k, s in enumerate(map(_SYMBOL, letters)):
         occ.setdefault(s, []).append(k)
     return {s: (p[0], p[1]) for s, p in occ.items()}
 
@@ -340,13 +357,13 @@ def euler_characteristic(word: Word) -> int:
 
 
 def is_orientable(word: Word) -> bool:
-    """A same-exponent pair is a Moebius band; orientable means none exists."""
-    seen: dict[str, int] = {}
-    for let in word.letters:
-        if let.symbol in seen and seen[let.symbol] == let.exponent:
-            return False
-        seen[let.symbol] = let.exponent
-    return True
+    """A same-exponent pair is a Moebius band; orientable means none exists.
+
+    Two letters of one symbol with the same exponent are equal letters, so
+    this reads as: no letter repeats.
+    """
+    letters = word.letters
+    return len(set(letters)) == len(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +566,26 @@ def complex_is_orientable(polys: PolygonSet) -> bool:
 
 
 def _join_on_symbol(
-    w1: tuple[Letter, ...], w2: tuple[Letter, ...], symbol: str
+    w1: tuple[Letter, ...],
+    symbols1: list[str],
+    w2: tuple[Letter, ...],
+    symbols2: list[str],
+    symbol: str,
 ) -> tuple[Letter, ...]:
     """Merge two polygons along `symbol`, deleting both occurrences.
 
-    The splice underlying both paste and gluing.  With opposite exponents the
-    second polygon is concatenated as stored; with equal exponents it is
-    reflected first, which is the only way the sides can be matched.
+    The splice underlying both paste and gluing; `symbols1` and `symbols2`
+    list the symbols of `w1` and `w2`.  With opposite exponents the second
+    polygon is concatenated as stored; with equal exponents it is reflected
+    first, which is the only way the sides can be matched.
     """
-    occ1 = [i for i, let in enumerate(w1) if let.symbol == symbol]
-    occ2 = [i for i, let in enumerate(w2) if let.symbol == symbol]
-    if len(occ1) != 1 or len(occ2) != 1:
+    if symbols1.count(symbol) != 1 or symbols2.count(symbol) != 1:
         raise ValidationError(
             f"symbol {symbol} must occur exactly once in each polygon"
         )
-    i, j = occ1[0], occ2[0]
+    i, j = symbols1.index(symbol), symbols2.index(symbol)
     if w1[i].exponent == w2[j].exponent:
-        w2 = tuple(let.inverse() for let in reversed(w2))
+        w2 = _reflect(w2)
         j = len(w2) - 1 - j
     # rotate the first so `symbol` is last, the second so it is first
     left = w1[i + 1 :] + w1[:i]
@@ -594,7 +614,10 @@ def glue_polygons(polys: PolygonSet) -> Word:
             raise ValidationError("polygon set is disconnected")
         sym = candidates[0]
         a, b = shared[sym][0], shared[sym][-1]
-        merged = _join_on_symbol(current[a], current[b], sym)
+        w1, w2 = current[a], current[b]
+        merged = _join_on_symbol(
+            w1, list(map(_SYMBOL, w1)), w2, list(map(_SYMBOL, w2)), sym
+        )
         current = [w for k, w in enumerate(current) if k not in (a, b)]
         current.insert(0, merged)
     return Word(current[0])

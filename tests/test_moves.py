@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,10 +22,12 @@ from surfclass.moves import (
     paste,
     replay,
 )
+from surfclass.orbit import enumerate_words
 from surfclass.words import (
     Letter,
     ValidationError,
     Word,
+    _check_symbol,
     euler_characteristic,
     is_orientable,
     parse_word,
@@ -205,3 +210,177 @@ def test_replay_rejects_inapplicable_cutpaste():
     trace = MoveTrace(W("a a'"), (CutPaste(0, 1, "c", "a"),))
     with pytest.raises(ReplayError):
         replay(trace)
+
+
+# ---------------------------------------------------------------------------
+# the slice-built results of reflect, rename, flipedge and cutpaste against
+# the letter-by-letter forms they replaced
+
+
+def _reference_join(w1, w2, symbol):
+    occ1 = [i for i, let in enumerate(w1) if let.symbol == symbol]
+    occ2 = [i for i, let in enumerate(w2) if let.symbol == symbol]
+    if len(occ1) != 1 or len(occ2) != 1:
+        raise ValidationError(f"symbol {symbol} must occur exactly once in each polygon")
+    i, j = occ1[0], occ2[0]
+    if w1[i].exponent == w2[j].exponent:
+        w2 = tuple(let.inverse() for let in reversed(w2))
+        j = len(w2) - 1 - j
+    return w1[i + 1 :] + w1[:i] + w2[j + 1 :] + w2[:j]
+
+
+def _reference_cut(letters, i, j, fresh):
+    n = len(letters)
+    if n < 3:
+        raise MoveError("cannot cut a polygon with fewer than 3 sides")
+    if not (0 <= i < n and 0 <= j < n):
+        raise MoveError(f"cut positions {i},{j} out of range for length {n}")
+    if i == j:
+        raise MoveError("cut needs two distinct corners; a piece would be empty")
+    if fresh in {let.symbol for let in letters}:
+        raise MoveError(f"diagonal symbol {fresh} already occurs in the word")
+    _check_symbol(fresh)
+    if i < j:
+        arc1, arc2 = letters[i:j], letters[j:] + letters[:i]
+    else:
+        arc1, arc2 = letters[i:] + letters[:j], letters[j:i]
+    return arc1 + (Letter(fresh, 1),), (Letter(fresh, -1),) + arc2
+
+
+def _reference_apply(word, move):
+    letters = word.letters
+    used = {let.symbol for let in letters}
+    if isinstance(move, Reflect):
+        return tuple(let.inverse() for let in reversed(letters))
+    if isinstance(move, Rename):
+        if move.old not in used:
+            raise MoveError(f"symbol {move.old} does not occur")
+        if move.new == move.old:
+            raise MoveError("rename must change the symbol")
+        if move.new in used:
+            raise MoveError(f"symbol {move.new} already occurs")
+        _check_symbol(move.new)
+        return tuple(
+            Letter(move.new, let.exponent) if let.symbol == move.old else let
+            for let in letters
+        )
+    if isinstance(move, FlipEdge):
+        if move.symbol not in used:
+            raise MoveError(f"symbol {move.symbol} does not occur")
+        return tuple(let.inverse() if let.symbol == move.symbol else let for let in letters)
+    if not move.i < move.j:
+        raise MoveError("cut positions must satisfy i < j")
+    piece1, piece2 = _reference_cut(letters, move.i, move.j, move.fresh)
+    try:
+        return _reference_join(piece1, piece2, move.paste)
+    except ValidationError as exc:
+        raise MoveError(str(exc)) from exc
+
+
+def _reference_is_orientable(word):
+    seen = {}
+    for let in word.letters:
+        if let.symbol in seen and seen[let.symbol] == let.exponent:
+            return False
+        seen[let.symbol] = let.exponent
+    return True
+
+
+def _outcome(build):
+    """The letters `build` returns, or the type and message it raises."""
+    try:
+        result = build()
+    except (MoveError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return result.letters if isinstance(result, Word) else result
+
+
+def _assert_same(word, moves):
+    for move in moves:
+        got = _outcome(lambda: apply_move(word, move))
+        assert got == _outcome(lambda: _reference_apply(word, move)), (word, move)
+        if isinstance(got, tuple) and got and isinstance(got[0], Letter):
+            # the new letters are Letters, not bare tuples that compare equal
+            assert {type(let) for let in got} == {Letter}, (word, move)
+
+
+def _census_moves(word):
+    """The orbit oracle's successor moves over {a, b, c} that reflect,
+    rename, flip or cut, and refused variants of each."""
+    letters = word.letters
+    n = len(letters)
+    used = sorted(word.symbols())
+    free = [s for s in "abc" if s not in used]
+    moves = [Reflect(), FlipEdge("d"), Rename("d", "a")]
+    for s in used:
+        moves += [FlipEdge(s), Rename(s, s), Rename(s, used[0]), Rename(s, "1x")]
+        moves += [Rename(s, t) for t in free]
+    fresh = free[0] if free else "t"
+    # refused cuts, and pastes along a symbol with both letters on one arc
+    # or along the diagonal itself
+    moves += [CutPaste(1, 0, fresh, used[0]), CutPaste(0, 1, used[0], used[0])]
+    moves += [CutPaste(0, 1, fresh, p) for p in used + [fresh]]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # a successor pastes along a symbol with one letter in [i, j)
+            arc = [let.symbol for let in letters[i:j]]
+            moves += [CutPaste(i, j, fresh, p) for p in used if arc.count(p) == 1]
+    return moves
+
+
+def test_move_results_match_the_letter_by_letter_forms_on_the_census():
+    for word in enumerate_words("abc"):
+        _assert_same(word, _census_moves(word))
+        assert is_orientable(word) == _reference_is_orientable(word)
+        assert word.symbols() == {let.symbol for let in word.letters}
+
+
+def _reference_paste(w1, w2, symbol):
+    try:
+        return Word(_reference_join(w1, w2, symbol))
+    except ValidationError as exc:
+        raise MoveError(str(exc)) from exc
+
+
+def _seeded_words(rng, count):
+    """Closed words of up to 80 pairs; every fifth word is instead any
+    sequence of up to 160 letters, in which a symbol may occur once or
+    three times."""
+    for k in range(count):
+        if k % 5 == 4:
+            n = rng.randint(1, 160)
+            pool = [f"s{t}" for t in range(rng.randint(1, n))]
+            letters = [Letter(rng.choice(pool), rng.choice((1, -1))) for _ in range(n)]
+        else:
+            symbols = [f"s{t}" for t in range(rng.randint(1, 80))] * 2
+            rng.shuffle(symbols)
+            letters = [Letter(s, rng.choice((1, -1))) for s in symbols]
+        yield Word(tuple(letters))
+
+
+def test_move_results_match_the_letter_by_letter_forms_on_long_words():
+    rng = random.Random(7)
+    for word in _seeded_words(rng, 200):
+        n = len(word)
+        symbols = sorted(word.symbols())
+        assert word.symbols() == {let.symbol for let in word.letters}
+        moves = [Reflect(), FlipEdge("zz"), Rename("zz", "s0")]
+        for s in rng.sample(symbols, min(len(symbols), 6)):
+            moves += [FlipEdge(s), Rename(s, "zz"), Rename(s, symbols[0])]
+        for _ in range(12):
+            i, j = rng.randrange(n), rng.randrange(n)
+            paste_symbol = rng.choice(symbols + ["zz"])
+            moves.append(CutPaste(i, j, "zz", paste_symbol))
+            pieces = _outcome(lambda: cut(word, i, j, "zz"))
+            if isinstance(pieces[0], Word):
+                pieces = tuple(piece.letters for piece in pieces)
+            assert pieces == _outcome(lambda: _reference_cut(word.letters, i, j, "zz"))
+            if isinstance(pieces[0], tuple):
+                w1, w2 = Word(pieces[0]), Word(pieces[1])
+                assert _outcome(lambda: paste(w1, w2, paste_symbol)) == _outcome(
+                    lambda: _reference_paste(pieces[0], pieces[1], paste_symbol)
+                )
+        _assert_same(word, moves)
+        if set(Counter(let.symbol for let in word).values()) == {2}:
+            # a closed word, on which the old scan was right
+            assert is_orientable(word) == _reference_is_orientable(word)

@@ -203,6 +203,46 @@ def test_every_move_kind_is_checked(monkeypatch, kind):
         assert f"move {bad[0].render()} " in str(exc.value), tamper.__name__
 
 
+def _switch_orientability(word, move, result):
+    # a closed word of the true result's χ and the other orientability
+    chi = euler_characteristic(result)
+    if is_orientable(result):
+        tampered = canonical_word(N(2 - chi))
+    else:
+        tampered = canonical_word(O((2 - chi) // 2))
+    assert euler_characteristic(tampered) == chi
+    assert is_orientable(tampered) != is_orientable(result)
+    return tampered
+
+
+# χ = 0 on both, so every intermediate has a counterpart of the other
+# orientability; each emits a cancellation and a cut
+EVEN_CHI_WORDS = ["s1 s0 s2 s1' s0' s2'", "s0' s0 s2 s2 s1' s1'"]
+
+
+@pytest.mark.parametrize("text", EVEN_CHI_WORDS)
+@pytest.mark.parametrize("kind", [CutPaste, Cancel])
+def test_cut_and_cancel_are_checked_for_orientability(monkeypatch, kind, text):
+    # the first emitted move of `kind` keeps χ but switches orientability,
+    # which only the orientability half of the invariant check can see
+    real_apply = normalize_module.apply_move
+    bad: list = []
+
+    def tampering_apply(word, move):
+        result = real_apply(word, move)
+        emitted = sys._getframe(1).f_code.co_name == "emit"
+        if bad or not emitted or not isinstance(move, kind):
+            return result
+        bad.append(move)
+        return _switch_orientability(word, move, result)
+
+    monkeypatch.setattr(normalize_module, "apply_move", tampering_apply)
+    with pytest.raises(InternalInvariantError) as exc:
+        normalize(W(text))
+    assert bad, f"no {kind.__name__} was emitted"
+    assert f"move {bad[0].render()} changed an invariant" in str(exc.value)
+
+
 def test_relabel_check_refuses_a_taken_name():
     # apply_move refuses such a rename itself, so only a direct call reaches
     # the letter check's own test of the new name
@@ -210,6 +250,43 @@ def test_relabel_check_refuses_a_taken_name():
     assert not normalize_module._relabels(old, new, Rename("a", "b"))
     assert normalize_module._relabels(old, W("c b c' b'").letters, Rename("a", "c"))
 
+
+def _reference_apply_renames(rw, mapping):
+    # the rename order as it was chosen by re-sorting every round
+    pending = {old: new for old, new in mapping.items() if old != new}
+    while pending:
+        used = rw.word.symbols()
+        free = [(old, new) for old, new in sorted(pending.items()) if new not in used]
+        if free:
+            old, new = free[0]
+            rw.emit(Rename(old, new))
+            del pending[old]
+            continue
+        old = sorted(pending)[0]
+        tmp = mint_fresh(used | set(pending.values()))
+        rw.emit(Rename(old, tmp))
+        pending[tmp] = pending.pop(old)
+
+
+def test_rename_order_matches_the_resorting_form():
+    # random maps onto the word's own names and fresh ones, so chains and
+    # cycles that need a temporary name both occur
+    rng = random.Random(11)
+    names = [f"a{k}" for k in range(1, 9)] + list("xyz")
+    cycles = 0
+    for _ in range(300):
+        k = rng.randint(1, 8)
+        symbols = rng.sample(names, k)
+        word = Word(tuple(Letter(s, e) for s in symbols for e in (1, -1)))
+        mapping = dict(zip(symbols, rng.sample(names, k)))
+        runs = []
+        for apply in (normalize_module._apply_renames, _reference_apply_renames):
+            rw = normalize_module._Rewriter(word)
+            apply(rw, mapping)
+            runs.append(rw.steps)
+        assert runs[0] == runs[1], mapping
+        cycles += any(step.new not in mapping.values() for step in runs[0])
+    assert cycles
 
 # ---------------------------------------------------------------------------
 # the block scan against the full rotation scans it replaced

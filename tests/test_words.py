@@ -287,6 +287,12 @@ def test_orientability():
     assert not is_orientable(parse_word("a b a b"))
 
 
+def test_orientability_sees_a_repeated_letter():
+    # letters 0 and 2 are a same-exponent pair, although each of them has an
+    # opposite-exponent partner at letter 1
+    assert not is_orientable(Word((Letter("a", 1), Letter("a", -1), Letter("a", 1))))
+
+
 CLASSIFY_GOLDENS = [
     ("a a'", SurfaceType.sphere()),
     ("a b b' a'", SurfaceType.sphere()),

@@ -74,7 +74,7 @@ def _print_word_report(word: Word, t: SurfaceType) -> None:
 
 
 def cmd_classify(args) -> int:
-    word = validate(parse_word(args.word))
+    word = parse_word(args.word)
     t = classify_by_invariants(word)
     if args.json:
         _print_type_json(t)
@@ -130,7 +130,8 @@ def cmd_glue(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    word = parse_word(args.word)
+    # an invalid word is bad input; replay's own ReplayError would call it a bug
+    word = validate(parse_word(args.word))
     trace = parse_trace(_read_file(args.tracefile), word)
     final = replay(trace)
     t = classify_by_invariants(final)
@@ -172,13 +173,10 @@ def cmd_rational(args) -> int:
             ]
         print(json.dumps(payload))
     else:
-        blocks = []
-        for kind, payload in outcome.events:
-            blocks.append(
-                payload if kind == "report" else render_reduction(payload)
-            )
-        if not blocks:
-            blocks.append(render_report(surf))
+        blocks = [
+            payload if kind == "report" else render_reduction(payload)
+            for kind, payload in outcome.events
+        ] or [render_report(surf)]
         print("\n\n".join(blocks))
     return 0
 
@@ -193,37 +191,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify an edge-word by its invariants")
     p.add_argument("word", help="edge-word, e.g. \"a b a' b'\" or compact aba'b'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("normalize", help="rewrite an edge-word to canonical form")
     p.add_argument("word")
     p.add_argument("--trace", action="store_true", help="emit the move trace")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("sum", help="connected sum of two edge-words")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("glue", help="merge a polygon-set file and classify it")
     p.add_argument("file", help="one polygon word per line, # comments")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("replay", help="replay a move trace against a word")
     p.add_argument("word")
     p.add_argument("tracefile", help="one move per line, # comments")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("rational", help="run a rational-surface script")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rational)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

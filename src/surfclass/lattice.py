@@ -137,10 +137,6 @@ class DivisorClass:
         return " ".join(parts) if parts else "0"
 
 
-def _unit(rank: int, i: int) -> DivisorClass:
-    return DivisorClass._from_checked((0,) * i + (1,) + (0,) * (rank - i - 1))
-
-
 # ---------------------------------------------------------------------------
 # rational surfaces
 
@@ -276,7 +272,7 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
     tracked = tuple([
         (nm, DivisorClass._from_checked(cls.coords + ((-1,) if nm in seen else (0,))))
         for nm, cls in surf.tracked
-    ]) + ((ename, _unit(n + 1, n)),)
+    ]) + ((ename, DivisorClass._from_checked((0,) * n + (1,))),)
     return RationalSurface(surf.base, basis, gram, canonical, tracked)
 
 
@@ -298,10 +294,10 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     gcd(w) = 1 (c.c = -1), it takes O(log max|w|) steps, and it takes none
     when w already has a unit.  The complement basis is then e_i - s w_i e_p
     for i != p with s = w_p, each row signed so its first nonzero entry in
-    the old coordinates is positive.  The new Gram matrix is a rank-one
-    update of the reduced one and a moved class keeps its reduced
-    coordinates with slot p dropped, so the contraction costs O(n^2)
-    integer operations at most and needs no solve.
+    the old coordinates is positive, whether or not Euclid ran.  The new
+    Gram matrix is a rank-one update of the reduced one and a moved class
+    keeps its reduced coordinates with slot p dropped, so the contraction
+    costs O(n^2) integer operations at most and needs no solve.
 
     Everything after w works only on the support of w.  A slot with
     w_i = 0 is an untouched old basis vector: it keeps its name and its
@@ -343,7 +339,7 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     frame = {}
 
     def vec(k: int) -> list:
-        return frame[k] if k in frame else list(_unit(n, k).coords)
+        return frame[k] if k in frame else [0] * k + [1] + [0] * (n - k - 1)
 
     p = next((i for i in support if abs(w[i]) == 1), None)
     if p is None:
@@ -366,21 +362,17 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
 
     # basis row i is sigma_i (e_i - u_i e_p) with u = s w, so u, sigma and
     # the fresh names live on ``moved``, the support of w off the pivot;
-    # every other slot keeps sigma_i = +1.  Without basis changes the first
-    # nonzero entry of row i is -u_i at slot p exactly when i > p and
-    # u_i > 0; after them it is read off the old coordinates.  A changed
-    # slot never has w_i = 0, so the slots off ``moved`` are exactly the
+    # every other slot keeps sigma_i = +1.  sigma_i makes the first nonzero
+    # entry of the row in the old coordinates positive.  A changed slot
+    # never has w_i = 0, so the slots off ``moved`` are exactly the
     # untouched old basis vectors.
     u = {i: w[p] * w[i] for i in support}
     moved = [i for i in support if i != p]
-    if not frame:
-        sigma = {i: -1 if i > p and u[i] > 0 else 1 for i in moved}
-    else:
-        sigma = {}
-        for i in moved:
-            ui = u[i]
-            lead = next(a - ui * b for a, b in zip(vec(i), vec(p)) if a != ui * b)
-            sigma[i] = 1 if lead > 0 else -1
+    sigma = {}
+    for i in moved:
+        ui = u[i]
+        lead = next(a - ui * b for a, b in zip(vec(i), vec(p)) if a != ui * b)
+        sigma[i] = 1 if lead > 0 else -1
 
     # entry (a, b) of the new Gram matrix is
     # sigma_a sigma_b (g_ab - u_b g_ap - u_a g_pb + u_a u_b g_pp).  A row

@@ -15,9 +15,8 @@ were checked when that word was made, so only a name the move introduces
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .words import (
     Letter,
@@ -27,6 +26,8 @@ from .words import (
     _SYMBOL,
     _check_symbol,
     _join_on_symbol,
+    _lines,
+    _read_int,
     validate,
 )
 
@@ -44,62 +45,55 @@ class ReplayError(SurfclassError):
 # ---------------------------------------------------------------------------
 
 
+class _Step:
+    """A move renders as its trace keyword followed by its fields in order;
+    `_GRAMMAR` holds the keywords."""
+
+    def render(self) -> str:
+        # a dataclass instance's __dict__ holds its fields in field order
+        return _LINE[type(self)].format(*self.__dict__.values())
+
+
 @dataclass(frozen=True)
-class Rotate:
+class Rotate(_Step):
     offset: int
 
-    def render(self) -> str:
-        return f"rotate {self.offset}"
+
+@dataclass(frozen=True)
+class Reflect(_Step):
+    """Read the word backwards, inverting every letter."""
 
 
 @dataclass(frozen=True)
-class Reflect:
-    def render(self) -> str:
-        return "reflect"
-
-
-@dataclass(frozen=True)
-class Rename:
+class Rename(_Step):
     old: str
     new: str
 
-    def render(self) -> str:
-        return f"rename {self.old} {self.new}"
-
 
 @dataclass(frozen=True)
-class FlipEdge:
+class FlipEdge(_Step):
     """Negate both occurrences of one symbol, reversing that side's arrow."""
 
     symbol: str
 
-    def render(self) -> str:
-        return f"flipedge {self.symbol}"
-
 
 @dataclass(frozen=True)
-class Cancel:
+class Cancel(_Step):
     """Delete the adjacent inverse pair at (position, position+1)."""
 
     position: int
 
-    def render(self) -> str:
-        return f"cancel {self.position}"
-
 
 @dataclass(frozen=True)
-class Insert:
+class Insert(_Step):
     """Insert a fresh inverse pair before `position`; undoes Cancel."""
 
     position: int
     symbol: str
 
-    def render(self) -> str:
-        return f"insert {self.position} {self.symbol}"
-
 
 @dataclass(frozen=True)
-class CutPaste:
+class CutPaste(_Step):
     """Cut along a diagonal from corner i to corner j, then re-paste.
 
     The diagonal becomes a fresh side `fresh` in both pieces; the pieces are
@@ -113,11 +107,23 @@ class CutPaste:
     fresh: str
     paste: str
 
-    def render(self) -> str:
-        return f"cutpaste {self.i} {self.j} {self.fresh} {self.paste}"
-
 
 Move = Union[Rotate, Reflect, Rename, FlipEdge, Cancel, Insert, CutPaste]
+
+# the trace grammar: each keyword with its move and one reader per field,
+# which parses that field's text; `_Step.render` writes the line back from
+# the format `_LINE` builds for each move
+_GRAMMAR: dict[str, tuple[type, tuple[Callable[[str], object], ...]]] = {
+    "rotate": (Rotate, (_read_int,)),
+    "reflect": (Reflect, ()),
+    "rename": (Rename, (str, str)),
+    "flipedge": (FlipEdge, (str,)),
+    "cancel": (Cancel, (_read_int,)),
+    "insert": (Insert, (_read_int, str)),
+    "cutpaste": (CutPaste, (_read_int, _read_int, str, str)),
+}
+_LINE = {move: " ".join([keyword] + ["{}"] * len(readers))
+         for keyword, (move, readers) in _GRAMMAR.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -304,47 +310,16 @@ def replay(trace: MoveTrace) -> Word:
     return word
 
 
-_NUMBER = re.compile(r"-?[0-9]+")
-
-
-def _number(text: str) -> int:
-    """A move number: ASCII digits with an optional leading minus sign."""
-    if not _NUMBER.fullmatch(text):
-        raise ValueError(f"expected a number, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # past the interpreter's int-string digit limit
-        digits = len(text.lstrip("-"))
-        raise ValueError(f"number is too long ({digits} digits)") from None
-
-
 def parse_trace(text: str, initial: Word) -> MoveTrace:
     """Parse the line-oriented trace format back into a MoveTrace."""
     steps: list[Move] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        op, args = parts[0], parts[1:]
+    for lineno, line in _lines(text):
+        op, *args = line.split()
+        move, readers = _GRAMMAR.get(op, (None, None))
         try:
-            if op == "rotate" and len(args) == 1:
-                steps.append(Rotate(_number(args[0])))
-            elif op == "reflect" and not args:
-                steps.append(Reflect())
-            elif op == "rename" and len(args) == 2:
-                steps.append(Rename(args[0], args[1]))
-            elif op == "flipedge" and len(args) == 1:
-                steps.append(FlipEdge(args[0]))
-            elif op == "cancel" and len(args) == 1:
-                steps.append(Cancel(_number(args[0])))
-            elif op == "insert" and len(args) == 2:
-                steps.append(Insert(_number(args[0]), args[1]))
-            elif op == "cutpaste" and len(args) == 4:
-                i, j = _number(args[0]), _number(args[1])
-                steps.append(CutPaste(i, j, args[2], args[3]))
-            else:
+            if readers is None or len(args) != len(readers):
                 raise ValueError(f"unknown move {line!r}")
+            steps.append(move(*[read(arg) for read, arg in zip(readers, args)]))
         except ValueError as exc:
             raise MoveError(f"trace line {lineno}: {exc}") from exc
     return MoveTrace(initial, tuple(steps))

@@ -8,10 +8,10 @@ homeomorphism type and records every elementary move:
    flanking sides to be an adjacent inverse pair, which is cancelled; a
    larger class loses a corner through a triangle cut-and-paste, picked by
    rule: a cut at a corner of class Q moves exactly one corner from Q into
-   a neighbouring class, and only a cut whose receiving class is another
-   class no smaller than Q is built.  Sphere words bottom out at the
-   two-sided polygon, since one vertex is impossible when the
-   characteristic is 2.
+   a neighbouring class.  As Q is a smallest class, every such move into
+   another class shrinks the class-size profile, and the first one is
+   built.  Sphere words bottom out at the two-sided polygon, since one
+   vertex is impossible when the characteristic is 2.
 2. A one-shot split of a word that is already a run of adjacent
    same-exponent pairs, which reroutes it through the interleaved form
    before regathering.  On the four-sided Klein-bottle word this is the
@@ -272,33 +272,32 @@ def _shrink_class(
     sizes: Counter[int],
     qroot: int,
 ) -> None:
-    """Transplant one corner out of the chosen class via a triangle cut.
+    """Transplant one corner out of the smallest class Q via a triangle cut.
 
     The cut at apex corner p joins corners p - 1 and p + 1.  Pasting along
-    `flank_a`, the side ending at p, moves one corner from p's class into
-    that of corner p + 1; pasting along `flank_b` moves it into that of
+    the side ending at p moves one corner from p's class into that of
+    corner p + 1; pasting along the side starting at p moves it into that of
     corner p - 1.  A move from a class of size s into another of size d
     shrinks the sorted profile exactly when s <= d (s >= 2, as singletons
-    are cancelled first), so the first candidate, in a fixed order, that
-    passes this test is the only cut built, and the shrink is then checked
-    on the classes `emit` traced.
+    are cancelled first), which always holds out of Q, the smallest class.
+    With two or more classes some corner of Q has a cyclic neighbour in
+    another class, so only the corners of Q are walked and the first such
+    move is the only cut built.  Its two sides carry different symbols: the
+    sides of one symbol meeting at p either make p a singleton (an inverse
+    pair) or put both neighbours in p's class (a cross-cap).  The shrink is
+    then checked on the classes `emit` traced.
     """
     word = rw.word
     n = len(word.letters)
     old_profile = sorted(sizes.values())
-    in_q = [p for p in range(n) if classes[p] == qroot]
-    others = [p for p in range(n) if classes[p] != qroot]
-    for p in in_q + others:
-        flank_a = word[(p - 1) % n]
-        flank_b = word[p]
-        if flank_a.symbol == flank_b.symbol:
+    for p in range(n):
+        if classes[p] != qroot:
             continue
-        src = classes[p]
         for paste, dst in (
-            (flank_a.symbol, classes[(p + 1) % n]),
-            (flank_b.symbol, classes[(p - 1) % n]),
+            (word[p - 1].symbol, classes[(p + 1) % n]),
+            (word[p].symbol, classes[p - 1]),
         ):
-            if dst != src and sizes[src] <= sizes[dst]:
+            if dst != qroot:
                 rw.rotate_to((p - 1) % n)
                 move = CutPaste(0, 2, rw.fresh(), paste)
                 rw.emit(move)

@@ -15,7 +15,6 @@ re-uses the move legality rules themselves.
 
 from __future__ import annotations
 
-import string
 from collections import deque
 from itertools import combinations, permutations, product
 from typing import NamedTuple, Sequence
@@ -55,26 +54,18 @@ class OrbitResult(NamedTuple):
 
 
 def _symbol_universe(word: Word, max_symbols: int) -> list[str]:
-    """Fixed name pool for the flood: the word's own symbols first, then
-    single letters until the pool has ``max_symbols`` names."""
+    """Fixed name pool for the flood: the word's own symbols in sorted
+    order, then successive `mint_fresh` names until the pool has
+    ``max_symbols`` names."""
     pool = sorted(word.symbols())
     if len(pool) > max_symbols:
         raise ValidationError(
             f"word uses {len(pool)} symbols, above the cap of {max_symbols}"
         )
-    for c in string.ascii_lowercase:
-        if len(pool) == max_symbols:
-            break
-        if c not in pool:
-            pool.append(c)
-    if len(pool) < max_symbols:
-        # a-z exhausted; extend with numbered names
-        i = 1
-        while len(pool) < max_symbols:
-            name = f"a{i}"
-            if name not in pool:
-                pool.append(name)
-            i += 1
+    used = set(pool)
+    while len(pool) < max_symbols:
+        pool.append(mint_fresh(used))
+        used.add(pool[-1])
     return pool
 
 
@@ -130,9 +121,10 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     """Flood-fill the move reachability class of ``word``.
 
     The name pool is the word's own symbols padded out to ``max_symbols``
-    letters; every reached word draws its names from that pool, so the state
-    space has at most ``2 * max_symbols`` letters per word and the flood
-    terminates.  ``budget`` caps how many nodes get expanded.
+    names by `mint_fresh` (a, b, ..., z, a1, b1, ...); every reached word
+    draws its names from that pool, so the state space has at most
+    ``2 * max_symbols`` letters per word and the flood terminates.
+    ``budget`` caps how many nodes get expanded.
     """
     validate(word)
     if max_symbols < 1:

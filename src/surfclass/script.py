@@ -25,7 +25,7 @@ from .lattice import (
     make_base,
 )
 from .minimal import ReductionReport, minimal_model
-from .words import SurfclassError, ValidationError
+from .words import SurfclassError, ValidationError, _DIGITS, _lines, _read_int
 
 
 class ScriptError(SurfclassError):
@@ -37,10 +37,8 @@ class ScriptError(SurfclassError):
         self.bare_message = message
 
 
-_TERM = re.compile(r"^\s*([+-])?\s*([0-9]+)?\s*\*?\s*([A-Za-z][A-Za-z0-9_]*)\s*")
-# script numbers are ASCII digits; a sign is read so that a negative index
-# reaches the base surface's own check
-_INDEX = re.compile(r"-?[0-9]+")
+# a coefficient is ASCII digits; its sign is the term's own + or -
+_TERM = re.compile(rf"^\s*([+-])?\s*({_DIGITS})?\s*\*?\s*([A-Za-z][A-Za-z0-9_]*)\s*")
 
 
 def parse_class_expr(expr: str, surf: RationalSurface, line_no: int) -> DivisorClass:
@@ -71,7 +69,7 @@ def parse_class_expr(expr: str, surf: RationalSurface, line_no: int) -> DivisorC
                 f"unknown basis name {name!r} (basis: {', '.join(surf.basis)})", line_no
             )
         try:
-            coeff = int(coeff_s) if coeff_s else 1
+            coeff = _read_int(coeff_s) if coeff_s else 1
         except ValueError:  # past the interpreter's int-string digit limit
             raise ScriptError(
                 f"coefficient of {name!r} is too long ({len(coeff_s)} digits)", line_no
@@ -141,10 +139,7 @@ def run_script(text: str) -> ScriptOutcome:
     surf: Optional[RationalSurface] = None
     events: List[Tuple[str, object]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
+    for line_no, stmt in _lines(text):
         words = stmt.split()
         head = words[0].lower()
 
@@ -154,11 +149,10 @@ def run_script(text: str) -> ScriptOutcome:
             if len(words) == 2 and words[1].lower() == "cp2":
                 surf = make_base(BaseSurface.cp2())
             elif len(words) == 3 and words[1].lower() == "hirzebruch":
+                # a negative index is read, to reach the base surface's check
                 try:
-                    n = int(words[2]) if _INDEX.fullmatch(words[2]) else None
-                except ValueError:  # past the interpreter's int-string digit limit
-                    n = None
-                if n is None:
+                    n = _read_int(words[2])
+                except ValueError:
                     raise ScriptError(f"bad Hirzebruch index {words[2]!r}", line_no)
                 try:
                     surf = make_base(BaseSurface.hirzebruch(n))

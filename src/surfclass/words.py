@@ -4,10 +4,10 @@ A closed surface can be presented as a single polygon with an even number of
 sides identified in pairs.  Walking the boundary counterclockwise and writing
 one symbol per side, with exponent -1 when the side is traversed against its
 identification arrow, gives a cyclic word such as ``a b a' b'`` for the torus.
-This module holds the word data model, the concrete syntax, the combinatorial
-invariants (vertex cycles, Euler characteristic, orientability), the
-homeomorphism-type datatype, and the assembly of one polygon from a glued
-multi-polygon complex.
+This module holds the word data model, the concrete syntax (with the line
+and number rules every file format shares), the combinatorial invariants
+(vertex cycles, Euler characteristic, orientability), the homeomorphism-type
+datatype, and the assembly of one polygon from a glued multi-polygon complex.
 
 Words are cyclic: rotations of the letter sequence denote the same polygon,
 and equality and hashing go through the lexicographically least rotation,
@@ -268,6 +268,32 @@ def _pair_positions(letters: Sequence[Letter]) -> dict[str, tuple[int, int]]:
     return {s: (p[0], p[1]) for s, p in occ.items()}
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """The line format of traces, polygon files and scripts: each line that
+    is not blank once a ``#`` comment is cut off, as (1-based line number,
+    the text before the comment, stripped)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+# a number in every line format: ASCII digits, with a leading minus sign
+# where the format takes one
+_DIGITS = "[0-9]+"
+_INTEGER = re.compile("-?" + _DIGITS)
+
+
+def _read_int(text: str) -> int:
+    """An ASCII integer with an optional leading minus sign, else ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected a number, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise ValueError(f"number is too long ({len(text.lstrip('-'))} digits)") from None
+
+
 def mint_fresh(used: set[str]) -> str:
     """First symbol not in `used`, scanning a, b, ..., z, a1, b1, ..."""
     suffix = 0
@@ -497,10 +523,7 @@ def validate_polygon_set(polys: PolygonSet) -> PolygonSet:
 def parse_polygon_file(text: str) -> PolygonSet:
     """One word per line; blank lines and ``#`` comments are ignored."""
     polygons = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         try:
             polygons.append(parse_word(line))
         except WordSyntaxError as exc:

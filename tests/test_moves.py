@@ -1,5 +1,8 @@
 import random
+import re
 from collections import Counter
+from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,12 +13,14 @@ from surfclass.moves import (
     CutPaste,
     FlipEdge,
     Insert,
+    Move,
     MoveError,
     MoveTrace,
     Reflect,
     Rename,
     ReplayError,
     Rotate,
+    _GRAMMAR,
     apply_move,
     cut,
     parse_trace,
@@ -161,11 +166,45 @@ def test_moves_preserve_validity_and_invariants(w, data):
 
 
 def test_trace_render_parse_round_trip():
+    # one move of each of the seven kinds, in a trace that replays
     w = W("a a b b")
-    trace = MoveTrace(w, (CutPaste(1, 3, "c", "b"), Rotate(1), Rename("c", "d")))
+    steps = (
+        CutPaste(1, 3, "c", "b"), Rotate(1), Rename("c", "d"), Reflect(),
+        FlipEdge("d"), Insert(2, "e"), Cancel(2),
+    )
+    trace = MoveTrace(w, steps)
     text = trace.render()
-    back = parse_trace(text, w)
-    assert back == trace
+    assert text.splitlines() == [
+        "cutpaste 1 3 c b", "rotate 1", "rename c d", "reflect",
+        "flipedge d", "insert 2 e", "cancel 2",
+    ]
+    assert {type(m) for m in steps} == set(get_args(Move))
+    assert parse_trace(text, w) == trace
+    assert replay(trace) == W("d a d a'")
+
+
+def _readme_trace_grammar():
+    """{keyword: argument count} from the README's "Move traces" block,
+    whose lines read ``keyword ARG ...`` then a description after at
+    least two spaces; indented lines continue a description."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("**Move traces**", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    entries = [re.split(r"\s{2,}", line)[0].split() for line in block.splitlines()
+               if line and not line[0].isspace()]
+    return {keyword: len(args) for keyword, *args in entries}
+
+
+def test_readme_lists_the_trace_grammar():
+    grammar = _readme_trace_grammar()
+    assert grammar == {keyword: len(readers) for keyword, (_, readers) in _GRAMMAR.items()}
+    for keyword, arity in grammar.items():
+        # "1" reads as a number and as a symbol name alike
+        line = " ".join([keyword] + ["1"] * arity)
+        (step,) = parse_trace(line, W("a a")).steps
+        assert step.render() == line
+        with pytest.raises(MoveError, match="unknown move"):
+            parse_trace(line + " 1", W("a a"))
 
 
 def test_parse_trace_errors_carry_line():

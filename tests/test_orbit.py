@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from string import ascii_lowercase
 
 import pytest
 
@@ -151,3 +152,12 @@ def test_successors_match_arc_set_reference():
             assert got == want, word.render()
             checked += 1
     assert checked == 2 * (1055 - 9)  # nine one-symbol words
+
+
+def test_symbol_universe_pads_with_mint_fresh_names():
+    # the word's symbols in sorted order, then each name mint_fresh picks in
+    # turn: past z the pool goes on a1, b1, c1, ..., skipping names in use
+    rest = [c for c in ascii_lowercase if c not in "bq"]
+    assert _symbol_universe(W("q b q' b'"), 30) == ["b", "q"] + rest + ["a1", "b1", "c1", "d1"]
+    rest = [c for c in ascii_lowercase if c != "b"]
+    assert _symbol_universe(W("a1 b a1' b'"), 30) == ["a1", "b"] + rest + ["b1", "c1", "d1"]

@@ -312,6 +312,19 @@ def test_cli_replay_exit_codes(capsys, tmp_path):
     assert "step 1" in capsys.readouterr().err
 
 
+def test_cli_unpaired_word_is_bad_input_for_every_word_command(capsys, tmp_path):
+    # replay checks its word before reading the trace, so an unpaired word
+    # exits 1 there as it does for classify, normalize and sum
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    for argv in (["replay", "a b", str(empty)], ["classify", "a b"],
+                 ["normalize", "a b"], ["sum", "a b", "c c"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: symbol a occurs once; symbol b occurs once\n"
+
+
 def test_cli_glue_syntax_error_names_line_then_position(capsys, tmp_path):
     f = tmp_path / "polys.txt"
     f.write_text("a b c\n# comment\na b' c!\n")

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import hashlib
 import random
@@ -894,6 +895,22 @@ def test_minimal_model_matches_full_scan_reference():
         surfaces += 1
         contractions += len(report.steps)
     assert surfaces > 500 and contractions >= 3000
+
+
+# sha256 of the printed minimal-model answer of every corpus surface, one per
+# line; the reference above shares ``classify_minimal`` and cannot see it move
+_FINAL_TYPE_DIGEST = "7ecd78bf603ccc5b9302733fac2725ce0119456f8c2b23370989124b1dc092a7"
+
+
+def test_minimal_model_final_type_digest():
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for surf in _minimal_model_corpus():
+        final = str(minimal_model(surf).final)
+        digest.update(final.encode() + b"\n")
+        kinds[final.split("(")[0]] += 1
+    assert kinds == {"CP2": 171, "Hirzebruch": 243, "Inconclusive": 149}
+    assert digest.hexdigest() == _FINAL_TYPE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ def blowup_chart_transition(t: complex, u: complex) -> Tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class BaseSurface:
-    """Minimal starting surface: the projective plane or a Hirzebruch
-    surface of non-negative index."""
+    """Minimal rational surface: the projective plane or a Hirzebruch
+    surface of non-negative index, the base a script starts from and the
+    answer a reduction names."""
 
     kind: str
     index: int = 0

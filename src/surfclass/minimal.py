@@ -11,9 +11,11 @@ report records the order taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, List, Tuple
 
 from .lattice import (
+    BaseSurface,
     DivisorClass,
     RationalSurface,
     blow_down,
@@ -23,51 +25,26 @@ from .words import InternalInvariantError, ValidationError
 
 
 @dataclass(frozen=True)
-class MinimalType:
-    """Outcome of classifying a surface with no contractible lines.
+class Inconclusive:
+    """A minimal lattice that cannot be named, by its rank and parity: at rank
+    two the lattice alone pins the Hirzebruch index only mod 2, and without a
+    tracked section there is nothing to pin it with."""
 
-    Either the projective plane, a Hirzebruch surface of known index, or an
-    honest "inconclusive" carrying the lattice rank and the parity of its
-    diagonal: a rank-2 lattice alone pins the Hirzebruch index only mod 2,
-    and without a tracked section there is nothing to pin it with.
-    """
-
-    kind: str
-    index: int = 0
-    rank: int = 0
-    parity: str = ""
-
-    @classmethod
-    def cp2(cls) -> "MinimalType":
-        return cls("cp2")
-
-    @classmethod
-    def hirzebruch(cls, n: int) -> "MinimalType":
-        if n < 0:
-            raise ValidationError("Hirzebruch index must be non-negative")
-        return cls("hirzebruch", index=n)
-
-    @classmethod
-    def inconclusive(cls, rank: int, parity: str) -> "MinimalType":
-        if parity not in ("even", "odd"):
-            raise ValidationError("parity must be 'even' or 'odd'")
-        return cls("inconclusive", rank=rank, parity=parity)
+    rank: int
+    even: bool
 
     def __str__(self) -> str:
-        if self.kind == "cp2":
-            return "CP2"
-        if self.kind == "hirzebruch":
-            return f"Hirzebruch({self.index})"
-        return f"Inconclusive(rank={self.rank}, parity={self.parity})"
+        return f"Inconclusive(rank={self.rank}, parity={'even' if self.even else 'odd'})"
 
 
 @dataclass(frozen=True)
 class ReductionReport:
     """Log of a full reduction: each contracted line with the class it had
-    when contracted, the classification, and the ending surface."""
+    when contracted, the minimal surface named (or ``Inconclusive``), and
+    the ending surface."""
 
     steps: Tuple[Tuple[str, DivisorClass], ...]
-    final: MinimalType
+    final: BaseSurface | Inconclusive
     final_surface: RationalSurface
 
 
@@ -89,13 +66,13 @@ def find_minus_one_lines(surf: RationalSurface) -> List[str]:
     return list(_minus_one_lines(surf))
 
 
-def classify_minimal(surf: RationalSurface) -> MinimalType:
+def classify_minimal(surf: RationalSurface) -> BaseSurface | Inconclusive:
     """Read the minimal surface off a lattice with no contractible lines.
 
-    Rank one is the projective plane.  At rank two a tracked line of
+    Rank one is the projective plane.  At rank two the first tracked line of
     negative square is a section and names the Hirzebruch surface; failing
     that, two tracked rulings of square zero meeting once give the product
-    surface.  Anything else is reported inconclusive rather than guessed.
+    surface.  Anything else is ``Inconclusive`` rather than guessed.
     """
     leftovers = find_minus_one_lines(surf)
     if leftovers:
@@ -103,21 +80,18 @@ def classify_minimal(surf: RationalSurface) -> MinimalType:
             f"surface is not minimal; contractible lines remain: {', '.join(leftovers)}"
         )
     if surf.rank == 1:
-        return MinimalType.cp2()
+        return BaseSurface.cp2()
     if surf.rank == 2:
+        rulings = []
         for _, cls in surf.tracked:
             sq = intersect(surf, cls, cls)
             if sq < 0:
-                return MinimalType.hirzebruch(-sq)
-        for i, (_, f) in enumerate(surf.tracked):
-            if intersect(surf, f, f) != 0:
-                continue
-            for j, (_, s) in enumerate(surf.tracked):
-                if i == j or intersect(surf, s, s) != 0:
-                    continue
-                if intersect(surf, f, s) == 1:
-                    return MinimalType.hirzebruch(0)
-    return MinimalType.inconclusive(surf.rank, "even" if surf.is_even else "odd")
+                return BaseSurface.hirzebruch(-sq)
+            if sq == 0:
+                rulings.append(cls)
+        if any(intersect(surf, f, s) == 1 for f, s in combinations(rulings, 2)):
+            return BaseSurface.hirzebruch(0)
+    return Inconclusive(surf.rank, surf.is_even)
 
 
 def minimal_model(surf: RationalSurface) -> ReductionReport:

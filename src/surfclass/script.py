@@ -25,7 +25,7 @@ from .lattice import (
     make_base,
 )
 from .minimal import ReductionReport, minimal_model
-from .words import SurfclassError, ValidationError, _DIGITS, _lines, _read_int
+from .words import SurfclassError, ValidationError, _DIGITS, _NAME, _lines, _read_int
 
 
 class ScriptError(SurfclassError):
@@ -37,8 +37,9 @@ class ScriptError(SurfclassError):
         self.bare_message = message
 
 
-# a coefficient is ASCII digits; its sign is the term's own + or -
-_TERM = re.compile(rf"^\s*([+-])?\s*({_DIGITS})?\s*\*?\s*([A-Za-z][A-Za-z0-9_]*)\s*")
+# a coefficient is ASCII digits, optionally followed by *; its sign is the
+# term's own + or -
+_TERM = re.compile(rf"^\s*([+-])?\s*(?:({_DIGITS})\s*\*?\s*)?({_NAME})\s*")
 
 
 def parse_class_expr(expr: str, surf: RationalSurface, line_no: int) -> DivisorClass:
@@ -130,87 +131,80 @@ def render_reduction(report: ReductionReport) -> str:
     return "\n".join(lines)
 
 
+def _statement(
+    surf: Optional[RationalSurface], stmt: str, line_no: int, events: List[Tuple[str, object]]
+) -> RationalSurface:
+    """Run one statement on the working surface and return the new one."""
+    words = stmt.split()
+    head = words[0].lower()
+    if head == "base":
+        if surf is not None:
+            raise ScriptError("base is already set", line_no)
+        if len(words) == 2 and words[1].lower() == "cp2":
+            return make_base(BaseSurface.cp2())
+        if len(words) == 3 and words[1].lower() == "hirzebruch":
+            # a negative index is read, to reach the base surface's check
+            try:
+                n = _read_int(words[2])
+            except ValueError:
+                raise ScriptError(f"bad Hirzebruch index {words[2]!r}", line_no)
+            return make_base(BaseSurface.hirzebruch(n))
+        raise ScriptError("expected 'base cp2' or 'base hirzebruch <n>'", line_no)
+    if surf is None:
+        raise ScriptError("script must start with a base statement", line_no)
+    if head == "blowup":
+        through = []
+        if len(words) > 1:
+            if words[1].lower() != "on":
+                raise ScriptError("expected 'blowup' or 'blowup on <line> ...'", line_no)
+            through = words[2:]
+            if not through:
+                raise ScriptError("'blowup on' needs at least one line name", line_no)
+        return blow_up(surf, through)
+    if head == "line":
+        m = re.match(rf"^line\s+({_NAME})\s*=\s*(.+)$", stmt, re.IGNORECASE)
+        if not m:
+            raise ScriptError("expected 'line <name> = <class expr>'", line_no)
+        name, expr = m.group(1), m.group(2)
+        if any(nm == name for nm, _ in surf.tracked):
+            raise ScriptError(f"line name {name!r} is already tracked", line_no)
+        cls = parse_class_expr(expr, surf, line_no)
+        return RationalSurface(
+            surf.base, surf.basis, surf.gram, surf.canonical,
+            surf.tracked + ((name, cls),),
+        )
+    if head == "blowdown":
+        if len(words) != 2:
+            raise ScriptError("expected 'blowdown <name>'", line_no)
+        return blow_down(surf, words[1])
+    if head == "minimal-model":
+        if len(words) != 1:
+            raise ScriptError("'minimal-model' takes no arguments", line_no)
+        report = minimal_model(surf)
+        events.append(("reduction", report))
+        return report.final_surface
+    if head == "report":
+        if len(words) != 1:
+            raise ScriptError("'report' takes no arguments", line_no)
+        events.append(("report", render_report(surf)))
+        return surf
+    raise ScriptError(f"unknown statement {head!r}", line_no)
+
+
 def run_script(text: str) -> ScriptOutcome:
     """Execute a script and return its outcome.
 
     The ``minimal-model`` statement replaces the working surface with the
-    reduced one, so later statements continue from the minimal model.
+    reduced one, so later statements continue from the minimal model.  A
+    lattice error becomes a ``ScriptError`` on its statement's line.
     """
     surf: Optional[RationalSurface] = None
     events: List[Tuple[str, object]] = []
-
     for line_no, stmt in _lines(text):
-        words = stmt.split()
-        head = words[0].lower()
-
-        if head == "base":
-            if surf is not None:
-                raise ScriptError("base is already set", line_no)
-            if len(words) == 2 and words[1].lower() == "cp2":
-                surf = make_base(BaseSurface.cp2())
-            elif len(words) == 3 and words[1].lower() == "hirzebruch":
-                # a negative index is read, to reach the base surface's check
-                try:
-                    n = _read_int(words[2])
-                except ValueError:
-                    raise ScriptError(f"bad Hirzebruch index {words[2]!r}", line_no)
-                try:
-                    surf = make_base(BaseSurface.hirzebruch(n))
-                except ValidationError as e:
-                    raise ScriptError(str(e), line_no)
-            else:
-                raise ScriptError(
-                    "expected 'base cp2' or 'base hirzebruch <n>'", line_no
-                )
-            continue
-
-        if surf is None:
-            raise ScriptError("script must start with a base statement", line_no)
-
-        if head == "blowup":
-            through = []
-            if len(words) > 1:
-                if words[1].lower() != "on":
-                    raise ScriptError("expected 'blowup' or 'blowup on <line> ...'", line_no)
-                through = words[2:]
-                if not through:
-                    raise ScriptError("'blowup on' needs at least one line name", line_no)
-            try:
-                surf = blow_up(surf, through)
-            except ValidationError as e:
-                raise ScriptError(str(e), line_no)
-        elif head == "line":
-            m = re.match(r"^line\s+([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.+)$", stmt, re.IGNORECASE)
-            if not m:
-                raise ScriptError("expected 'line <name> = <class expr>'", line_no)
-            name, expr = m.group(1), m.group(2)
-            if any(nm == name for nm, _ in surf.tracked):
-                raise ScriptError(f"line name {name!r} is already tracked", line_no)
-            cls = parse_class_expr(expr, surf, line_no)
-            surf = RationalSurface(
-                surf.base, surf.basis, surf.gram, surf.canonical,
-                surf.tracked + ((name, cls),),
-            )
-        elif head == "blowdown":
-            if len(words) != 2:
-                raise ScriptError("expected 'blowdown <name>'", line_no)
-            try:
-                surf = blow_down(surf, words[1])
-            except ValidationError as e:
-                raise ScriptError(str(e), line_no)
-        elif head == "minimal-model":
-            if len(words) != 1:
-                raise ScriptError("'minimal-model' takes no arguments", line_no)
-            report = minimal_model(surf)
-            events.append(("reduction", report))
-            surf = report.final_surface
-        elif head == "report":
-            if len(words) != 1:
-                raise ScriptError("'report' takes no arguments", line_no)
-            events.append(("report", render_report(surf)))
-        else:
-            raise ScriptError(f"unknown statement {head!r}", line_no)
-
+        try:
+            surf = _statement(surf, stmt, line_no, events)
+        except ValidationError as e:
+            raise ScriptError(str(e), line_no)
     if surf is None:
         raise ScriptError("script is empty", max(1, text.count("\n") + 1))
     return ScriptOutcome(surf, events)

@@ -44,8 +44,10 @@ class ValidationError(SurfclassError):
     """A word or polygon set violates the closed-surface pairing condition."""
 
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)('|\^-1)?")
+# a name in every format: an edge symbol, a script line or a basis name
+_NAME = "[A-Za-z][A-Za-z0-9_]*"
+_IDENT = re.compile(_NAME)
+_TOKEN = re.compile(rf"({_NAME})('|\^-1)?")
 # compact form: single-letter symbols run together, e.g. aba'b' or ab^-1
 _COMPACT_UNIT = re.compile(r"[A-Za-z]('|\^-1)?")
 

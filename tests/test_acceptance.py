@@ -28,7 +28,6 @@ from surfclass.lattice import (
     signature,
 )
 from surfclass.minimal import (
-    MinimalType,
     classify_minimal,
     find_minus_one_lines,
     minimal_model,
@@ -242,10 +241,10 @@ def test_criterion_5_two_points_example():
     assert intersect(surf, a, a) == 0
     assert intersect(surf, b, b) == 0
     assert intersect(surf, a, b) == 1
-    assert classify_minimal(surf) == MinimalType.hirzebruch(0)
+    assert classify_minimal(surf) == BaseSurface.hirzebruch(0)
     report = minimal_model(surf)
     assert len(report.steps) == 0
-    assert report.final == MinimalType.hirzebruch(0)
+    assert report.final == BaseSurface.hirzebruch(0)
     _report(5, True, "gram [[0,1],[1,0]], rulings (0,0,1), minimal Hirzebruch(0)")
 
 
@@ -339,9 +338,9 @@ def test_criterion_8_round_trip_generic_bases():
     rng = random.Random(0x8888)
     recovered = 0
     cases = [
-        (BaseSurface.cp2(), MinimalType.cp2()),
-        (BaseSurface.hirzebruch(2), MinimalType.hirzebruch(2)),
-        (BaseSurface.hirzebruch(3), MinimalType.hirzebruch(3)),
+        (BaseSurface.cp2(), BaseSurface.cp2()),
+        (BaseSurface.hirzebruch(2), BaseSurface.hirzebruch(2)),
+        (BaseSurface.hirzebruch(3), BaseSurface.hirzebruch(3)),
     ]
     for base, expected in cases:
         for _ in range(100):
@@ -385,7 +384,7 @@ def test_criterion_8_round_trip_first_hirzebruch():
         undone += 1
 
         report = minimal_model(surf)
-        assert report.final == MinimalType.cp2(), k
+        assert report.final == BaseSurface.cp2(), k
         assert len(report.steps) == k + 1, k
         assert report.steps[0][0] == "S", k
         final = report.final_surface

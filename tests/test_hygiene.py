@@ -116,9 +116,11 @@ def test_every_private_definition_is_referenced():
     assert _unreferenced_private(sources) == []
 
 
-@pytest.mark.parametrize("rule", [r'split\("#"', r"\[0-9\]"], ids=["comment", "ascii-integer"])
+@pytest.mark.parametrize(
+    "rule", [r'split\("#"', r"\[0-9\]", r"A-Za-z0-9_"], ids=["comment", "ascii-integer", "name"]
+)
 def test_line_and_number_rules_are_written_once(rule):
-    # traces, polygon files and scripts share one line reader and one
-    # ASCII-integer pattern, both in words.py
+    # traces, polygon files and scripts share one line reader, one
+    # ASCII-integer pattern and one name pattern, all in words.py
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert sum(len(re.findall(rule, text)) for text in sources) == 1

@@ -10,7 +10,7 @@ from surfclass.lattice import (
     make_base,
 )
 from surfclass.minimal import (
-    MinimalType,
+    Inconclusive,
     classify_minimal,
     find_minus_one_lines,
     minimal_model,
@@ -44,7 +44,7 @@ def test_find_respects_k_degree():
 def test_minimal_model_single_blow_up():
     report = minimal_model(blow_up(make_base(BaseSurface.cp2())))
     assert [nm for nm, _ in report.steps] == ["E1"]
-    assert report.final == MinimalType.cp2()
+    assert report.final == BaseSurface.cp2()
     assert report.final_surface.rank == 1
 
 
@@ -54,7 +54,7 @@ def test_minimal_model_two_points_insertion_order():
     two = _with_line(two, "L_pq", (1, -1, -1))
     report = minimal_model(two)
     assert [nm for nm, _ in report.steps] == ["E1", "E2"]
-    assert report.final == MinimalType.cp2()
+    assert report.final == BaseSurface.cp2()
 
 
 def test_minimal_model_two_points_line_first():
@@ -64,7 +64,7 @@ def test_minimal_model_two_points_line_first():
     two = _with_line(two, "L_pq", (1, -1, -1))
     after = blow_down(two, "L_pq")
     report = minimal_model(after)
-    assert report.final == MinimalType.hirzebruch(0)
+    assert report.final == BaseSurface.hirzebruch(0)
     assert report.final_surface.gram == ((0, 1), (1, 0))
 
 
@@ -74,7 +74,7 @@ def test_minimal_model_hirzebruch_one_goes_to_plane():
     # Hirzebruch surface
     report = minimal_model(make_base(BaseSurface.hirzebruch(1)))
     assert [nm for nm, _ in report.steps] == ["S"]
-    assert report.final == MinimalType.cp2()
+    assert report.final == BaseSurface.cp2()
 
 
 def test_minimal_model_recovers_higher_hirzebruch():
@@ -83,7 +83,7 @@ def test_minimal_model_recovers_higher_hirzebruch():
         for _ in range(3):
             surf = blow_up(surf)
         report = minimal_model(surf)
-        assert report.final == MinimalType.hirzebruch(n), n
+        assert report.final == BaseSurface.hirzebruch(n), n
         assert len(report.steps) == 3
 
 
@@ -101,15 +101,15 @@ def test_reduction_report_bookkeeping():
 
 
 def test_classify_minimal_rank_one():
-    assert classify_minimal(make_base(BaseSurface.cp2())) == MinimalType.cp2()
+    assert classify_minimal(make_base(BaseSurface.cp2())) == BaseSurface.cp2()
 
 
 def test_classify_minimal_section():
-    assert classify_minimal(make_base(BaseSurface.hirzebruch(3))) == MinimalType.hirzebruch(3)
+    assert classify_minimal(make_base(BaseSurface.hirzebruch(3))) == BaseSurface.hirzebruch(3)
 
 
 def test_classify_minimal_rulings():
-    assert classify_minimal(make_base(BaseSurface.hirzebruch(0))) == MinimalType.hirzebruch(0)
+    assert classify_minimal(make_base(BaseSurface.hirzebruch(0))) == BaseSurface.hirzebruch(0)
 
 
 def test_classify_minimal_rejects_non_minimal():
@@ -127,7 +127,7 @@ def test_classify_minimal_inconclusive():
         tracked=(),
     )
     t = classify_minimal(even)
-    assert t == MinimalType.inconclusive(2, "even")
+    assert t == Inconclusive(2, True)
     assert "Inconclusive" in str(t) and "even" in str(t)
 
     odd = RationalSurface(
@@ -137,14 +137,12 @@ def test_classify_minimal_inconclusive():
         canonical=DivisorClass((-3, 1)),
         tracked=(),
     )
-    assert classify_minimal(odd) == MinimalType.inconclusive(2, "odd")
+    assert classify_minimal(odd) == Inconclusive(2, False)
 
 
 def test_minimal_type_guards():
     with pytest.raises(ValidationError):
-        MinimalType.hirzebruch(-2)
-    with pytest.raises(ValidationError):
-        MinimalType.inconclusive(2, "sideways")
+        BaseSurface.hirzebruch(-2)
 
 
 @pytest.mark.parametrize("base", [BaseSurface.cp2(), BaseSurface.hirzebruch(3)])

@@ -116,6 +116,7 @@ def test_script_blowup_on_tracked_line():
         ("base cp2\nblowup on\n", 2, "at least one line name"),
         ("base cp2\nblowup unknowable\n", 2, "expected 'blowup'"),
         ("base cp2\nline L = H\nline L = H\n", 3, "already tracked"),
+        ("base cp2\nline L = - * H\n", 2, "cannot read class expression at '- * H'"),
         ("base cp2\nline L = H\nblowup on L L\n", 3, "line name 'L' is repeated"),
         ("base cp2\nblowdown\n", 2, "expected 'blowdown <name>'"),
         ("base cp2\nblowdown Z\n", 2, "unknown line name 'Z'"),

@@ -375,34 +375,27 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         lead = next(a - ui * b for a, b in zip(vec(i), vec(p)) if a != ui * b)
         sigma[i] = 1 if lead > 0 else -1
 
-    # entry (a, b) of the new Gram matrix is
-    # sigma_a sigma_b (g_ab - u_b g_ap - u_a g_pb + u_a u_b g_pp).  A row
-    # off ``moved`` has u_a = 0 and sigma_a = 1: it is the old row with
-    # slot p dropped except at the columns b in ``moved``, which ``patch``
-    # lists with their new slots.  A row in ``moved`` is
-    # sigma_a (g_ab - u_a g_pb) off ``moved`` and takes the full formula on it.
+    # entry (a, b) of the new Gram matrix pairs sigma_a (e_a - u_a e_p) with
+    # sigma_b (e_b - u_b e_p).  Each reduced Gram row g_a with a in ``moved``
+    # first becomes sigma_a (g_a - u_a g_p); p is not in ``moved``, so g_p
+    # is unchanged.  Every row then drops slot p, row p is dropped, and each
+    # row x takes sigma_b (x_b - u_b x_p) at the columns b in ``moved``.
     # Basis changes leave at least two slots in the support, so rows copied
     # to lists for them come back as tuples here.
+    g = list(g)
+    for a in moved:
+        ua, sa = u[a], sigma[a]
+        g[a] = [sa * (x - ua * y) for x, y in zip(g[a], g[p])]
     rows = [ga[:p] + ga[p + 1:] for ga in g]
     del rows[p]
     if moved:
         patch = [(b - (b > p), b, u[b], sigma[b]) for b in moved]
-        gp = g[p]
-        gpp = gp[p]
-        gp_rest = gp[:p] + gp[p + 1:]
         for k, row in enumerate(rows):
-            a = k + (k >= p)
-            ga = g[a]
-            gap = ga[p]
-            if a in sigma:
-                ua, sa = u[a], sigma[a]
-                row = [sa * (x - ua * y) for x, y in zip(row, gp_rest)]
-                for kb, b, ub, sb in patch:
-                    row[kb] = sa * sb * (ga[b] - ub * gap - ua * gp[b] + ua * ub * gpp)
-            else:
-                row = list(row)
-                for kb, b, ub, sb in patch:
-                    row[kb] = sb * (ga[b] - ub * gap)
+            x = g[k + (k >= p)]
+            xp = x[p]
+            row = list(row)
+            for kb, b, ub, sb in patch:
+                row[kb] = sb * (x[b] - ub * xp)
             rows[k] = tuple(row)
     gram = tuple(rows)
 

@@ -82,32 +82,24 @@ class NormalizationResult(NamedTuple):
 class _Rewriter:
     """Mutable cursor over a word that records and checks each move.
 
-    It keeps the corner classes of its current word.  Each word a cut or a
-    cancellation produces is traced once, for the Euler-characteristic
-    check, and vertex reduction reads those classes to pick its next cut and
-    to check that the last one shrank the class-size profile.  Rotations,
-    renames and edge flips are checked by their letters alone.  A rename or
-    a flip keeps the classes as they are; a rotation leaves them to be traced
-    when next asked for.  `chi` and `orientable` are the input's invariants,
-    read once from its trace.
+    Each word a cut or a cancellation produces has its corners traced once,
+    for the Euler-characteristic check, and `emit` hands those classes back
+    so that vertex reduction can pick its next cut and check that the last
+    one shrank the class-size profile.  Rotations, renames and edge flips
+    are checked by their letters alone and trace nothing.  `chi` is the
+    input's Euler characteristic, read from the trace `normalize` starts
+    with, and `orientable` is read off the input's letters.
     """
 
-    def __init__(self, word: Word) -> None:
+    def __init__(self, word: Word, chi: int) -> None:
         self.word = word
         self.steps: list[Move] = []
-        self._classes: tuple[int, ...] | None = corner_classes(word)
-        self.chi = _euler_from_classes(self._classes)
+        self.chi = chi
         self.orientable = is_orientable(word)
 
-    @property
-    def classes(self) -> tuple[int, ...]:
-        """Corner classes of the current word."""
-        if self._classes is None:
-            self._classes = corner_classes(self.word)
-        return self._classes
-
-    def emit(self, move: Move) -> None:
-        """Apply, record and check one move."""
+    def emit(self, move: Move) -> tuple[int, ...] | None:
+        """Apply, record and check one move.  Returns the corner classes of
+        the new word for a cut or a cancellation, None otherwise."""
         old = self.word
         try:
             self.word = apply_move(old, move)
@@ -122,22 +114,22 @@ class _Rewriter:
                 raise InternalInvariantError(
                     f"move {move.render()} did not rotate {old.render()}"
                 )
-            self._classes = None
-            return
+            return None
         if isinstance(move, (Rename, FlipEdge)):
             if not _relabels(old.letters, self.word.letters, move):
                 raise InternalInvariantError(
                     f"move {move.render()} changed an invariant of {self.word.render()}"
                 )
-            return
-        self._classes = corner_classes(self.word)
+            return None
+        classes = corner_classes(self.word)
         if (
-            _euler_from_classes(self._classes) != self.chi
+            _euler_from_classes(classes) != self.chi
             or is_orientable(self.word) != self.orientable
         ):
             raise InternalInvariantError(
                 f"move {move.render()} changed an invariant of {self.word.render()}"
             )
+        return classes
 
     def rotate_to(self, offset: int) -> None:
         if offset % len(self.word):
@@ -246,13 +238,14 @@ def _is_commutator(block: tuple[Letter, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_vertices(rw: _Rewriter) -> None:
+def _reduce_vertices(rw: _Rewriter, classes: tuple[int, ...]) -> None:
+    """Phase 1, from the corner classes `classes` of the current word.  It
+    returns nothing and leaves one vertex class or the two-sided word."""
     guard = 8 * len(rw.word) * len(rw.word) + 64
     for _ in range(guard):
         n = len(rw.word)
         if n == 2:
             return
-        classes = rw.classes
         sizes = Counter(classes)
         if len(sizes) == 1:
             return
@@ -260,9 +253,9 @@ def _reduce_vertices(rw: _Rewriter) -> None:
         if sizes[qroot] == 1:
             p = classes.index(qroot)
             # a singleton corner is flanked by an adjacent inverse pair
-            rw.emit(Cancel((p - 1) % n))
+            classes = rw.emit(Cancel((p - 1) % n))
             continue
-        _shrink_class(rw, classes, sizes, qroot)
+        classes = _shrink_class(rw, classes, sizes, qroot)
     raise InternalInvariantError("vertex reduction failed to terminate")
 
 
@@ -271,7 +264,7 @@ def _shrink_class(
     classes: tuple[int, ...],
     sizes: Counter[int],
     qroot: int,
-) -> None:
+) -> tuple[int, ...]:
     """Transplant one corner out of the smallest class Q via a triangle cut.
 
     The cut at apex corner p joins corners p - 1 and p + 1.  Pasting along
@@ -285,7 +278,8 @@ def _shrink_class(
     move is the only cut built.  Its two sides carry different symbols: the
     sides of one symbol meeting at p either make p a singleton (an inverse
     pair) or put both neighbours in p's class (a cross-cap).  The shrink is
-    then checked on the classes `emit` traced.
+    then checked on the classes `emit` traced, and those classes of the
+    word the cut produced are returned.
     """
     word = rw.word
     n = len(word.letters)
@@ -300,13 +294,13 @@ def _shrink_class(
             if dst != qroot:
                 rw.rotate_to((p - 1) % n)
                 move = CutPaste(0, 2, rw.fresh(), paste)
-                rw.emit(move)
-                if sorted(Counter(rw.classes).values()) >= old_profile:
+                new = rw.emit(move)
+                if sorted(Counter(new).values()) >= old_profile:
                     raise InternalInvariantError(
                         f"move {move.render()} did not shrink the vertex classes"
                         f" {old_profile} of {word.render()}"
                     )
-                return
+                return new
     raise InternalInvariantError("no corner-shrinking move exists; bad class data")
 
 
@@ -317,13 +311,10 @@ def _shrink_class(
 
 def _split_crosscap_run(rw: _Rewriter) -> None:
     n = len(rw.word)
-    if n < 4:
-        return
     r = _block_alignment(rw.word, 2, _is_crosscap)
     if r is None:
         return
     rw.rotate_to(r)
-    n = len(rw.word)
     rw.emit(CutPaste(1, n - 1, rw.fresh(), rw.word[n - 1].symbol))
 
 
@@ -504,8 +495,9 @@ def _finish(rw: _Rewriter) -> SurfaceType:
 def normalize(word: Word) -> NormalizationResult:
     """Classify a word and return the type with a replayable certificate."""
     validate(word)
-    rw = _Rewriter(word)
-    _reduce_vertices(rw)
+    classes = corner_classes(word)
+    rw = _Rewriter(word, _euler_from_classes(classes))
+    _reduce_vertices(rw, classes)
     if len(rw.word) > 2:
         _split_crosscap_run(rw)
         _gather(rw)

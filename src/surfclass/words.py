@@ -46,10 +46,12 @@ class ValidationError(SurfclassError):
 
 # a name in every format: an edge symbol, a script line or a basis name
 _NAME = "[A-Za-z][A-Za-z0-9_]*"
+# the mark of an inverse letter, a trailing ' or ^-1
+_INVERSE = r"('|\^-1)"
 _IDENT = re.compile(_NAME)
-_TOKEN = re.compile(rf"({_NAME})('|\^-1)?")
+_TOKEN = re.compile(rf"({_NAME}){_INVERSE}?")
 # compact form: single-letter symbols run together, e.g. aba'b' or ab^-1
-_COMPACT_UNIT = re.compile(r"[A-Za-z]('|\^-1)?")
+_COMPACT_UNIT = re.compile(rf"[A-Za-z]{_INVERSE}?")
 
 
 class Letter(NamedTuple):
@@ -217,7 +219,7 @@ def parse_word(text: str) -> Word:
     tokens = list(re.finditer(r"\S+", text))
     if len(tokens) == 1:
         tok = tokens[0].group()
-        if re.fullmatch(r"(?:[A-Za-z](?:'|\^-1)?){2,}", tok):
+        if re.fullmatch(rf"(?:{_COMPACT_UNIT.pattern}){{2,}}", tok):
             return Word(tuple(
                 Letter(m.group()[0], -1 if m.group(1) else 1)
                 for m in _COMPACT_UNIT.finditer(tok)

@@ -117,10 +117,13 @@ def test_every_private_definition_is_referenced():
 
 
 @pytest.mark.parametrize(
-    "rule", [r'split\("#"', r"\[0-9\]", r"A-Za-z0-9_"], ids=["comment", "ascii-integer", "name"]
+    "rule",
+    [r'split\("#"', r"\[0-9\]", r"A-Za-z0-9_", r"\\\^-1"],
+    ids=["comment", "ascii-integer", "name", "inverse"],
 )
 def test_line_and_number_rules_are_written_once(rule):
     # traces, polygon files and scripts share one line reader, one
-    # ASCII-integer pattern and one name pattern, all in words.py
+    # ASCII-integer pattern and one name pattern, and word text one
+    # inverse-mark pattern, all in words.py
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert sum(len(re.findall(rule, text)) for text in sources) == 1

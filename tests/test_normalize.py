@@ -281,7 +281,7 @@ def test_rename_order_matches_the_resorting_form():
         mapping = dict(zip(symbols, rng.sample(names, k)))
         runs = []
         for apply in (normalize_module._apply_renames, _reference_apply_renames):
-            rw = normalize_module._Rewriter(word)
+            rw = normalize_module._Rewriter(word, euler_characteristic(word))
             apply(rw, mapping)
             runs.append(rw.steps)
         assert runs[0] == runs[1], mapping
@@ -426,9 +426,10 @@ def test_corner_cut_rule_matches_traced_cuts(monkeypatch):
                 if first is None and profile < old_profile:
                     first = cut
                 counts["cuts"] += 1
-        real_shrink(rw, classes, sizes, qroot)
+        new = real_shrink(rw, classes, sizes, qroot)
         assert first is not None and rw.word.letters == first.letters
         counts["shrinks"] += 1
+        return new
 
     monkeypatch.setattr(normalize_module, "_shrink_class", checked_shrink)
     for word in _seeded_words(0x5EED, 40, 4, 30):

@@ -1,5 +1,7 @@
 """The README's command-line examples, run in-process through ``main`` and
-compared byte for byte with the output the README shows."""
+compared byte for byte with the output the README shows, and its library
+example, whose printed lines must equal the comments after its ``print``
+calls."""
 
 import re
 import shlex
@@ -61,3 +63,13 @@ def test_readme_command_examples(tmp_path, monkeypatch, capsys):
         "glue",
         "rational",
     ]
+
+
+def test_readme_library_example(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    expected = re.findall(r"^print\(.*?\) +# (.*)$", block, re.M)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert len(expected) == 3

@@ -33,10 +33,10 @@ letters instead: a rotation must give exactly the rotated letters, and a
 rename or flip must change only the two letters of its symbol, a rename to a
 symbol not yet in the word with the same exponents, a flip to the inverse
 letters.  Each such move keeps which positions pair and whether the pair's
-exponents agree, so it keeps both invariants, and after a rename or a flip
-the corner classes carry over unchanged.  A vertex-reduction cut must also
-strictly shrink the sorted class-size profile of those classes, and the final
-word must equal the canonical word of the computed type letter for letter.
+exponents agree, so it keeps both invariants.  A vertex-reduction cut must
+also strictly shrink the sorted class-size profile of the corner classes
+traced for it, and the final word must equal the canonical word of the
+computed type letter for letter.
 Any violation raises InternalInvariantError rather than returning a wrong
 certificate.
 """

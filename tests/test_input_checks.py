@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from surfclass.lattice import BaseSurface, DivisorClass, blowup_chart_transition, make_base
-from surfclass.moves import Cancel, CutPaste, MoveError, apply_move
+from surfclass.moves import Cancel, CutPaste, Insert, MoveError, apply_move
 from surfclass.orbit import orbit_oracle
 from surfclass.words import (
     InternalInvariantError,
@@ -72,9 +72,12 @@ def test_orbit_input_checks(max_symbols, budget, message):
         ("a b a' b'", CutPaste(-1, 2, "c", "a"), "cut positions -1,2 out of range for length 4"),
         ("a a' b b'", Cancel(4), "cancel position 4 out of range for length 4"),
         ("a a' b b'", Cancel(-1), "cancel position -1 out of range for length 4"),
+        ("a a'", Insert(3, "b"), "insert position 3 out of range for length 2"),
+        ("a a'", Insert(-1, "b"), "insert position -1 out of range for length 2"),
         ("a a", "rotate 1", "unknown move 'rotate 1'"),
     ],
-    ids=["cut-past-end", "cut-negative", "cancel-past-end", "cancel-negative", "not-a-move"],
+    ids=["cut-past-end", "cut-negative", "cancel-past-end", "cancel-negative", "insert-past-end",
+         "insert-negative", "not-a-move"],
 )
 def test_moves_input_checks(word, move, message):
     _raises(lambda: apply_move(W(word), move), MoveError, message)

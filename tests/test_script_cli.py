@@ -16,6 +16,7 @@ from surfclass.script import (
     ScriptError,
     parse_class_expr,
     render_reduction,
+    render_report,
     run_script,
 )
 from surfclass.minimal import minimal_model
@@ -286,6 +287,9 @@ def test_cli_sum(capsys):
     assert main(["sum", "a a", "b b"]) == 0
     out = capsys.readouterr().out
     assert "type: non-orientable, 2 cross-caps (Klein bottle), χ=0" in out
+    assert main(["sum", "a a", "b b", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["type"], payload["crosscaps"], payload["euler"]) == ("NonOrientable(2)", 2, 0)
 
 
 def test_cli_glue(capsys, tmp_path):
@@ -379,6 +383,11 @@ def test_cli_rational_human_matches_json(capsys, tmp_path):
     assert f"K^2 = {payload['k_squared']}" in human
     assert f"b2 = {payload['b2']}" in human
     assert f"chi = {payload['euler']}" in human
+    # with no report and no minimal-model statement, the final lattice is
+    # reported
+    f.write_text("base hirzebruch 3\nblowup\n", encoding="utf-8")
+    assert main(["rational", str(f)]) == 0
+    assert capsys.readouterr().out == render_report(run_script(f.read_text()).surface) + "\n"
 
 
 def test_cli_rational_error_line(capsys, tmp_path):

@@ -4,7 +4,9 @@ Subcommands cover both halves of the package: ``classify``, ``normalize``,
 ``sum``, ``glue``, and ``replay`` operate on polygon edge-words, while
 ``rational`` executes a construction script against the lattice calculus.
 Every subcommand accepts ``--json`` for machine-readable output carrying the
-same numbers as the human report.
+same numbers as the human report.  Each ``cmd_*`` function returns both, its
+``--json`` object and the lines of its text report, and ``main`` prints the
+one asked for.
 
 Exit codes: 0 on success, 1 for bad input (syntax, validation, script
 errors, unreadable or non-UTF-8 files), 2 for an internal invariant
@@ -21,8 +23,7 @@ import json
 import sys
 from typing import Optional
 
-from .lattice import RationalSurface, euler_characteristic_cx
-from .minimal import ReductionReport
+from .lattice import euler_characteristic_cx
 from .moves import MoveTrace, ReplayError, parse_trace, replay
 from .normalize import normalize
 from .script import render_reduction, render_report, run_script
@@ -52,8 +53,8 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _print_type_json(t: SurfaceType, trace: Optional[MoveTrace] = None) -> None:
-    """The ``--json`` line of the edge-word commands: the type's numbers,
+def _type_payload(t: SurfaceType, trace: Optional[MoveTrace] = None) -> dict:
+    """The ``--json`` object of the edge-word commands: the type's numbers,
     its canonical word and, when given, the rendered moves of a trace."""
     payload = {
         "type": str(t),
@@ -64,121 +65,91 @@ def _print_type_json(t: SurfaceType, trace: Optional[MoveTrace] = None) -> None:
     }
     if trace is not None:
         payload["trace"] = [m.render() for m in trace.steps]
-    print(json.dumps(payload))
+    return payload
 
 
-def _print_word_report(word: Word, t: SurfaceType) -> None:
-    print(f"word: {word.render()}")
-    print(f"type: {t.describe()}")
-    print(f"canonical: {canonical_word(t).render()}")
+def _word_report(word: Word, t: SurfaceType) -> list[str]:
+    return [
+        f"word: {word.render()}",
+        f"type: {t.describe()}",
+        f"canonical: {canonical_word(t).render()}",
+    ]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, list[str]]:
     word = parse_word(args.word)
     t = classify_by_invariants(word)
-    if args.json:
-        _print_type_json(t)
-    else:
-        _print_word_report(word, t)
-    return 0
+    return _type_payload(t), _word_report(word, t)
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> tuple[dict, list[str]]:
     word = parse_word(args.word)
     result = normalize(word)
     t = result.type
-    if args.json:
-        _print_type_json(t, result.trace if args.trace else None)
-    elif args.trace:
-        # a replayable document: comments carry the summary, the rest is
-        # one move per line in the trace grammar
-        print(f"# initial: {word.render()}")
-        print(f"# type: {t.describe()}")
-        print(f"# canonical: {canonical_word(t).render()}")
-        print(f"# moves: {len(result.trace.steps)}")
-        rendered = result.trace.render()
-        if rendered:
-            print(rendered)
-    else:
-        _print_word_report(word, t)
-        print(f"moves: {len(result.trace.steps)}")
-    return 0
+    moves = len(result.trace.steps)
+    if not args.trace:
+        return _type_payload(t), _word_report(word, t) + [f"moves: {moves}"]
+    # a replayable document: comments carry the summary, the rest is one
+    # move per line in the trace grammar
+    lines = [
+        f"# initial: {word.render()}",
+        f"# type: {t.describe()}",
+        f"# canonical: {canonical_word(t).render()}",
+        f"# moves: {moves}",
+    ]
+    return _type_payload(t, result.trace), lines + [m.render() for m in result.trace.steps]
 
 
-def cmd_sum(args) -> int:
-    w1 = parse_word(args.word1)
-    w2 = parse_word(args.word2)
-    total = connected_sum_words(w1, w2)
+def cmd_sum(args) -> tuple[dict, list[str]]:
+    total = connected_sum_words(parse_word(args.word1), parse_word(args.word2))
     t = normalize(total).type
-    if args.json:
-        _print_type_json(t)
-    else:
-        _print_word_report(total, t)
-    return 0
+    return _type_payload(t), _word_report(total, t)
 
 
-def cmd_glue(args) -> int:
+def cmd_glue(args) -> tuple[dict, list[str]]:
     polys = parse_polygon_file(_read_file(args.file))
     merged = glue_polygons(polys)
     t = normalize(merged).type
-    if args.json:
-        _print_type_json(t)
-    else:
-        print(f"polygons: {len(polys.polygons)}")
-        _print_word_report(merged, t)
-    return 0
+    return _type_payload(t), [f"polygons: {len(polys.polygons)}"] + _word_report(merged, t)
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> tuple[dict, list[str]]:
     # an invalid word is bad input; replay's own ReplayError would call it a bug
     word = validate(parse_word(args.word))
     trace = parse_trace(_read_file(args.tracefile), word)
     final = replay(trace)
     t = classify_by_invariants(final)
-    if args.json:
-        _print_type_json(t, trace)
-    else:
-        print(f"initial: {word.render()}")
-        print(f"final: {final.render()}")
-        print(f"type: {t.describe()}")
-        print(f"moves: {len(trace.steps)}")
-    return 0
+    return _type_payload(t, trace), [
+        f"initial: {word.render()}",
+        f"final: {final.render()}",
+        f"type: {t.describe()}",
+        f"moves: {len(trace.steps)}",
+    ]
 
 
-def _lattice_payload(surf: RationalSurface) -> dict:
-    return {
-        "basis": list(surf.basis),
-        "gram": [list(row) for row in surf.gram],
-        "canonical": list(surf.canonical.coords),
-        "tracked": {nm: list(cls.coords) for nm, cls in surf.tracked},
-    }
-
-
-def cmd_rational(args) -> int:
+def cmd_rational(args) -> tuple[dict, list[str]]:
     outcome = run_script(_read_file(args.file))
     surf = outcome.surface
-    reductions = outcome.reductions
-    if args.json:
-        payload = {
-            "lattice": _lattice_payload(surf),
-            "k_squared": surf.k_squared,
-            "b2": surf.rank,
-            "euler": euler_characteristic_cx(surf),
-        }
-        if reductions:
-            last: ReductionReport = reductions[-1]
-            payload["minimal"] = str(last.final)
-            payload["steps"] = [
-                {"line": nm, "class": list(cls.coords)} for nm, cls in last.steps
-            ]
-        print(json.dumps(payload))
-    else:
-        blocks = [
-            payload if kind == "report" else render_reduction(payload)
-            for kind, payload in outcome.events
-        ] or [render_report(surf)]
-        print("\n\n".join(blocks))
-    return 0
+    payload = {
+        "lattice": {
+            "basis": list(surf.basis),
+            "gram": [list(row) for row in surf.gram],
+            "canonical": list(surf.canonical.coords),
+            "tracked": {nm: list(cls.coords) for nm, cls in surf.tracked},
+        },
+        "k_squared": surf.k_squared,
+        "b2": surf.rank,
+        "euler": euler_characteristic_cx(surf),
+    }
+    if outcome.reductions:
+        last = outcome.reductions[-1]
+        payload["minimal"] = str(last.final)
+        payload["steps"] = [{"line": nm, "class": list(cls.coords)} for nm, cls in last.steps]
+    blocks = [
+        text if kind == "report" else render_reduction(text)
+        for kind, text in outcome.events
+    ] or [render_report(surf)]
+    return payload, ["\n\n".join(blocks)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,16 +196,15 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except (ReplayError, InternalInvariantError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SurfclassError as e:
+    except (SurfclassError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -133,8 +133,8 @@ _LINE = {move: " ".join([keyword] + ["{}"] * len(readers))
 
 def _cut_letters(
     word: Word, i: int, j: int, fresh: str
-) -> tuple[tuple[Letter, ...], list[str], tuple[Letter, ...], list[str]]:
-    """The two pieces of a cut, each followed by the list of its symbols."""
+) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The two pieces of a cut."""
     letters = word.letters
     n = len(letters)
     if n < 3:
@@ -143,20 +143,13 @@ def _cut_letters(
         raise MoveError(f"cut positions {i},{j} out of range for length {n}")
     if i == j:
         raise MoveError("cut needs two distinct corners; a piece would be empty")
-    symbols = list(map(_SYMBOL, letters))
-    if fresh in symbols:
+    if fresh in map(_SYMBOL, letters):
         raise MoveError(f"diagonal symbol {fresh} already occurs in the word")
     _check_symbol(fresh)
     # read from corner i: the first piece is the first k sides
     k = (j - i) % n
     letters = letters[i:] + letters[:i]
-    symbols = symbols[i:] + symbols[:i]
-    return (
-        letters[:k] + (Letter(fresh, 1),),
-        symbols[:k] + [fresh],
-        (Letter(fresh, -1),) + letters[k:],
-        [fresh] + symbols[k:],
-    )
+    return letters[:k] + (Letter(fresh, 1),), (Letter(fresh, -1),) + letters[k:]
 
 
 def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
@@ -166,7 +159,7 @@ def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
     remaining sides).  Gluing the two pieces back along `fresh` recovers the
     original cyclic word.
     """
-    piece1, _, piece2, _ = _cut_letters(word, i, j, fresh)
+    piece1, piece2 = _cut_letters(word, i, j, fresh)
     return Word._from_checked(piece1), Word._from_checked(piece2)
 
 
@@ -177,10 +170,7 @@ def paste(w1: Word, w2: Word, symbol: str) -> Word:
     the second polygon before joining.
     """
     try:
-        l1, l2 = w1.letters, w2.letters
-        return Word(_join_on_symbol(
-            l1, list(map(_SYMBOL, l1)), l2, list(map(_SYMBOL, l2)), symbol
-        ))
+        return Word(_join_on_symbol(w1.letters, w2.letters, symbol))
     except ValidationError as exc:
         raise MoveError(str(exc)) from exc
 

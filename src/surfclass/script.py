@@ -42,12 +42,14 @@ class ScriptError(SurfclassError):
 _TERM = re.compile(rf"^\s*([+-])?\s*(?:({_DIGITS})\s*\*?\s*)?({_NAME})\s*")
 
 
-def parse_class_expr(expr: str, surf: RationalSurface, line_no: int) -> DivisorClass:
+def parse_class_expr(expr: str, surf: RationalSurface) -> DivisorClass:
     """Integer combination of basis names, e.g. ``H - E1 - E2`` or ``2S + 3F``.
 
     Names resolve against the current lattice basis, not against tracked
     lines; a tracked line may have drifted away from the basis vector that
     shares its name, and expressions are meant to write raw lattice vectors.
+    An expression that cannot be read raises ``ValidationError``; inside a
+    script, ``run_script`` reports it with its line number.
     """
     index = {nm: i for i, nm in enumerate(surf.basis)}
     coords = [0] * surf.rank
@@ -55,25 +57,25 @@ def parse_class_expr(expr: str, surf: RationalSurface, line_no: int) -> DivisorC
     first = True
     text = expr.strip()
     if not text:
-        raise ScriptError("empty class expression", line_no)
+        raise ValidationError("empty class expression")
     while pos < len(text):
         m = _TERM.match(text[pos:])
         if not m:
-            raise ScriptError(f"cannot read class expression at {text[pos:]!r}", line_no)
+            raise ValidationError(f"cannot read class expression at {text[pos:]!r}")
         sign_s, coeff_s, name = m.groups()
         if first and sign_s is None:
             sign_s = "+"
         if sign_s is None:
-            raise ScriptError(f"missing + or - before {name!r}", line_no)
+            raise ValidationError(f"missing + or - before {name!r}")
         if name not in index:
-            raise ScriptError(
-                f"unknown basis name {name!r} (basis: {', '.join(surf.basis)})", line_no
+            raise ValidationError(
+                f"unknown basis name {name!r} (basis: {', '.join(surf.basis)})"
             )
         try:
             coeff = _read_int(coeff_s) if coeff_s else 1
         except ValueError:  # past the interpreter's int-string digit limit
-            raise ScriptError(
-                f"coefficient of {name!r} is too long ({len(coeff_s)} digits)", line_no
+            raise ValidationError(
+                f"coefficient of {name!r} is too long ({len(coeff_s)} digits)"
             )
         coords[index[name]] += coeff if sign_s == "+" else -coeff
         pos += m.end()
@@ -132,14 +134,15 @@ def render_reduction(report: ReductionReport) -> str:
 
 
 def _statement(
-    surf: Optional[RationalSurface], stmt: str, line_no: int, events: List[Tuple[str, object]]
+    surf: Optional[RationalSurface], stmt: str, events: List[Tuple[str, object]]
 ) -> RationalSurface:
-    """Run one statement on the working surface and return the new one."""
+    """Run one statement on the working surface and return the new one; a
+    statement that cannot be read or run raises ``ValidationError``."""
     words = stmt.split()
     head = words[0].lower()
     if head == "base":
         if surf is not None:
-            raise ScriptError("base is already set", line_no)
+            raise ValidationError("base is already set")
         if len(words) == 2 and words[1].lower() == "cp2":
             return make_base(BaseSurface.cp2())
         if len(words) == 3 and words[1].lower() == "hirzebruch":
@@ -147,48 +150,48 @@ def _statement(
             try:
                 n = _read_int(words[2])
             except ValueError:
-                raise ScriptError(f"bad Hirzebruch index {words[2]!r}", line_no)
+                raise ValidationError(f"bad Hirzebruch index {words[2]!r}")
             return make_base(BaseSurface.hirzebruch(n))
-        raise ScriptError("expected 'base cp2' or 'base hirzebruch <n>'", line_no)
+        raise ValidationError("expected 'base cp2' or 'base hirzebruch <n>'")
     if surf is None:
-        raise ScriptError("script must start with a base statement", line_no)
+        raise ValidationError("script must start with a base statement")
     if head == "blowup":
         through = []
         if len(words) > 1:
             if words[1].lower() != "on":
-                raise ScriptError("expected 'blowup' or 'blowup on <line> ...'", line_no)
+                raise ValidationError("expected 'blowup' or 'blowup on <line> ...'")
             through = words[2:]
             if not through:
-                raise ScriptError("'blowup on' needs at least one line name", line_no)
+                raise ValidationError("'blowup on' needs at least one line name")
         return blow_up(surf, through)
     if head == "line":
         m = re.match(rf"^line\s+({_NAME})\s*=\s*(.+)$", stmt, re.IGNORECASE)
         if not m:
-            raise ScriptError("expected 'line <name> = <class expr>'", line_no)
+            raise ValidationError("expected 'line <name> = <class expr>'")
         name, expr = m.group(1), m.group(2)
         if any(nm == name for nm, _ in surf.tracked):
-            raise ScriptError(f"line name {name!r} is already tracked", line_no)
-        cls = parse_class_expr(expr, surf, line_no)
+            raise ValidationError(f"line name {name!r} is already tracked")
+        cls = parse_class_expr(expr, surf)
         return RationalSurface(
             surf.base, surf.basis, surf.gram, surf.canonical,
             surf.tracked + ((name, cls),),
         )
     if head == "blowdown":
         if len(words) != 2:
-            raise ScriptError("expected 'blowdown <name>'", line_no)
+            raise ValidationError("expected 'blowdown <name>'")
         return blow_down(surf, words[1])
     if head == "minimal-model":
         if len(words) != 1:
-            raise ScriptError("'minimal-model' takes no arguments", line_no)
+            raise ValidationError("'minimal-model' takes no arguments")
         report = minimal_model(surf)
         events.append(("reduction", report))
         return report.final_surface
     if head == "report":
         if len(words) != 1:
-            raise ScriptError("'report' takes no arguments", line_no)
+            raise ValidationError("'report' takes no arguments")
         events.append(("report", render_report(surf)))
         return surf
-    raise ScriptError(f"unknown statement {head!r}", line_no)
+    raise ValidationError(f"unknown statement {head!r}")
 
 
 def run_script(text: str) -> ScriptOutcome:
@@ -196,13 +199,14 @@ def run_script(text: str) -> ScriptOutcome:
 
     The ``minimal-model`` statement replaces the working surface with the
     reduced one, so later statements continue from the minimal model.  A
-    lattice error becomes a ``ScriptError`` on its statement's line.
+    statement or lattice error, a ``ValidationError``, becomes a
+    ``ScriptError`` on its statement's line.
     """
     surf: Optional[RationalSurface] = None
     events: List[Tuple[str, object]] = []
     for line_no, stmt in _lines(text):
         try:
-            surf = _statement(surf, stmt, line_no, events)
+            surf = _statement(surf, stmt, events)
         except ValidationError as e:
             raise ScriptError(str(e), line_no)
     if surf is None:

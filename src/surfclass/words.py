@@ -41,7 +41,9 @@ class WordSyntaxError(SurfclassError):
 
 
 class ValidationError(SurfclassError):
-    """A word or polygon set violates the closed-surface pairing condition."""
+    """Input breaks a rule: a word or polygon set violates the closed-surface
+    pairing condition, a lattice operation's precondition fails, or a script
+    statement cannot be read or run (``run_script`` adds its line)."""
 
 
 # a name in every format: an edge symbol, a script line or a basis name
@@ -593,19 +595,15 @@ def complex_is_orientable(polys: PolygonSet) -> bool:
 
 
 def _join_on_symbol(
-    w1: tuple[Letter, ...],
-    symbols1: list[str],
-    w2: tuple[Letter, ...],
-    symbols2: list[str],
-    symbol: str,
+    w1: tuple[Letter, ...], w2: tuple[Letter, ...], symbol: str
 ) -> tuple[Letter, ...]:
     """Merge two polygons along `symbol`, deleting both occurrences.
 
-    The splice underlying both paste and gluing; `symbols1` and `symbols2`
-    list the symbols of `w1` and `w2`.  With opposite exponents the second
-    polygon is concatenated as stored; with equal exponents it is reflected
-    first, which is the only way the sides can be matched.
+    The splice underlying both paste and gluing.  With opposite exponents the
+    second polygon is concatenated as stored; with equal exponents it is
+    reflected first, which is the only way the sides can be matched.
     """
+    symbols1, symbols2 = list(map(_SYMBOL, w1)), list(map(_SYMBOL, w2))
     if symbols1.count(symbol) != 1 or symbols2.count(symbol) != 1:
         raise ValidationError(
             f"symbol {symbol} must occur exactly once in each polygon"
@@ -641,10 +639,7 @@ def glue_polygons(polys: PolygonSet) -> Word:
             raise ValidationError("polygon set is disconnected")
         sym = candidates[0]
         a, b = shared[sym][0], shared[sym][-1]
-        w1, w2 = current[a], current[b]
-        merged = _join_on_symbol(
-            w1, list(map(_SYMBOL, w1)), w2, list(map(_SYMBOL, w2)), sym
-        )
+        merged = _join_on_symbol(current[a], current[b], sym)
         current = [w for k, w in enumerate(current) if k not in (a, b)]
         current.insert(0, merged)
     return Word(current[0])

@@ -21,7 +21,7 @@ from surfclass.script import (
 )
 from surfclass.minimal import minimal_model
 from surfclass.moves import ReplayError
-from surfclass.words import InternalInvariantError, SurfclassError
+from surfclass.words import InternalInvariantError, SurfclassError, ValidationError
 
 from conftest import words
 
@@ -33,22 +33,20 @@ from conftest import words
 
 def test_class_expr_forms():
     surf = make_base(BaseSurface.hirzebruch(2))
-    assert parse_class_expr("2S + 3F", surf, 1).coords == (2, 3)
-    assert parse_class_expr("2*S+3*F", surf, 1).coords == (2, 3)
-    assert parse_class_expr("-S", surf, 1).coords == (-1, 0)
-    assert parse_class_expr("F - S + F", surf, 1).coords == (-1, 2)
+    assert parse_class_expr("2S + 3F", surf).coords == (2, 3)
+    assert parse_class_expr("2*S+3*F", surf).coords == (2, 3)
+    assert parse_class_expr("-S", surf).coords == (-1, 0)
+    assert parse_class_expr("F - S + F", surf).coords == (-1, 2)
 
 
 def test_class_expr_errors():
     surf = make_base(BaseSurface.cp2())
-    with pytest.raises(ScriptError, match="unknown basis name 'Q'"):
-        parse_class_expr("H + Q", surf, 4)
-    with pytest.raises(ScriptError, match="line 4"):
-        parse_class_expr("H + Q", surf, 4)
-    with pytest.raises(ScriptError, match="empty class expression"):
-        parse_class_expr("   ", surf, 2)
-    with pytest.raises(ScriptError, match="missing"):
-        parse_class_expr("H E1", make_base(BaseSurface.cp2()), 1)
+    with pytest.raises(ValidationError, match="unknown basis name 'Q'"):
+        parse_class_expr("H + Q", surf)
+    with pytest.raises(ValidationError, match="empty class expression"):
+        parse_class_expr("   ", surf)
+    with pytest.raises(ValidationError, match="missing"):
+        parse_class_expr("H E1", make_base(BaseSurface.cp2()))
 
 
 TWO_POINTS = """\

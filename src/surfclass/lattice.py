@@ -118,9 +118,6 @@ class DivisorClass:
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple([a - b for a, b in zip(self.coords, other.coords, strict=True)]))
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple([-a for a in self.coords]))
-
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(tuple([k * a for a in self.coords]))
 

@@ -69,10 +69,12 @@ def find_minus_one_lines(surf: RationalSurface) -> List[str]:
 def classify_minimal(surf: RationalSurface) -> BaseSurface | Inconclusive:
     """Read the minimal surface off a lattice with no contractible lines.
 
-    Rank one is the projective plane.  At rank two the first tracked line of
-    negative square is a section and names the Hirzebruch surface; failing
-    that, two tracked rulings of square zero meeting once give the product
-    surface.  Anything else is ``Inconclusive`` rather than guessed.
+    Rank one is the projective plane.  At rank two a tracked class of square
+    -n names the Hirzebruch surface of index n only if it can be a smooth
+    rational section, that is if its K-degree is n - 2 (arithmetic genus
+    0); two tracked rulings of square zero meeting once name index 0.  The
+    surface is named only when exactly one index is; anything else is
+    ``Inconclusive`` rather than guessed.
     """
     leftovers = find_minus_one_lines(surf)
     if leftovers:
@@ -82,15 +84,18 @@ def classify_minimal(surf: RationalSurface) -> BaseSurface | Inconclusive:
     if surf.rank == 1:
         return BaseSurface.cp2()
     if surf.rank == 2:
+        named = set()
         rulings = []
         for _, cls in surf.tracked:
             sq = intersect(surf, cls, cls)
-            if sq < 0:
-                return BaseSurface.hirzebruch(-sq)
-            if sq == 0:
+            if sq < 0 and intersect(surf, cls, surf.canonical) == -sq - 2:
+                named.add(-sq)
+            elif sq == 0:
                 rulings.append(cls)
         if any(intersect(surf, f, s) == 1 for f, s in combinations(rulings, 2)):
-            return BaseSurface.hirzebruch(0)
+            named.add(0)
+        if len(named) == 1:
+            return BaseSurface.hirzebruch(named.pop())
     return Inconclusive(surf.rank, surf.is_even)
 
 

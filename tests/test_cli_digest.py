@@ -17,7 +17,7 @@ SECTION_SCRIPTS = [
     "base hirzebruch 0\nline A = S - F\nminimal-model\n",
     "base hirzebruch 1\nblowup on S\nblowup on F E1\nminimal-model\n",
 ]
-DIGEST = "4a34a322a85f1b9e18573ea7d7bd495a2c9ba4774d69392fd548f172ee33526b"
+DIGEST = "2822a2d2cdb7a237f57297f99b7cf8aac09ced17f4720c0755384e7b4616206d"
 
 
 def _word(rng, pairs, orientable):

@@ -15,6 +15,7 @@ from surfclass.minimal import (
     find_minus_one_lines,
     minimal_model,
 )
+from surfclass.script import run_script
 from surfclass.words import ValidationError
 
 
@@ -138,6 +139,22 @@ def test_classify_minimal_inconclusive():
         tracked=(),
     )
     assert classify_minimal(odd) == Inconclusive(2, False)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        # S - F has square -2 and K-degree 0, a section of F2, while the
+        # base rulings S and F meet once, which says F0
+        "base hirzebruch 0\nline A = S - F\nminimal-model\n",
+        # E1 ends with square -1 and K-degree +1, so arithmetic genus 1: no
+        # section, and F1 is never minimal
+        "base hirzebruch 1\nblowup on S\nblowup on F E1\nminimal-model\n",
+    ],
+    ids=["two-indices", "section-of-genus-one"],
+)
+def test_classify_minimal_names_only_a_rational_section(script):
+    assert run_script(script).reductions[-1].final == Inconclusive(2, "hirzebruch 0" in script)
 
 
 def test_minimal_type_guards():

@@ -27,8 +27,8 @@ from .words import InternalInvariantError, ValidationError
 @dataclass(frozen=True)
 class Inconclusive:
     """A minimal lattice that cannot be named, by its rank and parity: at rank
-    two the lattice alone pins the Hirzebruch index only mod 2, and without a
-    tracked section there is nothing to pin it with."""
+    two the lattice alone pins the Hirzebruch index only mod 2, and no one
+    index is named by the tracked rational sections and rulings."""
 
     rank: int
     even: bool
@@ -70,11 +70,10 @@ def classify_minimal(surf: RationalSurface) -> BaseSurface | Inconclusive:
     """Read the minimal surface off a lattice with no contractible lines.
 
     Rank one is the projective plane.  At rank two a tracked class of square
-    -n names the Hirzebruch surface of index n only if it can be a smooth
-    rational section, that is if its K-degree is n - 2 (arithmetic genus
-    0); two tracked rulings of square zero meeting once name index 0.  The
-    surface is named only when exactly one index is; anything else is
-    ``Inconclusive`` rather than guessed.
+    -n names Hirzebruch(n) only if its K-degree is n - 2, so that it can be a
+    smooth rational section; two tracked rulings of square zero meeting once
+    name index 0.  A surface is named only when exactly one index is;
+    anything else is ``Inconclusive`` rather than guessed.
     """
     leftovers = find_minus_one_lines(surf)
     if leftovers:

@@ -5,6 +5,7 @@ output has to declare it and pin the new digest."""
 
 import hashlib
 import io
+import itertools
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -92,15 +93,15 @@ def cli_runs(tmp):
     """(argv, exit code, stdout, stderr) of every corpus run, with the
     directory `tmp` that holds the input files written as ``TMP``."""
     rng = random.Random(17)
-    files = iter(range(10**6))
+    files = itertools.count()
 
-    def write(text, data=None):
+    def write(data):
         path = tmp / f"in{next(files)}"
-        if data is None:
-            path.write_text(text, encoding="utf-8")
-        else:
-            path.write_bytes(data)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
         return str(path)
+
+    def mask(text):
+        return text.replace(str(tmp), "TMP")
 
     argvs = []
     for k in range(30):
@@ -135,14 +136,13 @@ def cli_runs(tmp):
         ["replay", "a a'", write("rotate x\n")],
         ["replay", "a a'", write("warp 1\n")],
         ["replay", "a a'", write("rename q r\n")],
-        ["glue", write("", b"a b\n# caf\xe9\na' b'\n")],
+        ["glue", write(b"a b\n# caf\xe9\na' b'\n")],
         ["glue", write("a b\nc c\n")],
     ]
     runs = []
     for argv in argvs:
         code, out, err = _run(argv)
-        mask = [text.replace(str(tmp), "TMP") for text in argv + [out, err]]
-        runs.append((mask[:-2], code, *mask[-2:]))
+        runs.append(([mask(arg) for arg in argv], code, mask(out), mask(err)))
     return runs
 
 

@@ -17,7 +17,7 @@ from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
-from .words import InternalInvariantError, ValidationError
+from .words import InternalInvariantError, ValidationError, _Value
 
 
 # ---------------------------------------------------------------------------
@@ -45,22 +45,22 @@ def blowup_chart_transition(t: complex, u: complex) -> Tuple[complex, complex]:
     return (1 / t, t * complex(u))
 
 
-@dataclass(frozen=True)
-class BaseSurface:
+class BaseSurface(_Value):
     """Minimal rational surface: the projective plane or a Hirzebruch
     surface of non-negative index, the base a script starts from and the
     answer a reduction names."""
 
-    kind: str
-    index: int = 0
+    __slots__ = ("kind", "index")
 
-    def __post_init__(self):
-        if self.kind not in ("cp2", "hirzebruch"):
-            raise ValidationError(f"unknown base surface kind {self.kind!r}")
-        if self.kind == "cp2" and self.index != 0:
+    def __init__(self, kind: str, index: int = 0) -> None:
+        if kind not in ("cp2", "hirzebruch"):
+            raise ValidationError(f"unknown base surface kind {kind!r}")
+        if kind == "cp2" and index != 0:
             raise ValidationError("the projective plane carries no index")
-        if self.kind == "hirzebruch" and self.index < 0:
+        if kind == "hirzebruch" and index < 0:
             raise ValidationError("Hirzebruch index must be non-negative")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def cp2(cls) -> "BaseSurface":
@@ -95,14 +95,13 @@ def projectivize(a: int, b: int) -> BaseSurface:
 # divisor classes
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Value):
     """Integer coordinate vector in a surface's current lattice basis."""
 
-    coords: Tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple([int(c) for c in self.coords]))
+    def __init__(self, coords: Iterable[int]) -> None:
+        object.__setattr__(self, "coords", tuple([int(c) for c in coords]))
 
     @classmethod
     def _from_checked(cls, coords: Tuple[int, ...]) -> "DivisorClass":
@@ -459,15 +458,17 @@ def euler_characteristic_cx(surf: RationalSurface) -> int:
     return surf.rank + 2
 
 
-@dataclass(frozen=True)
-class TopologicalModel:
+class TopologicalModel(_Value):
     """Connected-sum reading of the lattice: a minimal base with
     ``reversed_cp2_summands`` reversed-orientation projective planes."""
 
-    base: BaseSurface
-    reversed_cp2_summands: int
-    euler: int
-    b2: int
+    __slots__ = ("base", "reversed_cp2_summands", "euler", "b2")
+
+    def __init__(self, base: BaseSurface, reversed_cp2_summands: int, euler: int, b2: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "reversed_cp2_summands", reversed_cp2_summands)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "b2", b2)
 
 
 def topological_model(surf: RationalSurface) -> TopologicalModel:

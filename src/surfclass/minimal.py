@@ -10,7 +10,6 @@ report records the order taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, List, Tuple
 
@@ -21,31 +20,36 @@ from .lattice import (
     blow_down,
     intersect,
 )
-from .words import InternalInvariantError, ValidationError
+from .words import InternalInvariantError, ValidationError, _Value
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(_Value):
     """A minimal lattice that cannot be named, by its rank and parity: at rank
     two the lattice alone pins the Hirzebruch index only mod 2, and no one
     index is named by the tracked rational sections and rulings."""
 
-    rank: int
-    even: bool
+    __slots__ = ("rank", "even")
+
+    def __init__(self, rank: int, even: bool) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "even", even)
 
     def __str__(self) -> str:
         return f"Inconclusive(rank={self.rank}, parity={'even' if self.even else 'odd'})"
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(_Value):
     """Log of a full reduction: each contracted line with the class it had
     when contracted, the minimal surface named (or ``Inconclusive``), and
     the ending surface."""
 
-    steps: Tuple[Tuple[str, DivisorClass], ...]
-    final: BaseSurface | Inconclusive
-    final_surface: RationalSurface
+    __slots__ = ("steps", "final", "final_surface")
+
+    def __init__(self, steps: Tuple[Tuple[str, DivisorClass], ...],
+                 final: BaseSurface | Inconclusive, final_surface: RationalSurface) -> None:
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "final_surface", final_surface)
 
 
 def _minus_one_lines(surf: RationalSurface) -> Iterator[str]:

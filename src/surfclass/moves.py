@@ -15,7 +15,7 @@ were checked when that word was made, so only a name the move introduces
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Union
 
 from .words import (
@@ -24,6 +24,7 @@ from .words import (
     ValidationError,
     Word,
     _SYMBOL,
+    _Value,
     _check_symbol,
     _join_on_symbol,
     _lines,
@@ -45,54 +46,66 @@ class ReplayError(SurfclassError):
 # ---------------------------------------------------------------------------
 
 
-class _Step:
+class _Step(_Value):
     """A move renders as its trace keyword followed by its fields in order;
     `_GRAMMAR` holds the keywords."""
 
+    __slots__ = ()
+
     def render(self) -> str:
-        # a dataclass instance's __dict__ holds its fields in field order
-        return _LINE[type(self)].format(*self.__dict__.values())
+        line, fields = _LINE[type(self)]
+        return line % fields(self)
 
 
-@dataclass(frozen=True)
 class Rotate(_Step):
-    offset: int
+    __slots__ = ("offset",)
+
+    def __init__(self, offset: int) -> None:
+        object.__setattr__(self, "offset", offset)
 
 
-@dataclass(frozen=True)
 class Reflect(_Step):
     """Read the word backwards, inverting every letter."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Rename(_Step):
-    old: str
-    new: str
+    __slots__ = ("old", "new")
+
+    def __init__(self, old: str, new: str) -> None:
+        object.__setattr__(self, "old", old)
+        object.__setattr__(self, "new", new)
 
 
-@dataclass(frozen=True)
 class FlipEdge(_Step):
     """Negate both occurrences of one symbol, reversing that side's arrow."""
 
-    symbol: str
+    __slots__ = ("symbol",)
+
+    def __init__(self, symbol: str) -> None:
+        object.__setattr__(self, "symbol", symbol)
 
 
-@dataclass(frozen=True)
 class Cancel(_Step):
     """Delete the adjacent inverse pair at (position, position+1)."""
 
-    position: int
+    __slots__ = ("position",)
+
+    def __init__(self, position: int) -> None:
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
 class Insert(_Step):
     """Insert a fresh inverse pair before `position`; undoes Cancel."""
 
-    position: int
-    symbol: str
+    __slots__ = ("position", "symbol")
+
+    def __init__(self, position: int, symbol: str) -> None:
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "symbol", symbol)
 
 
-@dataclass(frozen=True)
 class CutPaste(_Step):
     """Cut along a diagonal from corner i to corner j, then re-paste.
 
@@ -102,17 +115,21 @@ class CutPaste(_Step):
     word and `paste` leaves it.
     """
 
-    i: int
-    j: int
-    fresh: str
-    paste: str
+    __slots__ = ("i", "j", "fresh", "paste")
+
+    def __init__(self, i: int, j: int, fresh: str, paste: str) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "fresh", fresh)
+        object.__setattr__(self, "paste", paste)
 
 
 Move = Union[Rotate, Reflect, Rename, FlipEdge, Cancel, Insert, CutPaste]
 
 # the trace grammar: each keyword with its move and one reader per field,
 # which parses that field's text; `_Step.render` writes the line back from
-# the format `_LINE` builds for each move
+# the format `_LINE` builds for each move, filled by a C-level getter of the
+# move's fields (one value, or a tuple of them)
 _GRAMMAR: dict[str, tuple[type, tuple[Callable[[str], object], ...]]] = {
     "rotate": (Rotate, (_read_int,)),
     "reflect": (Reflect, ()),
@@ -122,7 +139,8 @@ _GRAMMAR: dict[str, tuple[type, tuple[Callable[[str], object], ...]]] = {
     "insert": (Insert, (_read_int, str)),
     "cutpaste": (CutPaste, (_read_int, _read_int, str, str)),
 }
-_LINE = {move: " ".join([keyword] + ["{}"] * len(readers))
+_LINE = {move: (" ".join([keyword] + ["%s"] * len(readers)),
+                attrgetter(*move.__slots__) if readers else lambda step: ())
          for keyword, (move, readers) in _GRAMMAR.items()}
 
 
@@ -269,12 +287,14 @@ def apply_move(word: Word, move: Move) -> Word:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MoveTrace:
+class MoveTrace(_Value):
     """A classification certificate: an initial word and a move sequence."""
 
-    initial: Word
-    steps: tuple[Move, ...]
+    __slots__ = ("initial", "steps")
+
+    def __init__(self, initial: Word, steps: tuple[Move, ...]) -> None:
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "steps", steps)
 
     def render(self) -> str:
         return "\n".join(step.render() for step in self.steps)

@@ -11,7 +11,6 @@ statement.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .lattice import (
@@ -25,7 +24,7 @@ from .lattice import (
     make_base,
 )
 from .minimal import ReductionReport, minimal_model
-from .words import SurfclassError, ValidationError, _DIGITS, _NAME, _lines, _read_int
+from .words import SurfclassError, ValidationError, _DIGITS, _NAME, _Value, _lines, _read_int
 
 
 class ScriptError(SurfclassError):
@@ -83,16 +82,18 @@ def parse_class_expr(expr: str, surf: RationalSurface) -> DivisorClass:
     return DivisorClass(tuple(coords))
 
 
-@dataclass
-class ScriptOutcome:
+class ScriptOutcome(_Value):
     """Everything a script run produced.
 
     ``events`` interleaves report snapshots and reduction reports in script
     order, tagged ``("report", str)`` or ``("reduction", ReductionReport)``.
     """
 
-    surface: RationalSurface
-    events: List[Tuple[str, object]] = field(default_factory=list)
+    __slots__ = ("surface", "events")
+
+    def __init__(self, surface: RationalSurface, events: Optional[List] = None) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "events", [] if events is None else events)
 
     @property
     def reports(self) -> List[str]:

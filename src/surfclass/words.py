@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, neg
-from string import ascii_lowercase
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -129,8 +127,37 @@ def _least_rotation(s: tuple[Letter, ...]) -> int:
     return k
 
 
-@dataclass(frozen=True, eq=False)
-class Word:
+class _Value:
+    """Base of the immutable value types.  A subclass names its fields in
+    ``__slots__`` and sets them in its own ``__init__`` through
+    ``object.__setattr__``; values are equal only to the same type with equal
+    fields, hash alike when equal, and print as ``Type(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Value):
     """A cyclic sequence of letters.
 
     The stored rotation is meaningful for traces (move positions refer to it),
@@ -141,8 +168,12 @@ class Word:
     test, hash or ``display`` and kept.
     """
 
-    letters: tuple[Letter, ...]
-    _key: tuple[Letter, ...] | None = field(default=None, init=False, repr=False)
+    __slots__ = ("letters", "_key")
+
+    def __init__(self, letters: Sequence[Letter]) -> None:
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_key", None)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
@@ -305,7 +336,7 @@ def mint_fresh(used: set[str]) -> str:
     suffix = 0
     while True:
         tail = "" if suffix == 0 else str(suffix)
-        for ch in ascii_lowercase:
+        for ch in "abcdefghijklmnopqrstuvwxyz":
             name = ch + tail
             if name not in used:
                 return name
@@ -403,22 +434,22 @@ def is_orientable(word: Word) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(_Value):
     """Sphere, orientable genus g, or non-orientable with k cross-caps.
 
     `genus` counts handles when orientable (0 means the sphere) and
     cross-caps otherwise.
     """
 
-    orientable: bool
-    genus: int
+    __slots__ = ("orientable", "genus")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(self, orientable: bool, genus: int) -> None:
+        if genus < 0:
             raise ValidationError("genus must be non-negative")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise ValidationError("a non-orientable surface has at least one cross-cap")
+        object.__setattr__(self, "orientable", orientable)
+        object.__setattr__(self, "genus", genus)
 
     @classmethod
     def sphere(cls) -> "SurfaceType":
@@ -508,16 +539,15 @@ def canonical_word(t: SurfaceType) -> Word:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolygonSet:
+class PolygonSet(_Value):
     """Polygons sharing one symbol namespace; symbols pair across the set."""
 
-    polygons: tuple[Word, ...]
+    __slots__ = ("polygons",)
 
-    def __post_init__(self) -> None:
-        if not self.polygons:
+    def __init__(self, polygons: Sequence[Word]) -> None:
+        if not polygons:
             raise ValidationError("a polygon set must contain at least one polygon")
-        object.__setattr__(self, "polygons", tuple(self.polygons))
+        object.__setattr__(self, "polygons", tuple(polygons))
 
 
 def validate_polygon_set(polys: PolygonSet) -> PolygonSet:

@@ -118,13 +118,18 @@ def test_every_private_definition_is_referenced():
 
 @pytest.mark.parametrize(
     "rule",
-    [r'split\("#"', r"\[0-9\]", r"A-Za-z0-9_", r"\\\^-1", r"args\.json", r"json\.dumps"],
-    ids=["comment", "ascii-integer", "name", "inverse", "json-choice", "json-print"],
+    [r'split\("#"', r"\[0-9\]", r"A-Za-z0-9_", r"\\\^-1", r"args\.json", r"json\.dumps",
+     r"@dataclass"],
+    ids=["comment", "ascii-integer", "name", "inverse", "json-choice", "json-print",
+         "dataclass"],
 )
 def test_line_and_number_rules_are_written_once(rule):
     # traces, polygon files and scripts share one line reader, one
     # ASCII-integer pattern and one name pattern, and word text one
     # inverse-mark pattern, all in words.py; the command line chooses
-    # between JSON and text, and prints JSON, in one place in main
+    # between JSON and text, and prints JSON, in one place in main; and
+    # RationalSurface is the one dataclass, kept so that dataclasses.replace
+    # on it re-runs its checks, while every other value type is a slotted
+    # class on the immutable base in words.py
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert sum(len(re.findall(rule, text)) for text in sources) == 1

@@ -211,5 +211,5 @@ def run_script(text: str) -> ScriptOutcome:
         except ValidationError as e:
             raise ScriptError(str(e), line_no)
     if surf is None:
-        raise ScriptError("script is empty", max(1, text.count("\n") + 1))
+        raise ScriptError("script is empty", max(1, len(text.splitlines())))
     return ScriptOutcome(surf, events)

@@ -18,7 +18,7 @@ SECTION_SCRIPTS = [
     "base hirzebruch 0\nline A = S - F\nminimal-model\n",
     "base hirzebruch 1\nblowup on S\nblowup on F E1\nminimal-model\n",
 ]
-DIGEST = "2822a2d2cdb7a237f57297f99b7cf8aac09ced17f4720c0755384e7b4616206d"
+DIGEST = "a1c4add3bfc7a01711e44e44a85186cfdd30f1db29282fd69ae705e44030cb50"
 
 
 def _word(rng, pairs, orientable):
@@ -132,6 +132,7 @@ def cli_runs(tmp):
         ["sum", "a a", ""],
         ["rational", write("base cp2\nfrobnicate\n")],
         ["rational", write("base cp2\nline L = H + Q\n")],
+        # a one-line file: "error: line 1: script is empty"
         ["rational", write("# nothing but a comment\n")],
         ["replay", "a a'", write("rotate x\n")],
         ["replay", "a a'", write("warp 1\n")],

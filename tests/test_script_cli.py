@@ -120,7 +120,7 @@ def test_script_blowup_on_tracked_line():
         ("base cp2\nblowdown\n", 2, "expected 'blowdown <name>'"),
         ("base cp2\nblowdown Z\n", 2, "unknown line name 'Z'"),
         ("base cp2\nminimal-model now\n", 2, "takes no arguments"),
-        ("# nothing\n\n", 3, "script is empty"),
+        ("# nothing\n\n", 2, "script is empty"),
     ],
 )
 def test_script_errors_carry_line_numbers(script, line_no, fragment):

@@ -128,8 +128,7 @@ Move = Union[Rotate, Reflect, Rename, FlipEdge, Cancel, Insert, CutPaste]
 
 # the trace grammar: each keyword with its move and one reader per field,
 # which parses that field's text; `_Step.render` writes the line back from
-# the format `_LINE` builds for each move, filled by a C-level getter of the
-# move's fields (one value, or a tuple of them)
+# the format `_LINE` builds for each move, filled by a getter of its fields
 _GRAMMAR: dict[str, tuple[type, tuple[Callable[[str], object], ...]]] = {
     "rotate": (Rotate, (_read_int,)),
     "reflect": (Reflect, ()),

@@ -129,9 +129,9 @@ def _least_rotation(s: tuple[Letter, ...]) -> int:
 
 class _Value:
     """Base of the immutable value types.  A subclass names its fields in
-    ``__slots__`` and sets them in its own ``__init__`` through
-    ``object.__setattr__``; values are equal only to the same type with equal
-    fields, hash alike when equal, and print as ``Type(field=value, ...)``."""
+    ``__slots__`` and sets them in its ``__init__`` through ``object.__setattr__``.
+    Values equal only the same type with equal fields, hash alike when equal,
+    print as ``Type(field=value, ...)``, and copy and pickle by constructor."""
 
     __slots__ = ()
 
@@ -139,9 +139,7 @@ class _Value:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -155,6 +153,9 @@ class _Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 class Word(_Value):
@@ -217,6 +218,9 @@ class Word(_Value):
 
     def __repr__(self) -> str:
         return f"Word({self.render()!r})"
+
+    def __reduce__(self) -> tuple:
+        return Word, (self.letters,)
 
     def symbols(self) -> set[str]:
         return set(map(_SYMBOL, self.letters))

@@ -3,7 +3,9 @@ immutability, the ``Type(field=value, ...)`` repr and the constructor forms
 callers use.  ``RationalSurface`` is a frozen dataclass, so
 ``dataclasses.replace`` on it re-runs its checks."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -113,6 +115,13 @@ def test_values_cannot_be_changed(name):
         with pytest.raises(AttributeError):
             delattr(value, target)
     assert value == _value(name)
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_survive_copy_and_pickle(name):
+    value = _value(name)
+    for twin in [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]:
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
 
 def test_value_reprs():

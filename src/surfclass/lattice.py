@@ -138,6 +138,7 @@ class DivisorClass(_Value):
 # rational surfaces
 
 
+# the one dataclass among the value types, so that dataclasses.replace re-runs its checks
 @dataclass(frozen=True)
 class RationalSurface:
     """A rational surface presented by its Picard lattice.

@@ -17,7 +17,7 @@ from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
-from .words import InternalInvariantError, ValidationError, _Value
+from .words import InternalInvariantError, ValidationError, _as_int, _Value
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,7 @@ class BaseSurface(_Value):
     def __init__(self, kind: str, index: int = 0) -> None:
         if kind not in ("cp2", "hirzebruch"):
             raise ValidationError(f"unknown base surface kind {kind!r}")
+        index = _as_int(index, "base surface index")
         if kind == "cp2" and index != 0:
             raise ValidationError("the projective plane carries no index")
         if kind == "hirzebruch" and index < 0:
@@ -101,7 +102,7 @@ class DivisorClass(_Value):
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int]) -> None:
-        object.__setattr__(self, "coords", tuple([int(c) for c in coords]))
+        object.__setattr__(self, "coords", tuple([_as_int(c, "class coordinate") for c in coords]))
 
     @classmethod
     def _from_checked(cls, coords: Tuple[int, ...]) -> "DivisorClass":

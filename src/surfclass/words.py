@@ -335,6 +335,18 @@ def _read_int(text: str) -> int:
         raise ValueError(f"number is too long ({len(text.lstrip('-'))} digits)") from None
 
 
+def _as_int(value: object, what: str) -> int:
+    """``value`` as an int if it is an integral number (a bool or 2.0 is, a
+    digit string is not), else ValidationError naming ``what``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def mint_fresh(used: set[str]) -> str:
     """First symbol not in `used`, scanning a, b, ..., z, a1, b1, ..."""
     suffix = 0
@@ -448,6 +460,7 @@ class SurfaceType(_Value):
     __slots__ = ("orientable", "genus")
 
     def __init__(self, orientable: bool, genus: int) -> None:
+        genus = _as_int(genus, "genus")
         if genus < 0:
             raise ValidationError("genus must be non-negative")
         if not orientable and genus < 1:

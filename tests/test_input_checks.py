@@ -11,6 +11,7 @@ from surfclass.orbit import orbit_oracle
 from surfclass.words import (
     InternalInvariantError,
     PolygonSet,
+    SurfaceType,
     ValidationError,
     parse_word,
     surface_type_from_invariants,
@@ -48,9 +49,16 @@ def _cp2_with(**fields):
          "the projective plane carries no index"),
         (lambda: blowup_chart_transition(0, 1), ValidationError,
          "chart overlap excludes t = 0"),
+        (lambda: make_base(BaseSurface("hirzebruch", 2.5)), ValidationError,
+         "base surface index must be an integer, got 2.5"),
+        (lambda: DivisorClass((1.7, -0.5)), ValidationError,
+         "class coordinate must be an integer, got 1.7"),
+        (lambda: DivisorClass("12"), ValidationError,
+         "class coordinate must be an integer, got '1'"),
     ],
     ids=["gram-shape", "asymmetric", "canonical-dim", "tracked-dim", "tracked-names",
-         "rank-below-base", "cp2-index", "chart-origin"],
+         "rank-below-base", "cp2-index", "chart-origin", "fractional-index",
+         "fractional-coordinate", "string-coordinates"],
 )
 def test_lattice_input_checks(build, error, message):
     _raises(build, error, message)
@@ -90,8 +98,9 @@ def test_moves_input_checks(word, move, message):
          "orientable surface with odd Euler characteristic 1"),
         (lambda: PolygonSet(()), ValidationError,
          "a polygon set must contain at least one polygon"),
+        (lambda: SurfaceType(True, 1.5), ValidationError, "genus must be an integer, got 1.5"),
     ],
-    ids=["odd-orientable-chi", "empty-polygon-set"],
+    ids=["odd-orientable-chi", "empty-polygon-set", "fractional-genus"],
 )
 def test_words_input_checks(build, error, message):
     _raises(build, error, message)

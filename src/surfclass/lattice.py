@@ -13,8 +13,8 @@ chart maps used for the bundle cocycle checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import mul
+from itertools import compress, count
+from operator import mul, ne
 from typing import Iterable, Sequence, Tuple
 
 from .words import InternalInvariantError, ValidationError, _as_int, _Value
@@ -284,30 +284,19 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     drops the contracted class.  Lines whose class collapses to zero were
     other names for the contracted curve and are removed.
 
-    There is one path, in integers, driven by w = G c, summed from the Gram
-    rows at the nonzero entries of c.  Not every -1 class pairs to a unit
-    with some basis vector: 6H - 2E1 - ... - 2E7 - 3E8 pairs to 6, 2, ...,
-    2, 3.  So Euclid's algorithm first runs on w as unimodular basis changes
-    e_i <- e_i - q e_j, each an O(n) row and column update of the Gram
-    matrix, until some entry w_p is a unit.  It must get there because
-    gcd(w) = 1 (c.c = -1), it takes O(log max|w|) steps, and it takes none
-    when w already has a unit.  The complement basis is then e_i - s w_i e_p
-    for i != p with s = w_p, each row signed so its first nonzero entry in
-    the old coordinates is positive, whether or not Euclid ran.  The new
-    Gram matrix is a rank-one update of the reduced one and a moved class
-    keeps its reduced coordinates with slot p dropped, so the contraction
-    costs O(n^2) integer operations at most and needs no solve.
-
-    Everything after w works only on the support of w.  A slot with
-    w_i = 0 is an untouched old basis vector: it keeps its name and its
-    sign, and its Gram row is the old row with slot p dropped, patched only
-    at the columns where w is nonzero; only the rows with w_i != 0 are
-    recomputed in full and renamed with a fresh ``B`` name.  A tracked
-    class l moves by (l.c) c with l.c summed over the support of w; when
-    l.c = 0, as for most lines, the moved class is l with slot p dropped
-    and the signs flipped at the few negated slots.  Contracting a fresh
-    exceptional curve, whose w has the pivot as its only nonzero entry,
-    slices every row, name and class and recomputes nothing.
+    The basis is reached by one step, e_i <- s (e_i - q e_j) with s = +-1,
+    an O(n) update of row and column i of the Gram matrix and of w = G c.
+    Not every -1 class pairs to a unit with some basis vector
+    (6H - 2E1 - ... - 2E7 - 3E8 pairs to 6, 2, ..., 2, 3), so Euclid's
+    algorithm first takes such steps until some w_p is a unit, which it
+    reaches because gcd(w) = 1 (c.c = -1).  Then each other slot a with
+    w_a != 0 takes the step e_a <- s_a (e_a - w_p w_a e_p), which zeroes
+    w_a; s_a makes the first nonzero entry of e_a in the old coordinates
+    positive.  The slots off p now span the complement, and slot p is
+    dropped.  A class is pushed by replaying the steps on its coordinates,
+    and lies in the complement exactly when its coordinate at p is then
+    zero.  A fresh exceptional curve, whose w is nonzero only at the pivot,
+    takes no step, so its contraction only slices.
     """
     c = surf.tracked_class(line)
     c2 = intersect(surf, c, c)
@@ -322,27 +311,40 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         )
 
     n = surf.rank
-    g = surf.gram
+    g = list(surf.gram)
     w = [0] * n
     for j in compress(range(n), c.coords):
         a = c.coords[j]
         w = [x + a * y for x, y in zip(w, g[j])]
     support = list(compress(range(n), w))
+    w_support = [w[i] for i in support]
 
-    # Euclid on w: reduce some entry not divisible by the smallest one, w_j,
-    # to a remainder of at most |w_j| / 2.  Only w_i changes, and never to
-    # zero, so the support of w stays the same and a unit can only appear
-    # at w_i.  ``frame`` holds each changed basis vector in the old
-    # coordinates, ``steps`` the changes in order.
+    # the basis changes in order, and each changed basis vector in the old coordinates
     steps = []
     frame = {}
 
     def vec(k: int) -> list:
         return frame[k] if k in frame else [0] * k + [1] + [0] * (n - k - 1)
 
+    def change(i: int, j: int, q: int, s: int = 1) -> None:
+        # e_i <- s (e_i - q e_j): row i, then column i, which by symmetry
+        # takes the entries of the new row; only rows whose entry moves are rebuilt
+        old = g[i]
+        row = [s * (a - q * b) for a, b in zip(old, g[j])]
+        row[i] = s * (row[i] - q * row[j])
+        g[i] = tuple(row)
+        for k in compress(range(n), map(ne, row, old)):
+            if k != i:
+                g[k] = g[k][:i] + (row[k],) + g[k][i + 1:]
+        w[i] = s * (w[i] - q * w[j])
+        frame[i] = [s * (a - q * b) for a, b in zip(vec(i), vec(j))]
+        steps.append((i, j, q, s))
+
+    # Euclid on w: reduce some entry not divisible by the smallest one, w_j,
+    # to a remainder of at most |w_j| / 2.  Only w_i changes, and never to
+    # zero, so the support of w stays the same and a unit can only appear
+    # at w_i.
     p = next((i for i in support if abs(w[i]) == 1), None)
-    if p is None:
-        g = [list(row) for row in g]
     while p is None:
         m, j = min([(abs(w[k]), k) for k in support])
         i = next((k for k in support if w[k] % m), None)
@@ -351,92 +353,41 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         q, r = divmod(w[i], w[j])
         if 2 * abs(r) > m:
             q += 1
-        w[i] -= q * w[j]
-        for row in g:
-            row[i] -= q * row[j]
-        g[i] = [a - q * b for a, b in zip(g[i], g[j])]
-        frame[i] = [a - q * b for a, b in zip(vec(i), vec(j))]
-        steps.append((i, j, q))
+        change(i, j, q)
         p = i if abs(w[i]) == 1 else None
 
-    # basis row i is sigma_i (e_i - u_i e_p) with u = s w, so u, sigma and
-    # the fresh names live on ``moved``, the support of w off the pivot;
-    # every other slot keeps sigma_i = +1.  sigma_i makes the first nonzero
-    # entry of the row in the old coordinates positive.  A changed slot
-    # never has w_i = 0, so the slots off ``moved`` are exactly the
-    # untouched old basis vectors.
-    u = {i: w[p] * w[i] for i in support}
     moved = [i for i in support if i != p]
-    sigma = {}
-    for i in moved:
-        ui = u[i]
-        lead = next(a - ui * b for a, b in zip(vec(i), vec(p)) if a != ui * b)
-        sigma[i] = 1 if lead > 0 else -1
-
-    # entry (a, b) of the new Gram matrix pairs sigma_a (e_a - u_a e_p) with
-    # sigma_b (e_b - u_b e_p).  Each reduced Gram row g_a with a in ``moved``
-    # first becomes sigma_a (g_a - u_a g_p); p is not in ``moved``, so g_p
-    # is unchanged.  Every row then drops slot p, row p is dropped, and each
-    # row x takes sigma_b (x_b - u_b x_p) at the columns b in ``moved``.
-    # Basis changes leave at least two slots in the support, so rows copied
-    # to lists for them come back as tuples here.
-    g = list(g)
     for a in moved:
-        ua, sa = u[a], sigma[a]
-        g[a] = [sa * (x - ua * y) for x, y in zip(g[a], g[p])]
-    rows = [ga[:p] + ga[p + 1:] for ga in g]
-    del rows[p]
-    if moved:
-        patch = [(b - (b > p), b, u[b], sigma[b]) for b in moved]
-        for k, row in enumerate(rows):
-            x = g[k + (k >= p)]
-            xp = x[p]
-            row = list(row)
-            for kb, b, ub, sb in patch:
-                row[kb] = sb * (x[b] - ub * xp)
-            rows[k] = tuple(row)
-    gram = tuple(rows)
+        q = w[p] * w[a]
+        lead = next(x - q * y for x, y in zip(vec(a), vec(p)) if x != q * y)
+        change(a, p, q, 1 if lead > 0 else -1)
 
-    names = surf.basis[:p] + surf.basis[p + 1:]
+    del g[p]
+    gram = tuple([row[:p] + row[p + 1:] for row in g])
+    names = list(surf.basis)
     if moved:
-        names = list(names)
-        avoid = set(surf.basis) | {nm for nm, _ in surf.tracked}
-        mint = 1
-        for i in moved:
-            while f"B{mint}" in avoid:
-                mint += 1
-            names[i - (i > p)] = f"B{mint}"
-            mint += 1
-        names = tuple(names)
+        avoid = set(names) | {nm for nm, _ in surf.tracked}
+        fresh = (nm for nm in map("B{}".format, count(1)) if nm not in avoid)
+        for i, nm in zip(moved, fresh):
+            names[i] = nm
+    del names[p]
+    names = tuple(names)
     if len(set(names)) != len(names):
         raise InternalInvariantError("duplicate basis name after contraction")
 
-    def reduced(cls: Sequence[int]) -> list:
-        # coordinates after the basis changes: e_i <- e_i - q e_j moves
-        # x_i of the old e_i onto x_j
-        x = list(cls)
-        for i, j, q in steps:
-            x[j] += q * x[i]
-        return x
-
-    cr = reduced(c.coords)
-    w_support = [w[i] for i in support]
-    negated = [i - (i > p) for i in moved if sigma[i] < 0]
-
     def push(cls: Sequence[int]) -> Tuple[int, ...]:
-        # l + (l.c) c in reduced coordinates, slot p dropped, signed by sigma
-        x = reduced(cls) if steps else cls
-        lc = sum(map(mul, map(x.__getitem__, support), w_support))
-        if lc:
-            x = [a + lc * b for a, b in zip(x, cr)]
-            if sum(map(mul, map(x.__getitem__, support), w_support)) != 0:
-                raise InternalInvariantError("class does not lie in the sublattice")
-        x = x[:p] + x[p + 1:]
-        if negated:
+        # l + (l.c) c in the old coordinates, then in the new basis: the
+        # step e_i <- s (e_i - q e_j) moves q x_i onto x_j and signs x_i
+        lc = sum(map(mul, map(cls.__getitem__, support), w_support))
+        x = [a + lc * b for a, b in zip(cls, c.coords)] if lc else cls
+        if steps:
             x = list(x)
-            for k in negated:
-                x[k] = -x[k]
-        return tuple(x)
+            for i, j, q, s in steps:
+                x[j] += q * x[i]
+                x[i] *= s
+        if x[p]:
+            raise InternalInvariantError("class does not lie in the sublattice")
+        return tuple(x[:p] + x[p + 1:])
 
     canonical = DivisorClass._from_checked(
         push([k - ci for k, ci in zip(surf.canonical.coords, c.coords)])
@@ -448,9 +399,7 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
             if any(x):
                 tracked.append((nm, DivisorClass._from_checked(x)))
 
-    base = surf.base
-    if n - 1 < base.rank:
-        base = BaseSurface.cp2()
+    base = surf.base if n - 1 >= surf.base.rank else BaseSurface.cp2()
     return RationalSurface(base, names, gram, canonical, tuple(tracked))
 
 

@@ -458,12 +458,12 @@ def _dense_unit_pivot_blow_down(surf, line):
 
 
 def _recording_blow_down(updates):
-    """``blow_down`` that also appends (n, pivot, u, sigma, pushes) of each
-    contraction to ``updates``: the rank, the pivot, ``u`` and ``sigma`` on
-    the support of w, and for each class it pushed forward whether l.c was
-    nonzero.  They are read off the frames of ``blow_down`` and of its
-    nested ``push`` as they return, so a corpus can show which cases of the
-    Gram update and of the pushforward it reached."""
+    """``blow_down`` that also appends (n, p, support, steps, pushes) of each
+    contraction to ``updates``: the rank, the pivot, the support of w = G c,
+    the basis changes (i, j, q, s) in order, and for each class it pushed forward
+    whether l.c was nonzero.  They are read off the frames of ``blow_down``
+    and of its nested ``push`` as they return, so a corpus can show which
+    cases of the basis change and of the pushforward it reached."""
     code = blow_down.__code__
     push_code = next(k for k in code.co_consts if getattr(k, "co_name", None) == "push")
     pushes = []
@@ -476,7 +476,7 @@ def _recording_blow_down(updates):
             pushes.append(f["lc"] != 0)
         elif frame.f_code is code:
             f = frame.f_locals
-            updates.append((f["n"], f["p"], f["u"], f["sigma"], tuple(pushes)))
+            updates.append((f["n"], f["p"], f["support"], f["steps"], tuple(pushes)))
             pushes.clear()
 
     def contract(surf, line):
@@ -491,17 +491,18 @@ def _recording_blow_down(updates):
 
 
 def _assert_update_cases_reached(updates):
-    """The corpus reaches every case of the support-sparse Gram update and
-    both cases of the pushforward."""
-    # a row with u_a = 0 patched at a column with u_b != 0: the support of u
-    # has the pivot, another slot, and misses a third
-    assert any(1 < len(u) < n for n, _, u, _, _ in updates)
-    # a row sign sigma_b = -1
-    assert any(-1 in sigma.values() for _, _, _, sigma, _ in updates)
-    # a row off the pivot with u_a != 0, which takes the full formula
-    assert any(len(u) > 1 for _, _, u, _, _ in updates)
-    # a class with l.c = 0, pushed by slicing slot p out, and a class with
-    # l.c != 0, moved by (l.c) c and checked to lie in the complement
+    """The corpus reaches every case of the complement basis change and both
+    cases of the pushforward."""
+    # a slot with w_a = 0 that no step touches beside one that a step moves:
+    # the support of w has the pivot, another slot, and misses a third
+    assert any(1 < len(support) < n for n, _, support, _, _ in updates)
+    # a complement step e_a <- -(e_a - q e_p), which negates its new basis
+    # vector; Euclid's steps keep s = +1
+    assert any(j == p and s == -1 for _, p, _, steps, _ in updates for _, j, _, s in steps)
+    # a complement step at all: a slot off the pivot with w_a != 0
+    assert any(len(support) > 1 for _, _, support, _, _ in updates)
+    # a class with l.c = 0, pushed by replaying the steps on its coordinates,
+    # and a class with l.c != 0, first moved by (l.c) c
     assert {moves for *_, pushes in updates for moves in pushes} == {False, True}
 
 
@@ -538,13 +539,19 @@ def test_blow_down_matches_dense_reference():
 
 
 def test_blow_down_guards_pushforward(monkeypatch):
-    # H on the plane blown up once is a +1 line; if the -1 checks are
-    # fooled, the moved canonical class is not orthogonal to H and the
-    # unit-pivot pushforward must refuse it
-    s = blow_up(make_base(BaseSurface.cp2()))
+    # if the -1 checks are fooled, the moved canonical class keeps a nonzero
+    # pivot coordinate and the pushforward must refuse it: H on the plane
+    # blown up once is a +1 line with a unit pivot; C = (2, 3) on the form
+    # diag(-1, 3) has C.C = 23 and pairs to w = (-2, 9), so Euclid runs first
+    unit = blow_up(make_base(BaseSurface.cp2()))
+    euclid = RationalSurface(
+        BaseSurface.hirzebruch(0), ("S", "F"), ((-1, 0), (0, 3)), DivisorClass((0, 0)),
+        (("C", DivisorClass((2, 3))),),
+    )
     monkeypatch.setattr(lattice, "intersect", lambda surf, a, b: -1)
-    with pytest.raises(InternalInvariantError, match="does not lie in the sublattice"):
-        blow_down(s, "H")
+    for surf, line in [(unit, "H"), (euclid, "C")]:
+        with pytest.raises(InternalInvariantError, match="does not lie in the sublattice"):
+            blow_down(surf, line)
 
 
 def test_blow_down_without_unit_pivot_from_script():

@@ -10,7 +10,7 @@ interact.
 
 from __future__ import annotations
 
-from .words import SurfaceType, Word, mint_fresh, validate
+from .words import SurfaceType, Word, mint_fresh, surface_type_from_invariants, validate
 
 
 def connected_sum_words(w1: Word, w2: Word) -> Word:
@@ -38,19 +38,12 @@ def connected_sum_words(w1: Word, w2: Word) -> Word:
 def connected_sum_type(t1: SurfaceType, t2: SurfaceType) -> SurfaceType:
     """Classification type of the connected sum.
 
-    The sphere is the identity.  Genus adds between orientable surfaces and
-    cross-caps add between non-orientable ones.  Mixing the two, every handle
-    trades for two cross-caps (Dyck: T # P = P # P # P), so genus ``g``
-    against ``k`` cross-caps gives ``2g + k`` cross-caps.
+    Removing a disk from each surface and gluing along the boundary circles
+    gives chi = chi1 + chi2 - 2, and the sum is orientable exactly when both
+    summands are.  So the sphere is the identity, genus adds between
+    orientable surfaces and cross-caps add between non-orientable ones.
+    Mixing the two, every handle trades for two cross-caps (Dyck:
+    T # P = P # P # P), so genus ``g`` against ``k`` cross-caps gives
+    ``2g + k`` cross-caps.
     """
-    if t1.is_sphere:
-        return t2
-    if t2.is_sphere:
-        return t1
-    if t1.orientable and t2.orientable:
-        return SurfaceType.orientable_genus(t1.genus + t2.genus)
-    if not t1.orientable and not t2.orientable:
-        return SurfaceType.non_orientable(t1.genus + t2.genus)
-    orient, non = (t1, t2) if t1.orientable else (t2, t1)
-    return SurfaceType.non_orientable(2 * orient.genus + non.genus)
-
+    return surface_type_from_invariants(t1.euler + t2.euler - 2, t1.orientable and t2.orientable)

@@ -15,20 +15,12 @@ Usage:
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from surfclass.normalize import normalize
 from surfclass.orbit import enumerate_words, orbit_oracle
 
 
-@dataclass
-class CensusConfig:
-    symbols: tuple
-    budget: int
-    check_orbits: bool
-
-
-def parse_args(argv=None) -> CensusConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--symbols", default="a,b,c",
                         help="comma-separated symbol names (default a,b,c)")
@@ -37,20 +29,20 @@ def parse_args(argv=None) -> CensusConfig:
     parser.add_argument("--skip-orbits", action="store_true",
                         help="only count types, skip the orbit cross-check")
     args = parser.parse_args(argv)
-    symbols = tuple(s.strip() for s in args.symbols.split(",") if s.strip())
-    if not symbols:
+    args.symbols = tuple(s.strip() for s in args.symbols.split(",") if s.strip())
+    if not args.symbols:
         parser.error("need at least one symbol")
-    return CensusConfig(symbols, args.budget, not args.skip_orbits)
+    return args
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     t0 = time.perf_counter()
-    universe = enumerate_words(cfg.symbols)
+    universe = enumerate_words(args.symbols)
     by_type = {}
     for w in universe:
         by_type.setdefault(normalize(w).type, set()).add(w)
-    print(f"{len(universe)} cyclic words over {{{', '.join(cfg.symbols)}}}, "
+    print(f"{len(universe)} cyclic words over {{{', '.join(args.symbols)}}}, "
           f"{len(by_type)} surface types "
           f"({time.perf_counter() - t0:.2f}s)")
 
@@ -58,9 +50,9 @@ def main(argv=None) -> int:
     for t in sorted(by_type, key=str):
         slice_ = by_type[t]
         line = f"  {str(t):<18} {len(slice_):>5} words"
-        if cfg.check_orbits:
+        if not args.skip_orbits:
             rep = min(slice_, key=lambda w: (len(w), w.render()))
-            orb = orbit_oracle(rep, max_symbols=len(cfg.symbols), budget=cfg.budget)
+            orb = orbit_oracle(rep, max_symbols=len(args.symbols), budget=args.budget)
             match = orb.exhausted and orb.words == frozenset(slice_)
             ok = ok and match
             line += (f"   orbit from {rep.render()!r}: "
@@ -69,7 +61,7 @@ def main(argv=None) -> int:
                      f"{'MATCH' if match else 'MISMATCH'}")
         print(line)
 
-    if cfg.check_orbits:
+    if not args.skip_orbits:
         print("orbit partition matches type classes" if ok
               else "orbit partition DISAGREES with type classes")
         return 0 if ok else 1

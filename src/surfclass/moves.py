@@ -28,6 +28,7 @@ from .words import (
     _check_symbol,
     _join_on_symbol,
     _lines,
+    _reflect,
     _read_int,
     validate,
 )
@@ -148,25 +149,19 @@ _LINE = {move: (" ".join([keyword] + ["%s"] * len(readers)),
 # ---------------------------------------------------------------------------
 
 
-def _cut_letters(
-    word: Word, i: int, j: int, fresh: str
-) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
-    """The two pieces of a cut."""
-    letters = word.letters
-    n = len(letters)
+def _check_cut(symbols: list[str], i: int, j: int, fresh: str) -> None:
+    """The guards of a cut from corner i to corner j along a new side
+    `fresh`, on a word with these symbols."""
+    n = len(symbols)
     if n < 3:
         raise MoveError("cannot cut a polygon with fewer than 3 sides")
     if not (0 <= i < n and 0 <= j < n):
         raise MoveError(f"cut positions {i},{j} out of range for length {n}")
     if i == j:
         raise MoveError("cut needs two distinct corners; a piece would be empty")
-    if fresh in map(_SYMBOL, letters):
+    if fresh in symbols:
         raise MoveError(f"diagonal symbol {fresh} already occurs in the word")
     _check_symbol(fresh)
-    # read from corner i: the first piece is the first k sides
-    k = (j - i) % n
-    letters = letters[i:] + letters[:i]
-    return letters[:k] + (Letter(fresh, 1),), (Letter(fresh, -1),) + letters[k:]
 
 
 def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
@@ -176,8 +171,52 @@ def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
     remaining sides).  Gluing the two pieces back along `fresh` recovers the
     original cyclic word.
     """
-    piece1, piece2 = _cut_letters(word, i, j, fresh)
-    return Word._from_checked(piece1), Word._from_checked(piece2)
+    letters = word.letters
+    _check_cut(list(map(_SYMBOL, letters)), i, j, fresh)
+    # read from corner i: the first piece is the first k sides
+    k = (j - i) % len(letters)
+    letters = letters[i:] + letters[:i]
+    return (
+        Word._from_checked(letters[:k] + (Letter(fresh, 1),)),
+        Word._from_checked((Letter(fresh, -1),) + letters[k:]),
+    )
+
+
+def _cut_paste(letters: tuple[Letter, ...], move: CutPaste) -> tuple[Letter, ...]:
+    """The letters of `cut` then `paste`, spliced from the word's letters L.
+
+    The cut from corner i to corner j (i < j) leaves sides [i, j) on one
+    piece and the rest, read on from j, on the other.  With pa the paste
+    letter inside [i, j), and `after` and `before` the outer sides after and
+    before the other paste letter, the result is L[pa+1:j] + fresh +
+    L[i:pa] + after + fresh' + before; with equal paste exponents the outer
+    part after + fresh' + before is reflected.  Pasting along the diagonal
+    itself undoes the cut, leaving the word rotated to start at corner i.
+    The guards, and their messages, are the cut's and then the paste's.
+    """
+    i, j, fresh, paste_symbol = move.i, move.j, move.fresh, move.paste
+    if not i < j:
+        raise MoveError("cut positions must satisfy i < j")
+    symbols = list(map(_SYMBOL, letters))
+    _check_cut(symbols, i, j, fresh)
+    if paste_symbol == fresh:
+        return letters[i:] + letters[:i]
+    a = b = -1
+    if symbols.count(paste_symbol) == 2:
+        a = symbols.index(paste_symbol)
+        b = symbols.index(paste_symbol, a + 1)
+    # a < b, so one letter inside [i, j) and one outside is either a inside
+    # with b >= j, or b inside with a < i
+    if i <= a < j <= b:
+        pa, after, before = a, letters[b + 1 :] + letters[:i], letters[j:b]
+    elif a < i <= b < j:
+        pa, after, before = b, letters[a + 1 : i], letters[j:] + letters[:a]
+    else:
+        raise MoveError(f"symbol {paste_symbol} must occur exactly once in each polygon")
+    outer = after + (Letter(fresh, -1),) + before
+    if letters[a].exponent == letters[b].exponent:
+        outer = _reflect(outer)
+    return letters[pa + 1 : j] + (Letter(fresh, 1),) + letters[i:pa] + outer
 
 
 def paste(w1: Word, w2: Word, symbol: str) -> Word:
@@ -224,13 +263,7 @@ def apply_move(word: Word, move: Move) -> Word:
     letters = word.letters
     n = len(letters)
     if isinstance(move, CutPaste):
-        if not move.i < move.j:
-            raise MoveError("cut positions must satisfy i < j")
-        pieces = _cut_letters(word, move.i, move.j, move.fresh)
-        try:
-            return Word._from_checked(_join_on_symbol(*pieces, move.paste))
-        except ValidationError as exc:
-            raise MoveError(str(exc)) from exc
+        return Word._from_checked(_cut_paste(letters, move))
     if isinstance(move, Rotate):
         return word.rotated(move.offset)
     if isinstance(move, Reflect):

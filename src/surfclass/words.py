@@ -303,10 +303,11 @@ def validate(word: Word) -> Word:
 def _pair_positions(letters: Sequence[Letter]) -> dict[str, tuple[int, int]]:
     """Positions of the two letters of each symbol of a closed word, in
     order, keyed by symbol in order of first letter."""
-    occ: dict[str, list[int]] = {}
+    pos: dict = {}
     for k, s in enumerate(map(_SYMBOL, letters)):
-        occ.setdefault(s, []).append(k)
-    return {s: (p[0], p[1]) for s, p in occ.items()}
+        # replacing a value keeps its key where the first letter put it
+        pos[s] = (pos[s], k) if s in pos else k
+    return pos
 
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
@@ -365,50 +366,68 @@ def mint_fresh(used: set[str]) -> str:
 # Corner i is the polygon vertex where side i begins, so side i runs from
 # corner i to corner i+1.  A side with exponent +1 carries its arrow along
 # the traversal (tail at corner i), exponent -1 against it.  Identifying the
-# two sides of a pair matches tail with tail and head with head; the vertex
-# classes of the quotient surface are the union-find classes of corners.
+# two sides of a pair matches tail with tail and head with head.  Each corner
+# joins two side ends, the start of the side leaving it and the end of the
+# side entering it, and each identification joins two side ends of a pair,
+# so the side ends and these joins form disjoint cycles: a vertex class of
+# the quotient surface is the set of corners on one cycle.
 # ---------------------------------------------------------------------------
 
 
 def _trace_corners(letters: Sequence[Letter], nxt: Sequence[int]) -> list[int]:
     """Least corner index of each corner's vertex class.
 
-    Side g runs from corner g to corner nxt[g], so a multi-polygon complex
-    traces like one polygon once its sides are numbered consecutively.
-    Sides with equal exponents join start to start and end to end, opposite
-    exponents start to end.  Roots are always linked under the smaller
-    root, so parent[x] <= x throughout and one ascending pass resolves
-    every corner to the least index of its class.
+    Side g runs from corner g to corner nxt[g], and the sides of each
+    polygon are numbered consecutively, so a multi-polygon complex traces
+    like one polygon.  One dict pass finds each side's partner.  Then each
+    class is walked once, from its least corner (the first corner not yet
+    reached): leave a corner by the side end not yet used, cross to the
+    partner side (equal exponents join start to start and end to end,
+    opposite exponents start to end) and arrive at the corner of that end,
+    until the walk is back where it began.  Each corner is visited once.
     """
-    parent = list(range(len(letters)))
+    n = len(letters)
+    mate = [0] * n
     first: dict[str, int] = {}  # first occurrence; -1 once the pair is joined
-    for g, let in enumerate(letters):
-        h = first.setdefault(let.symbol, g)
-        if h == g:
-            continue
-        if h < 0:
-            raise ValidationError("corner tracing needs a closed word")
-        first[let.symbol] = -1
-        if letters[h].exponent == let.exponent:
-            links = ((h, g), (nxt[h], nxt[g]))
-        else:
-            links = ((h, nxt[g]), (nxt[h], g))
-        for a, b in links:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    if 2 * len(first) != len(letters):
+    for g, s in enumerate(map(_SYMBOL, letters)):
+        h = first.setdefault(s, g)
+        if h != g:
+            if h < 0:
+                raise ValidationError("corner tracing needs a closed word")
+            mate[g] = h
+            mate[h] = g
+            first[s] = -1
+    if 2 * len(first) != n:
         raise ValidationError("corner tracing needs a closed word")
-    for x in range(len(parent)):
-        parent[x] = parent[parent[x]]
-    return parent
+    # the side that ends at corner c: in one polygon side c - 1, where index
+    # -1 is the last side (only one polygon has nxt[-1] == 0); in a complex,
+    # read off nxt
+    prv = range(-1, n - 1) if nxt[-1] == 0 else dict(zip(nxt, range(n)))
+    rep = [-1] * n
+    for c0 in range(n):
+        if rep[c0] >= 0:
+            continue
+        rep[c0] = c0
+        side = c0
+        at_start = True  # whether the walk leaves by the start of `side`
+        while True:
+            h = mate[side]
+            # partners share their symbol, so equal letters mean equal exponents
+            if (letters[h] == letters[side]) is at_start:
+                # at the start of h, corner h; leave by the side ending there
+                if h == c0:
+                    break
+                rep[h] = c0
+                side = prv[h]
+                at_start = False
+            else:
+                # at the end of h, corner nxt[h]; leave by the side starting there
+                side = nxt[h]
+                if side == c0:
+                    break
+                rep[side] = c0
+                at_start = True
+    return rep
 
 
 def corner_classes(word: Word) -> tuple[int, ...]:

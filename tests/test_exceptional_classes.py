@@ -82,3 +82,35 @@ def test_contracting_one_leaves_the_count_one_point_down(r):
         orthogonal = sum(_dot(cls, other) == 0 for other in CLASSES[r] if other != cls)
         want = 0 if cls == (1, 1, 1) else COUNTS[r - 1]
         assert orthogonal == want, cls
+
+
+def _quadratic_transformation(cls):
+    """The reflection in H - E_a - E_b - E_c over the three largest
+    multiplicities: d' = 2d - m_a - m_b - m_c and m_a' = d - m_b - m_c."""
+    d, m = cls[0], list(cls[1:])
+    top = sorted(range(len(m)), key=lambda i: -m[i])[:3]
+    k = d - sum(m[i] for i in top)
+    for i in top:
+        m[i] += k
+    return (d + k,) + tuple(m)
+
+
+def test_noether_reduction_reaches_an_exceptional_curve():
+    # a second check of the enumeration: Noether's inequality says an
+    # exceptional class with d > 0 has m_a + m_b + m_c > d, so a quadratic
+    # transformation lowers d and keeps e.e = e.K = -1, until some E_i is
+    # left; below three points a point of multiplicity 0 is added
+    longest = 0
+    for r, classes in CLASSES.items():
+        pad = max(0, 3 - r)
+        canonical = (-3,) + (-1,) * (r + pad)
+        for cls in classes:
+            e, steps = cls + (0,) * pad, 0
+            while e[0] > 0:
+                assert sum(sorted(e[1:])[-3:]) > e[0], cls
+                d, e, steps = e[0], _quadratic_transformation(e), steps + 1
+                assert e[0] < d and _dot(e, e) == _dot(e, canonical) == -1, cls
+                assert steps <= 5, cls
+            assert e[0] == 0 and sorted(e[1:]) == [-1] + [0] * (r + pad - 1), cls
+            longest = max(longest, steps)
+    assert longest == 5

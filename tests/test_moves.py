@@ -423,3 +423,24 @@ def test_move_results_match_the_letter_by_letter_forms_on_long_words():
         if set(Counter(let.symbol for let in word).values()) == {2}:
             # a closed word, on which the old scan was right
             assert is_orientable(word) == _reference_is_orientable(word)
+
+
+def test_cutpaste_along_its_diagonal_rotates_and_checks_the_diagonal_first():
+    rng = random.Random(11)
+    for word in _seeded_words(rng, 100):
+        n = len(word)
+        symbols = sorted(word.symbols())
+        if n < 3:
+            continue
+        i, j = sorted(rng.sample(range(n), 2))
+        # pasting along the diagonal undoes the cut, from corner i
+        got = apply_move(word, CutPaste(i, j, "zz", "zz")).letters
+        assert got == apply_move(word, Rotate(i)).letters, (word, i, j)
+        # a diagonal already in the word, or one with a bad name, is
+        # reported before a paste symbol that is absent
+        used = symbols[0]
+        with pytest.raises(MoveError) as exc:
+            apply_move(word, CutPaste(i, j, used, "absent"))
+        assert str(exc.value) == f"diagonal symbol {used} already occurs in the word"
+        with pytest.raises(ValidationError, match="^bad symbol name '1x'$"):
+            apply_move(word, CutPaste(i, j, "1x", "absent"))

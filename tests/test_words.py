@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import surfclass.words as words_module
 from conftest import words
 from surfclass.moves import ReplayError, parse_trace, replay
+from surfclass.orbit import enumerate_words
 from surfclass.words import (
     Letter,
     PolygonSet,
@@ -273,6 +277,97 @@ def test_corner_classes_needs_closed_word():
     for text in ("a b a", "a a a b b", "a a a a"):
         with pytest.raises(ValidationError, match="corner tracing needs a closed word"):
             corner_classes(parse_word(text))
+
+
+def _reference_trace_corners(letters, nxt):
+    """The union-find tracer the cycle walk replaced: roots are linked
+    under the smaller root, so parent[x] <= x throughout and one ascending
+    pass resolves every corner to the least index of its class."""
+    parent = list(range(len(letters)))
+    first = {}  # first occurrence; -1 once the pair is joined
+    for g, let in enumerate(letters):
+        h = first.setdefault(let.symbol, g)
+        if h == g:
+            continue
+        if h < 0:
+            raise ValidationError("corner tracing needs a closed word")
+        first[let.symbol] = -1
+        if letters[h].exponent == let.exponent:
+            links = ((h, g), (nxt[h], nxt[g]))
+        else:
+            links = ((h, nxt[g]), (nxt[h], g))
+        for a, b in links:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    if 2 * len(first) != len(letters):
+        raise ValidationError("corner tracing needs a closed word")
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
+    return parent
+
+
+def _trace_outcome(trace, letters, nxt):
+    try:
+        return tuple(trace(letters, nxt))
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _closed_letters(rng, pairs, orientable):
+    """A closed word's letters; an orientable one has opposite exponents
+    on each pair."""
+    letters = []
+    for t in range(pairs):
+        e = rng.choice((1, -1))
+        letters += [Letter(f"s{t}", e), Letter(f"s{t}", -e if orientable else rng.choice((1, -1)))]
+    rng.shuffle(letters)
+    return letters
+
+
+def test_corner_walk_matches_the_union_find(monkeypatch):
+    traced = []
+    real = words_module._trace_corners
+
+    def checked(letters, nxt):
+        got = real(letters, nxt)
+        assert tuple(got) == tuple(_reference_trace_corners(letters, nxt)), (letters, nxt)
+        traced.append(len(nxt))
+        return got
+
+    # corner_classes and complex_euler both reach the tracer through the module
+    monkeypatch.setattr(words_module, "_trace_corners", checked)
+    census = list(enumerate_words("abc"))
+    for word in census:
+        corner_classes(word)
+    rng = random.Random(20)
+    for k in range(200):
+        letters = _closed_letters(rng, rng.randint(1, 80), k % 2 == 0)
+        corner_classes(Word(tuple(letters)))
+        # the same letters cut into up to five polygons
+        cuts = sorted(rng.sample(range(1, len(letters)), min(len(letters) - 1, rng.randint(0, 4))))
+        polys = [letters[a:b] for a, b in zip([0] + cuts, cuts + [len(letters)])]
+        complex_euler(PolygonSet(tuple(Word(tuple(poly)) for poly in polys)))
+    assert len(traced) == len(census) + 400
+    # non-closed sequences: a symbol once or three times
+    for k in range(200):
+        letters = _closed_letters(rng, rng.randint(1, 40), k % 2 == 0)
+        extra = letters[rng.randrange(len(letters))]
+        if k % 4 < 2:
+            letters.remove(extra)
+        else:
+            letters.insert(rng.randrange(len(letters) + 1), extra)
+        nxt = [*range(1, len(letters)), 0]
+        got = _trace_outcome(real, letters, nxt)
+        assert got == "corner tracing needs a closed word", letters
+        assert got == _trace_outcome(_reference_trace_corners, letters, nxt)
 
 
 def test_euler_characteristic():

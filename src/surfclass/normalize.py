@@ -26,6 +26,9 @@ homeomorphism type and records every elementary move:
 4. Finish: rotate to a block boundary, reverse negatively oriented sides,
    and rename symbols left to right into the canonical alphabet.
 
+Every cut is made where its diagonal sits, so the finish's alignment is the
+only rotation a trace can hold.
+
 Each emitted move is checked to preserve the Euler characteristic and
 orientability.  A cut or a cancellation has the corners of the word it
 produces traced once.  Rotations, renames and edge flips are checked by their
@@ -130,10 +133,6 @@ class _Rewriter:
                 f"move {move.render()} changed an invariant of {self.word.render()}"
             )
         return classes
-
-    def rotate_to(self, offset: int) -> None:
-        if offset % len(self.word):
-            self.emit(Rotate(offset % len(self.word)))
 
     def fresh(self) -> str:
         return mint_fresh(self.word.symbols())
@@ -292,8 +291,7 @@ def _shrink_class(
             (word[p].symbol, classes[p - 1]),
         ):
             if dst != qroot:
-                rw.rotate_to((p - 1) % n)
-                move = CutPaste(0, 2, rw.fresh(), paste)
+                move = CutPaste(*sorted(((p - 1) % n, (p + 1) % n)), rw.fresh(), paste)
                 new = rw.emit(move)
                 if sorted(Counter(new).values()) >= old_profile:
                     raise InternalInvariantError(
@@ -314,8 +312,7 @@ def _split_crosscap_run(rw: _Rewriter) -> None:
     r = _block_alignment(rw.word, 2, _is_crosscap)
     if r is None:
         return
-    rw.rotate_to(r)
-    rw.emit(CutPaste(1, n - 1, rw.fresh(), rw.word[n - 1].symbol))
+    rw.emit(CutPaste(*sorted(((r + 1) % n, (r - 1) % n)), rw.fresh(), rw.word[r - 1].symbol))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +323,10 @@ def _split_crosscap_run(rw: _Rewriter) -> None:
 def _seed_split(rw: _Rewriter, inverse: set[str]) -> None:
     """Break the leading cross-cap across an inverse pair.
 
-    The word starts with an adjacent same-exponent pair after rotation; the
-    cut runs from inside that pair to just past the first letter that belongs
-    to an inverse pair, one of the symbols in `inverse`.  A rotation keeps
-    which symbols are inverse pairs, so that set is read before rotating.
+    The leading cross-cap is the first adjacent same-exponent pair, at
+    `start` and `start + 1`.  The cut runs from the corner inside that pair
+    to just past the first letter after it that belongs to an inverse pair,
+    one of the symbols in `inverse`, reading cyclically from `start`.
     Pasting along that letter leaves the leading pair non-adjacent, so the
     next round regathers it, and the pasted-away inverse pair is gone for
     good; that is the strictly decreasing quantity.
@@ -339,12 +336,11 @@ def _seed_split(rw: _Rewriter, inverse: set[str]) -> None:
     start = next((p for p in range(n) if word[p] == word[p + 1]), None)
     if start is None:
         raise InternalInvariantError("seed split called without a cross-cap")
-    rw.rotate_to(start)
-    word = rw.word
-    q0 = next((q for q in range(2, n) if word[q].symbol in inverse), None)
+    q0 = next((q for q in range(2, n) if word[start + q].symbol in inverse), None)
     if q0 is None:
         raise InternalInvariantError("seed split called without an inverse pair")
-    rw.emit(CutPaste(1, q0 + 1, rw.fresh(), word[q0].symbol))
+    diagonal = sorted(((start + 1) % n, (start + q0 + 1) % n))
+    rw.emit(CutPaste(*diagonal, rw.fresh(), word[start + q0].symbol))
 
 
 def _collect_handle(
@@ -358,14 +354,15 @@ def _collect_handle(
     commutator block.
 
     `pairs` is the pair map `_gather` built for the current word this round.
-    The interleaver is read off it before any rotation: the first symbol not
-    done with one letter strictly between i and p and the other outside.
-    Two cuts follow: the first re-pastes along the interleaver, the second
-    along the original pair; the two minted symbols u, v end up adjacent as
-    u' v u v'.  Finished blocks are marked done and are never chosen as
-    interleavers again; they cannot interleave anything anyway, because they
-    stay contiguous under later cuts (cut boundaries always sit at letters of
-    the pairs being worked on, never inside a finished block).
+    The interleaver is read off it: the first symbol not done with one
+    letter strictly between i and p and the other outside.  Two cuts follow,
+    each where its diagonal sits: the first, from corner i to just past p,
+    re-pastes along the interleaver; the second, from the letter u to just
+    past u', along the original pair.  The two minted symbols u, v end up
+    adjacent as u' v u v'.  Finished blocks are marked done and are never
+    chosen as interleavers again; they cannot interleave anything anyway,
+    because they stay contiguous under later cuts (cut boundaries always sit
+    at letters of the pairs being worked on, never inside a finished block).
     """
     letters = rw.word.letters
     x = letters[i].symbol
@@ -382,15 +379,15 @@ def _collect_handle(
         raise InternalInvariantError(
             f"pair {x} in a one-vertex word has no usable interleaver"
         )
-    rw.rotate_to(i)
+    n = len(letters)
     u = rw.fresh()
-    rw.emit(CutPaste(0, p - i + 1, u, y))
-    # bring the positively oriented u to the front for the second cut; the
-    # word is orientable, so u occurs once with each exponent
-    rw.rotate_to(rw.word.letters.index(Letter(u, 1)))
-    u_minus = rw.word.letters.index(Letter(u, -1))
+    rw.emit(CutPaste(*sorted((i, (p + 1) % n)), u, y))
+    # cut from the positively oriented u to just past u'; the word is
+    # orientable, so u occurs once with each exponent
+    letters = rw.word.letters
+    u_plus, u_minus = letters.index(Letter(u, 1)), letters.index(Letter(u, -1))
     v = rw.fresh()
-    rw.emit(CutPaste(0, u_minus + 1, v, x))
+    rw.emit(CutPaste(*sorted((u_plus, (u_minus + 1) % n)), v, x))
     done.add(u)
     done.add(v)
 
@@ -473,7 +470,8 @@ def _finish(rw: _Rewriter) -> SurfaceType:
     r = _block_alignment(word, width, fits)
     if r is None:
         raise InternalInvariantError(f"expected {what}, got {word.render()}")
-    rw.rotate_to(r)
+    if r:
+        rw.emit(Rotate(r))
     starts = range(0, n, width)
     for t in starts:
         for k in range(len(heads)):

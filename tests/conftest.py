@@ -1,4 +1,7 @@
+import faulthandler
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -11,6 +14,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+# a test that runs this long has hung: dump every thread's stack and exit,
+# so the run fails instead of waiting; the slowest test takes a few seconds
+HUNG_TEST_SECONDS = 120
+STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of stderr taken before any test captures it, so the dump of a
+    # hung test reaches the terminal rather than that test's captured output
+    config.stash[STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def fail_hung_test(pytestconfig):
+    fd = pytestconfig.stash[STDERR_FD]
+    faulthandler.dump_traceback_later(HUNG_TEST_SECONDS, exit=True, file=fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @st.composite

@@ -18,7 +18,7 @@ SECTION_SCRIPTS = [
     "base hirzebruch 0\nline A = S - F\nminimal-model\n",
     "base hirzebruch 1\nblowup on S\nblowup on F E1\nminimal-model\n",
 ]
-DIGEST = "a1c4add3bfc7a01711e44e44a85186cfdd30f1db29282fd69ae705e44030cb50"
+DIGEST = "9c90b120b38b7dd02c2bb12264a7bd7b35101f0b8c03fb8e95d99430aed97c36"
 
 
 def _word(rng, pairs, orientable):

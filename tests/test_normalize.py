@@ -134,7 +134,7 @@ def test_all_intermediates_share_invariants(w):
 # the per-move invariant check
 
 # its certificate emits every kind of move below, a phase-1 cut first
-ALL_KINDS_WORD = "s3' s2 s1' s2' s1 s4' s3' s0' s0 s4'"
+ALL_KINDS_WORD = "s1 s3 s0' s3' s2 s2' s1' s0'"
 
 
 def _append_handle(word, move, result):
@@ -394,6 +394,19 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
         assert counts["traces"] == non_rotations - renames - flips + 1
 
 
+def test_only_the_final_alignment_rotates():
+    # every cut is made where its diagonal sits, so a trace rotates at most
+    # once, to align the finished blocks, and nothing is cut or cancelled
+    # after that
+    for word in _seeded_words(0x207A, 200, 1, 30):
+        steps = normalize(word).trace.steps
+        rotations = [k for k, m in enumerate(steps) if isinstance(m, Rotate)]
+        assert len(rotations) <= 1, word.render()
+        if rotations:
+            after = steps[rotations[0] :]
+            assert not any(isinstance(m, (CutPaste, Cancel)) for m in after), word.render()
+
+
 def test_corner_cut_rule_matches_traced_cuts(monkeypatch):
     # the reference is the trial loop the rule replaced: every candidate
     # triangle cut is built in full and traced.  Its class-size profile must
@@ -417,7 +430,8 @@ def test_corner_cut_rule_matches_traced_cuts(monkeypatch):
             if flank_a.symbol == flank_b.symbol:
                 continue
             for paste, q in ((flank_a.symbol, (p + 1) % n), (flank_b.symbol, (p - 1) % n)):
-                cut = apply_move(word.rotated((p - 1) % n), CutPaste(0, 2, fresh, paste))
+                diagonal = sorted(((p - 1) % n, (p + 1) % n))
+                cut = apply_move(word, CutPaste(*diagonal, fresh, paste))
                 profile = sorted(Counter(corner_classes(cut)).values())
                 predicted = dict(sizes)
                 predicted[classes[p]] -= 1
@@ -443,7 +457,7 @@ def test_corner_cut_rule_matches_traced_cuts(monkeypatch):
 
 GOLDEN_CORPUS_SEED = 0x60D1
 GOLDEN_CORPUS_SIZE = 2000
-GOLDEN_DIGEST = "b98e961e2dd20634f4e18cf7cc97ad053813ada5e1e96c8968e4415b22046f68"
+GOLDEN_DIGEST = "465064301b6404c7a3c9ec2318f928c726b2187923e20b8fa7c1071b52b3c28a"
 GOLDEN_NAMES = list(ascii_lowercase) + [f"{c}{i}" for c in "abxy" for i in range(1, 11)]
 
 

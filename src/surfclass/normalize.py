@@ -22,7 +22,9 @@ homeomorphism type and records every elementary move:
    inverse pair into cross-cap material per round; on fully orientable words
    gather interleaved pairs into contiguous commutator blocks.  Each round
    reads one pair map, where each symbol's two letters sit, and every
-   choice of the round is made from it.
+   choice of the round is made from it.  The map comes from the corner trace
+   of the word the last move produced, which finds each side's partner on
+   its way, so no round builds it again.
 4. Finish: rotate to a block boundary, reverse negatively oriented sides,
    and rename symbols left to right into the canonical alphabet.
 
@@ -67,7 +69,6 @@ from .words import (
     Word,
     _SYMBOL,
     _euler_from_classes,
-    _pair_positions,
     canonical_word,
     corner_classes,
     is_orientable,
@@ -88,16 +89,21 @@ class _Rewriter:
     Each word a cut or a cancellation produces has its corners traced once,
     for the Euler-characteristic check, and `emit` hands those classes back
     so that vertex reduction can pick its next cut and check that the last
-    one shrank the class-size profile.  Rotations, renames and edge flips
-    are checked by their letters alone and trace nothing.  `chi` is the
-    input's Euler characteristic, read from the trace `normalize` starts
-    with, and `orientable` is read off the input's letters.
+    one shrank the class-size profile.  The same trace gives `pairs`, the
+    word's pair map (each symbol's two positions, keyed in order of first
+    letter), which gathering and `fresh` read.  Rotations, renames and edge
+    flips are checked by their letters alone and trace nothing; they leave
+    `pairs` None, as the finish, the only phase to emit them, reads no pair
+    map.  `chi` and `pairs` start as the input's, read from the trace
+    `normalize` starts with, and `orientable` is read off the input's
+    letters.
     """
 
-    def __init__(self, word: Word, chi: int) -> None:
+    def __init__(self, word: Word, chi: int, pairs: dict[str, tuple[int, int]]) -> None:
         self.word = word
         self.steps: list[Move] = []
         self.chi = chi
+        self.pairs: dict[str, tuple[int, int]] | None = pairs
         self.orientable = is_orientable(word)
 
     def emit(self, move: Move) -> tuple[int, ...] | None:
@@ -111,6 +117,7 @@ class _Rewriter:
                 f"normalization emitted an inapplicable move {move.render()}: {exc}"
             ) from exc
         self.steps.append(move)
+        self.pairs = None
         if isinstance(move, Rotate):
             k = move.offset % len(old)
             if self.word.letters != old.letters[k:] + old.letters[:k]:
@@ -124,7 +131,8 @@ class _Rewriter:
                     f"move {move.render()} changed an invariant of {self.word.render()}"
                 )
             return None
-        classes = corner_classes(self.word)
+        self.pairs = {}
+        classes = corner_classes(self.word, self.pairs)
         if (
             _euler_from_classes(classes) != self.chi
             or is_orientable(self.word) != self.orientable
@@ -135,7 +143,8 @@ class _Rewriter:
         return classes
 
     def fresh(self) -> str:
-        return mint_fresh(self.word.symbols())
+        """A symbol not in the current word, read off its pair map."""
+        return mint_fresh(self.pairs)
 
 
 def _relabels(
@@ -353,7 +362,7 @@ def _collect_handle(
     """Gather the inverse pair at positions i < p into a contiguous
     commutator block.
 
-    `pairs` is the pair map `_gather` built for the current word this round.
+    `pairs` is the pair map of the current word, `rw.pairs` this round.
     The interleaver is read off it: the first symbol not done with one
     letter strictly between i and p and the other outside.  Two cuts follow,
     each where its diagonal sits: the first, from corner i to just past p,
@@ -384,8 +393,9 @@ def _collect_handle(
     rw.emit(CutPaste(*sorted((i, (p + 1) % n)), u, y))
     # cut from the positively oriented u to just past u'; the word is
     # orientable, so u occurs once with each exponent
-    letters = rw.word.letters
-    u_plus, u_minus = letters.index(Letter(u, 1)), letters.index(Letter(u, -1))
+    u_plus, u_minus = rw.pairs[u]
+    if rw.word.letters[u_plus].exponent < 0:
+        u_plus, u_minus = u_minus, u_plus
     v = rw.fresh()
     rw.emit(CutPaste(*sorted((u_plus, (u_minus + 1) % n)), v, x))
     done.add(u)
@@ -400,7 +410,7 @@ def _gather(rw: _Rewriter) -> None:
     guard = 20 * (len(rw.word) + 2) ** 2 + 64
     for _ in range(guard):
         letters = rw.word.letters
-        pairs = _pair_positions(letters)
+        pairs = rw.pairs
         pair = _first_nonadjacent_same_pair(rw.word, pairs)
         if pair is not None:
             i, j = pair
@@ -493,8 +503,9 @@ def _finish(rw: _Rewriter) -> SurfaceType:
 def normalize(word: Word) -> NormalizationResult:
     """Classify a word and return the type with a replayable certificate."""
     validate(word)
-    classes = corner_classes(word)
-    rw = _Rewriter(word, _euler_from_classes(classes))
+    pairs: dict[str, tuple[int, int]] = {}
+    classes = corner_classes(word, pairs)
+    rw = _Rewriter(word, _euler_from_classes(classes), pairs)
     _reduce_vertices(rw, classes)
     if len(rw.word) > 2:
         _split_crosscap_run(rw)

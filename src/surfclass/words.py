@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from itertools import repeat
 from operator import itemgetter, neg
-from typing import Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 
 class SurfclassError(Exception):
@@ -73,14 +73,37 @@ class Letter(NamedTuple):
 _SYMBOL = itemgetter(0)
 _EXPONENT = itemgetter(1)
 
+# each letter `_reflect` has met, mapped to its inverse and back; emptied
+# before it would grow past the cap, so its size stays bounded whatever
+# symbols the inputs bring
+_INVERSES: dict[Letter, Letter] = {}
+_INVERSES_CAP = 4096
+
 
 def _reflect(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     """The letters read backwards, each inverted: the same polygon traversed
-    the other way round."""
+    the other way round.
+
+    Each inverse is looked up in `_INVERSES`.  When a letter is missing
+    there, every inverse is built instead and the letters and their
+    inverses are entered, the table being emptied first if they would take
+    it past its cap; letters too many to fit are built and not entered.
+    """
     rev = letters[::-1]
-    return tuple(map(
+    table = _INVERSES
+    try:
+        return tuple(map(table.__getitem__, rev))
+    except KeyError:
+        pass
+    out = tuple(map(
         tuple.__new__, repeat(Letter), zip(map(_SYMBOL, rev), map(neg, map(_EXPONENT, rev)))
     ))
+    if 2 * len(rev) <= _INVERSES_CAP:
+        if len(table) + 2 * len(rev) > _INVERSES_CAP:
+            table.clear()
+        table.update(zip(rev, out))
+        table.update(zip(out, rev))
+    return out
 
 
 def _check_symbol(symbol: str) -> None:
@@ -302,7 +325,9 @@ def validate(word: Word) -> Word:
 
 def _pair_positions(letters: Sequence[Letter]) -> dict[str, tuple[int, int]]:
     """Positions of the two letters of each symbol of a closed word, in
-    order, keyed by symbol in order of first letter."""
+    order, keyed by symbol in order of first letter: the pair map.  A
+    corner trace leaves the same map behind (`corner_classes`); this builds
+    it where nothing is traced."""
     pos: dict = {}
     for k, s in enumerate(map(_SYMBOL, letters)):
         # replacing a value keeps its key where the first letter put it
@@ -348,7 +373,7 @@ def _as_int(value: object, what: str) -> int:
     return n
 
 
-def mint_fresh(used: set[str]) -> str:
+def mint_fresh(used: Container[str]) -> str:
     """First symbol not in `used`, scanning a, b, ..., z, a1, b1, ..."""
     suffix = 0
     while True:
@@ -374,30 +399,38 @@ def mint_fresh(used: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _trace_corners(letters: Sequence[Letter], nxt: Sequence[int]) -> list[int]:
+def _trace_corners(
+    letters: Sequence[Letter], nxt: Sequence[int], pairs: dict[str, tuple[int, int]]
+) -> list[int]:
     """Least corner index of each corner's vertex class.
 
     Side g runs from corner g to corner nxt[g], and the sides of each
     polygon are numbered consecutively, so a multi-polygon complex traces
-    like one polygon.  One dict pass finds each side's partner.  Then each
-    class is walked once, from its least corner (the first corner not yet
-    reached): leave a corner by the side end not yet used, cross to the
-    partner side (equal exponents join start to start and end to end,
-    opposite exponents start to end) and arrive at the corner of that end,
-    until the walk is back where it began.  Each corner is visited once.
+    like one polygon.  One dict pass finds each side's partner; the dict it
+    fills is `pairs`, passed in empty, which is left holding the pair map:
+    each symbol's two positions in order, keyed in order of first letter,
+    as `_pair_positions` gives it.  Then each class is walked once, from
+    its least corner (the first corner not yet reached): leave a corner by
+    the side end not yet used, cross to the partner side (equal exponents
+    join start to start and end to end, opposite exponents start to end)
+    and arrive at the corner of that end, until the walk is back where it
+    began.  Each corner is visited once, so a walk takes at most n steps;
+    one that does not close within them means `nxt` is not a permutation,
+    and raises InternalInvariantError.
     """
     n = len(letters)
     mate = [0] * n
-    first: dict[str, int] = {}  # first occurrence; -1 once the pair is joined
+    # first occurrence, replaced by both positions once the pair is joined;
+    # replacing a value keeps its key where the first letter put it
     for g, s in enumerate(map(_SYMBOL, letters)):
-        h = first.setdefault(s, g)
+        h = pairs.setdefault(s, g)
         if h != g:
-            if h < 0:
+            if type(h) is tuple:
                 raise ValidationError("corner tracing needs a closed word")
             mate[g] = h
             mate[h] = g
-            first[s] = -1
-    if 2 * len(first) != n:
+            pairs[s] = (h, g)
+    if 2 * len(pairs) != n:
         raise ValidationError("corner tracing needs a closed word")
     # the side that ends at corner c: in one polygon side c - 1, where index
     # -1 is the last side (only one polygon has nxt[-1] == 0); in a complex,
@@ -410,7 +443,7 @@ def _trace_corners(letters: Sequence[Letter], nxt: Sequence[int]) -> list[int]:
         rep[c0] = c0
         side = c0
         at_start = True  # whether the walk leaves by the start of `side`
-        while True:
+        for _ in range(n):
             h = mate[side]
             # partners share their symbol, so equal letters mean equal exponents
             if (letters[h] == letters[side]) is at_start:
@@ -427,16 +460,24 @@ def _trace_corners(letters: Sequence[Letter], nxt: Sequence[int]) -> list[int]:
                     break
                 rep[side] = c0
                 at_start = True
+        else:
+            raise InternalInvariantError(
+                f"the walk from corner {c0} did not close in {n} steps"
+            )
     return rep
 
 
-def corner_classes(word: Word) -> tuple[int, ...]:
+def corner_classes(
+    word: Word, pairs: dict[str, tuple[int, int]] | None = None
+) -> tuple[int, ...]:
     """Representative corner index, per corner, under side identifications.
 
-    The representative of a class is its least corner index.
+    The representative of a class is its least corner index.  An empty
+    dict passed as `pairs` is left holding the word's pair map, which the
+    trace finds on its way.
     """
     n = len(word.letters)
-    return tuple(_trace_corners(word.letters, [*range(1, n), 0]))
+    return tuple(_trace_corners(word.letters, [*range(1, n), 0], {} if pairs is None else pairs))
 
 
 def _euler_from_classes(classes: Sequence[int], faces: int = 1) -> int:
@@ -615,7 +656,7 @@ def complex_euler(polys: PolygonSet) -> int:
         letters += poly.letters
         nxt += range(start + 1, len(letters))
         nxt.append(start)
-    return _euler_from_classes(_trace_corners(letters, nxt), len(polys.polygons))
+    return _euler_from_classes(_trace_corners(letters, nxt, {}), len(polys.polygons))
 
 
 def complex_is_orientable(polys: PolygonSet) -> bool:

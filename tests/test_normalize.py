@@ -281,7 +281,9 @@ def test_rename_order_matches_the_resorting_form():
         mapping = dict(zip(symbols, rng.sample(names, k)))
         runs = []
         for apply in (normalize_module._apply_renames, _reference_apply_renames):
-            rw = normalize_module._Rewriter(word, euler_characteristic(word))
+            rw = normalize_module._Rewriter(
+                word, euler_characteristic(word), words_module._pair_positions(word.letters)
+            )
             apply(rw, mapping)
             runs.append(rw.steps)
         assert runs[0] == runs[1], mapping
@@ -373,9 +375,9 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
     real_trace = words_module.corner_classes
     real_apply = normalize_module.apply_move
 
-    def counting_trace(word):
+    def counting_trace(word, pairs=None):
         counts["traces"] += 1
-        return real_trace(word)
+        return real_trace(word, pairs)
 
     def counting_apply(word, move):
         counts["applies"] += 1
@@ -392,6 +394,35 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
         flips = sum(isinstance(m, FlipEdge) for m in steps)
         assert counts["applies"] == len(steps)
         assert counts["traces"] == non_rotations - renames - flips + 1
+
+
+def test_pair_map_is_the_current_words(monkeypatch):
+    # the pair map each gathering round and each fresh name read is the one
+    # the last trace left in the rewriter: it must be the current word's,
+    # key order included, as _pair_positions builds it
+    real_first = normalize_module._first_nonadjacent_same_pair
+    real_fresh = normalize_module._Rewriter.fresh
+    counts = {"rounds": 0, "fresh": 0}
+
+    def checked_first(word, pairs):
+        assert list(pairs.items()) == list(words_module._pair_positions(word.letters).items())
+        counts["rounds"] += 1
+        return real_first(word, pairs)
+
+    def checked_fresh(rw):
+        name = real_fresh(rw)
+        assert list(rw.pairs.items()) == list(words_module._pair_positions(rw.word.letters).items())
+        assert name == mint_fresh(rw.word.symbols())
+        counts["fresh"] += 1
+        return name
+
+    monkeypatch.setattr(normalize_module, "_first_nonadjacent_same_pair", checked_first)
+    monkeypatch.setattr(normalize_module._Rewriter, "fresh", checked_fresh)
+    for pairs in (4, 16, 64, 256):
+        before = dict(counts)
+        for word in _seeded_words(0x9A125 + pairs, 4, pairs, pairs):
+            normalize(word)
+        assert counts["rounds"] > before["rounds"] and counts["fresh"] > before["fresh"]
 
 
 def test_only_the_final_alignment_rotates():

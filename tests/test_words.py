@@ -1,13 +1,15 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import surfclass.words as words_module
 from conftest import words
-from surfclass.moves import ReplayError, parse_trace, replay
-from surfclass.orbit import enumerate_words
+from surfclass.moves import ReplayError, paste, parse_trace, replay
+from surfclass.orbit import enumerate_words, orbit_oracle
 from surfclass.words import (
+    InternalInvariantError,
     Letter,
     PolygonSet,
     SurfaceType,
@@ -16,6 +18,7 @@ from surfclass.words import (
     Word,
     WordSyntaxError,
     _check_pairing,
+    _pair_positions,
     canonical_word,
     classify_by_invariants,
     complex_euler,
@@ -314,9 +317,9 @@ def _reference_trace_corners(letters, nxt):
     return parent
 
 
-def _trace_outcome(trace, letters, nxt):
+def _trace_outcome(trace, letters, nxt, *pairs):
     try:
-        return tuple(trace(letters, nxt))
+        return tuple(trace(letters, nxt, *pairs))
     except ValidationError as exc:
         return str(exc)
 
@@ -336,9 +339,11 @@ def test_corner_walk_matches_the_union_find(monkeypatch):
     traced = []
     real = words_module._trace_corners
 
-    def checked(letters, nxt):
-        got = real(letters, nxt)
+    def checked(letters, nxt, pairs):
+        got = real(letters, nxt, pairs)
         assert tuple(got) == tuple(_reference_trace_corners(letters, nxt)), (letters, nxt)
+        # the pair map it leaves, key order included
+        assert list(pairs.items()) == list(_pair_positions(letters).items()), letters
         traced.append(len(nxt))
         return got
 
@@ -365,9 +370,103 @@ def test_corner_walk_matches_the_union_find(monkeypatch):
         else:
             letters.insert(rng.randrange(len(letters) + 1), extra)
         nxt = [*range(1, len(letters)), 0]
-        got = _trace_outcome(real, letters, nxt)
+        got = _trace_outcome(real, letters, nxt, {})
         assert got == "corner tracing needs a closed word", letters
         assert got == _trace_outcome(_reference_trace_corners, letters, nxt)
+
+
+def test_corner_walk_is_bounded_on_a_broken_successor_map():
+    # an nxt that is not a permutation: a class walk that waits to come back
+    # to its first corner loops forever on these, the bounded walk raises
+    trace = words_module._trace_corners
+    t0 = time.perf_counter()
+    for text in ("a a'", "a b a' b'", "a b a b", "a a b b"):
+        letters = parse_word(text).letters
+        with pytest.raises(InternalInvariantError, match="did not close in"):
+            trace(letters, [0] * len(letters), {})
+    rng = random.Random(21)
+    raised = 0
+    for k in range(300):
+        letters = _closed_letters(rng, rng.randint(1, 40), k % 2 == 0)
+        n = len(letters)
+        # one polygon's last side still ends at corner 0, the rest is random
+        nxt = [rng.randrange(n) for _ in range(n - 1)] + [0]
+        try:
+            trace(letters, nxt, {})
+        except InternalInvariantError:
+            raised += 1
+    assert raised > 100
+    assert time.perf_counter() - t0 < 10
+
+
+# ---------------------------------------------------------------------------
+# the bounded inverse table behind _reflect
+
+
+def _reference_reflect(letters):
+    return tuple(let.inverse() for let in reversed(letters))
+
+
+def test_reflect_matches_the_letterwise_inverse(monkeypatch):
+    monkeypatch.setattr(words_module, "_INVERSES", {})
+    rng = random.Random(22)
+    names = [f"s{k}" for k in range(30)]
+    for k in range(500):
+        # known names, and every tenth tuple some the table has never seen
+        pool = names + [f"u{k}_{t}" for t in range(3)] if k % 10 == 0 else names
+        letters = tuple(
+            Letter(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(0, 40))
+        )
+        for _ in range(2):  # building the inverses, then reading them
+            got = words_module._reflect(letters)
+            assert got == _reference_reflect(letters), letters
+            assert all(type(let) is Letter for let in got)
+
+
+def test_inverse_table_never_outgrows_its_cap(monkeypatch):
+    table = {}
+    monkeypatch.setattr(words_module, "_INVERSES", table)
+    cap = words_module._INVERSES_CAP
+    sent = fresh = largest = 0
+    while fresh < 10 * cap:
+        # short words, and every 50th one with more letters than fit
+        size = 3 * cap if sent % 50 == 0 else 97
+        letters = tuple(Letter(f"x{fresh + t}", 1 - 2 * (t % 2)) for t in range(size))
+        sent += 1
+        fresh += size
+        assert words_module._reflect(letters) == _reference_reflect(letters)
+        largest = max(largest, len(table))
+        assert len(table) <= cap
+    assert largest > cap // 2
+
+
+def test_reflections_unchanged_by_the_inverse_table(monkeypatch):
+    # each result once with the table and once with a cap of 0, under
+    # which every inverse is built afresh
+    def outcomes():
+        hexagons = [w for w in enumerate_words("abc") if len(w) == 6]
+        reflected = [w.reflected().letters for w in hexagons]
+        pasted = [
+            paste(parse_word(a), parse_word(b), "c").letters
+            for a, b in (("a b c", "c d e"), ("a a c", "c b b"), ("c a b'", "d c'"), ("a c", "b c"))
+        ]
+        orbits = [
+            orbit_oracle(parse_word(text), max_symbols=2, budget=100_000)
+            for text in ("a a b b", "a b a' b'", "a b a b'", "a a'")
+        ]
+        return reflected, pasted, orbits
+
+    table = {}
+    monkeypatch.setattr(words_module, "_INVERSES", table)
+    outcomes()
+    assert table
+    with_table = outcomes()  # every inverse read from the table
+    monkeypatch.setattr(words_module, "_INVERSES_CAP", 0)
+    table.clear()
+    without = outcomes()
+    assert not table
+    assert with_table == without
+    assert with_table[0] == [_reference_reflect(w.letters) for w in enumerate_words("abc") if len(w) == 6]
 
 
 def test_euler_characteristic():

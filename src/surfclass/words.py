@@ -11,7 +11,7 @@ datatype, and the assembly of one polygon from a glued multi-polygon complex.
 
 Words are cyclic: rotations of the letter sequence denote the same polygon,
 and equality and hashing go through the lexicographically least rotation,
-found with Booth's linear-time algorithm the first time it is needed.
+found when first needed by a two-candidate scan of at most 3n steps.
 Reflections are deliberately NOT identified here; reversing the reading
 direction is an explicit move in the rewriting module.
 """
@@ -126,28 +126,28 @@ def _check_letters(letters: tuple[Letter, ...]) -> None:
 def _least_rotation(s: tuple[Letter, ...]) -> int:
     """Start of the lexicographically least rotation of `s`.
 
-    Booth's algorithm (K. S. Booth, "Lexicographically least circular
-    substrings", IPL 10, 1980): a failure function over the doubled sequence,
-    O(n) comparisons.
+    Two candidate starts i and j are compared k letters into the doubled
+    sequence.  On a mismatch, the start with the larger letter and the k
+    starts after it begin no least rotation, so it jumps past them; thus i
+    never passes the first least start, and holds it once j or k reaches n.
+    Each step raises i + j + k, which starts at 1 and stays below 3n.
     """
     n = len(s)
     ss = s + s
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = ss[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != ss[k + i + 1]:
-            if c < ss[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != ss[k]:
-            if c < ss[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    for _ in range(3 * n):
+        if j >= n or k >= n:
+            return i
+        a, b = ss[i + k], ss[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, k = i + k + 1, 0
         else:
-            fail[j - k] = i + 1
-    return k
+            j, k = j + k + 1, 0
+        if i == j:
+            j += 1
+    raise InternalInvariantError(f"least-rotation scan of {n} letters ran past {3 * n} steps")
 
 
 class _Value:

@@ -1,9 +1,14 @@
-"""Static checks over the package source, read with the stdlib `ast`."""
+"""Static checks over the package source and the benchmark tracer's tables, read
+with the stdlib `ast`."""
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from surfclass.moves import _GRAMMAR
+from surfclass.words import Word
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "surfclass"
 # __init__.py imports names only to re-export them
@@ -40,12 +45,17 @@ def _imported_by_init() -> set[str]:
     return {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
 
 
-def _exported() -> list[str]:
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+def _constant(path: Path, name: str):
+    """The literal value a module assigns to `name` at its top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("__init__.py defines no __all__")
+    raise AssertionError(f"{path.name} defines no {name}")
+
+
+def _exported() -> list[str]:
+    return _constant(SRC / "__init__.py", "__all__")
 
 
 def _names(source: str) -> set[str]:
@@ -133,3 +143,30 @@ def test_line_and_number_rules_are_written_once(rule):
     # class on the immutable base in words.py
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert sum(len(re.findall(rule, text)) for text in sources) == 1
+
+
+# The benchmark's per-layer tracer wraps program names it looks up by
+# string, so a rename would break only a traced benchmark run; these tests
+# read its tables without running it.
+TRACER = ROOT / "perfbench" / "tracing.py"
+
+
+def test_every_traced_layer_names_a_function():
+    layers = _constant(TRACER, "LAYERS")
+    missing = [
+        f"surfclass.{module}.{attr}"
+        for _, module, attr in layers
+        if not callable(getattr(importlib.import_module(f"surfclass.{module}"), attr, None))
+    ]
+    assert layers
+    assert missing == []
+
+
+def test_traced_move_kinds_are_the_trace_keywords():
+    # the tracer files each apply_move call under its step's class name
+    assert _constant(TRACER, "MOVE_KINDS") == tuple(_GRAMMAR)
+    assert [move.__name__.lower() for move, _ in _GRAMMAR.values()] == list(_GRAMMAR)
+
+
+def test_traced_word_constructor_hook_exists():
+    assert callable(vars(Word).get("__post_init__"))

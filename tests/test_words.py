@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -136,6 +137,86 @@ def test_display_periodic_and_single():
     # exponent -1 sorts before +1
     assert parse_word("x x'").display() == "x' x"
     assert Word((Letter("c", -1),)).display() == "c'"
+
+
+def _reference_least_rotation(s):
+    """Booth's failure-function scan (K. S. Booth, "Lexicographically least
+    circular substrings", IPL 10, 1980): the start of a least rotation."""
+    n = len(s)
+    ss = s + s
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        c = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != ss[k]:
+            if c < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def _rotation_at(scan, letters):
+    k = scan(letters)
+    return letters[k:] + letters[:k]
+
+
+def _seeded_rotation_inputs(rng):
+    """Words of 8 to 320 letters over a few symbols, plain and periodic."""
+    for n in (8, 12, 40, 80, 160, 320):
+        for _ in range(6):
+            yield tuple(Letter(rng.choice("abc"), rng.choice((1, -1))) for _ in range(n))
+        for period in (1, 2, 4, n // 4, n // 2):
+            block = tuple(Letter(rng.choice("ab"), rng.choice((1, -1))) for _ in range(period))
+            yield block * (n // period)
+
+
+def test_least_rotation_matches_booth():
+    # periodic words have several least starts, so rotations are compared
+    # with Booth's, not starts; the scan returns the first one
+    scan = words_module._least_rotation
+    two = (Letter("a", 1), Letter("a", -1))
+    binary = [s for n in range(1, 13) for s in itertools.product(two, repeat=n)]
+    assert len(binary) == 8190
+    for s in binary:
+        rotations = _rotations(s)
+        least = min(rotations)
+        assert scan(s) == rotations.index(least)
+        assert _rotation_at(_reference_least_rotation, s) == least
+    census = [w.letters for w in enumerate_words("abc")]
+    seeded = list(_seeded_rotation_inputs(random.Random(0xB007)))
+    assert any(len(set(_rotations(s))) < len(s) for s in seeded)
+    for s in census + seeded:
+        assert _rotation_at(scan, s) == _rotation_at(_reference_least_rotation, s)
+
+
+def test_least_rotation_is_scanned_once_per_word(monkeypatch):
+    other = parse_word("b a' b' a")
+    hash(other)
+    scanned = []
+    scan = words_module._least_rotation
+
+    def counting(letters):
+        scanned.append(letters)
+        return scan(letters)
+
+    monkeypatch.setattr(words_module, "_least_rotation", counting)
+    w = parse_word("a b a' b'")
+    hash(w)
+    assert w == other
+    assert w.display() == "a' b' a b"
+    hash(w)
+    assert scanned == [w.letters]
+    # a rotated word is a new value with its own key
+    r = w.rotated(1)
+    assert hash(r) == hash(w)
+    assert scanned == [w.letters, r.letters]
 
 
 def test_word_constructor_errors():

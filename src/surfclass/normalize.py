@@ -12,8 +12,8 @@ homeomorphism type and records every elementary move:
    another class shrinks the class-size profile, and the first one is
    built.  Sphere words bottom out at the two-sided polygon, since one
    vertex is impossible when the characteristic is 2.
-2. A one-shot split of a word that is already a run of adjacent
-   same-exponent pairs, which reroutes it through the interleaved form
+2. A one-shot split of a non-orientable word that is already a run of
+   adjacent same-exponent pairs, which reroutes it through the interleaved form
    before regathering.  On the four-sided Klein-bottle word this is the
    classical detour through ``a c a' c``.
 3. The main loop: gather any non-adjacent same-exponent pair into an
@@ -25,8 +25,10 @@ homeomorphism type and records every elementary move:
    choice of the round is made from it.  The map comes from the corner trace
    of the word the last move produced, which finds each side's partner on
    its way, so no round builds it again.
-4. Finish: rotate to a block boundary, reverse negatively oriented sides,
-   and rename symbols left to right into the canonical alphabet.
+4. Finish: align the word onto the canonical word of its type, which is read
+   from the corner trace the rewrite starts with.  One rotation, one flip per
+   symbol whose letters point against their canonical letters and one rename
+   per symbol turn the word into that canonical word.
 
 Every cut is made where its diagonal sits, so the finish's alignment is the
 only rotation a trace can hold.
@@ -40,8 +42,8 @@ symbol not yet in the word with the same exponents, a flip to the inverse
 letters.  Each such move keeps which positions pair and whether the pair's
 exponents agree, so it keeps both invariants.  A vertex-reduction cut must
 also strictly shrink the sorted class-size profile of the corner classes
-traced for it, and the final word must equal the canonical word of the
-computed type letter for letter.
+traced for it.  The type is read from the trace the rewrite starts with, and
+the finished word must equal that type's canonical word letter for letter.
 Any violation raises InternalInvariantError rather than returning a wrong
 certificate.
 """
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .moves import (
     Cancel,
@@ -205,40 +207,30 @@ def _first_nonadjacent_same_pair(
     return None
 
 
-def _block_alignment(
-    word: Word, width: int, fits: Callable[[tuple[Letter, ...]], bool]
-) -> int | None:
-    """Smallest rotation offset splitting the word into blocks of `width`
-    letters that each `fits`.
+def _alignment(
+    letters: tuple[Letter, ...], target: tuple[Letter, ...]
+) -> tuple[int, dict[str, tuple[str, int]]] | None:
+    """The smallest rotation r that relabels `letters` onto `target`, with
+    the relabelling {symbol: (target symbol, sign)}, or None.
 
-    Offsets r and r + width cut the same blocks, so only r < width is tried,
-    and a word that has no such split costs O(n).
+    Each symbol's target symbol and sign are read where it first occurs in
+    the rotated letters, and every later letter must agree with them.  Both
+    words are closed, so two symbols sent to one target symbol would give it
+    four letters: the relabelling is one to one.  A canonical word is made
+    of blocks of two or four letters, and rotations r and r + 4 cut the same
+    blocks, so only r < 4 is tried.
     """
-    letters = word.letters
-    n = len(letters)
-    if n % width:
+    if len(letters) != len(target):
         return None
-    for r in range(width):
-        rotated = letters[r:] + letters[:r]
-        if all(fits(rotated[t : t + width]) for t in range(0, n, width)):
-            return r
+    for r in range(4):
+        mapping: dict[str, tuple[str, int]] = {}
+        for (sym, e), (want, e_want) in zip(letters[r:] + letters[:r], target):
+            name, sign = mapping.setdefault(sym, (want, e * e_want))
+            if name != want or sign * e != e_want:
+                break
+        else:
+            return r, mapping
     return None
-
-
-def _is_crosscap(block: tuple[Letter, ...]) -> bool:
-    """An (s, s) block: one symbol twice with the same exponent."""
-    return block[0] == block[1]
-
-
-def _is_commutator(block: tuple[Letter, ...]) -> bool:
-    """X Y X Y over two distinct symbols with the second occurrences
-    inverted, in any orientation."""
-    x, y, x2, y2 = block
-    return (
-        x.symbol == x2.symbol != y.symbol == y2.symbol
-        and x2.exponent == -x.exponent
-        and y2.exponent == -y.exponent
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +308,14 @@ def _shrink_class(
 # ---------------------------------------------------------------------------
 
 
-def _split_crosscap_run(rw: _Rewriter) -> None:
+def _split_crosscap_run(rw: _Rewriter, target: tuple[Letter, ...]) -> None:
+    """Phase 2 on a non-orientable word: a word that already aligns onto
+    its cross-cap run `target` is cut across its leading cross-cap."""
     n = len(rw.word)
-    r = _block_alignment(rw.word, 2, _is_crosscap)
-    if r is None:
+    aligned = _alignment(rw.word.letters, target)
+    if aligned is None:
         return
+    r = aligned[0]
     rw.emit(CutPaste(*sorted(((r + 1) % n, (r - 1) % n)), rw.fresh(), rw.word[r - 1].symbol))
 
 
@@ -393,9 +388,8 @@ def _collect_handle(
     rw.emit(CutPaste(*sorted((i, (p + 1) % n)), u, y))
     # cut from the positively oriented u to just past u'; the word is
     # orientable, so u occurs once with each exponent
+    # the paste pair y has opposite exponents, so the cut reflects nothing and puts u before u'
     u_plus, u_minus = rw.pairs[u]
-    if rw.word.letters[u_plus].exponent < 0:
-        u_plus, u_minus = u_minus, u_plus
     v = rw.fresh()
     rw.emit(CutPaste(*sorted((u_plus, (u_minus + 1) % n)), v, x))
     done.add(u)
@@ -463,36 +457,30 @@ def _apply_renames(rw: _Rewriter, mapping: dict[str, str]) -> None:
     raise InternalInvariantError("renaming failed to terminate")
 
 
-def _finish(rw: _Rewriter) -> SurfaceType:
-    word = rw.word
-    n = len(word.letters)
-    if n == 2 and word[0].exponent == -word[1].exponent:
-        if word[0].exponent < 0:
-            rw.emit(Rotate(1))
-        _apply_renames(rw, {rw.word[0].symbol: "a1"})
-        return SurfaceType.sphere()
-    # a cross-cap block (a a) or a commutator block (a b a' b'): the leading
-    # letter of each of its symbols is made positive, then renamed in order
-    if rw.orientable:
-        width, fits, heads, what = 4, _is_commutator, "ab", "commutator blocks"
-    else:
-        width, fits, heads, what = 2, _is_crosscap, "a", "a cross-cap run"
-    r = _block_alignment(word, width, fits)
-    if r is None:
-        raise InternalInvariantError(f"expected {what}, got {word.render()}")
+def _finish(rw: _Rewriter, target: tuple[Letter, ...]) -> None:
+    """Phase 4: turn the word into `target`, the canonical word of the type
+    read from the trace the rewrite starts with.
+
+    A sphere word with a negative leading letter is first rotated by one.
+    Then the word is rotated to its alignment onto `target`, the symbols
+    whose sign is negative are flipped in order of first occurrence, and
+    every symbol is renamed to its target symbol.  `normalize` then checks
+    that the finished word equals `target` letter for letter.
+    """
+    if rw.orientable and len(target) == 2 and rw.word[0].exponent < 0:
+        rw.emit(Rotate(1))
+    aligned = _alignment(rw.word.letters, target)
+    if aligned is None:
+        raise InternalInvariantError(
+            f"{rw.word.render()} does not align onto {Word(target).render()}"
+        )
+    r, mapping = aligned
     if r:
         rw.emit(Rotate(r))
-    starts = range(0, n, width)
-    for t in starts:
-        for k in range(len(heads)):
-            if rw.word[t + k].exponent < 0:
-                rw.emit(FlipEdge(rw.word[t + k].symbol))
-    _apply_renames(rw, {
-        rw.word[t + k].symbol: f"{head}{t // width + 1}"
-        for t in starts
-        for k, head in enumerate(heads)
-    })
-    return SurfaceType(rw.orientable, n // width)
+    for sym, (_, sign) in mapping.items():
+        if sign < 0:
+            rw.emit(FlipEdge(sym))
+    _apply_renames(rw, {sym: name for sym, (name, _) in mapping.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +494,17 @@ def normalize(word: Word) -> NormalizationResult:
     pairs: dict[str, tuple[int, int]] = {}
     classes = corner_classes(word, pairs)
     rw = _Rewriter(word, _euler_from_classes(classes), pairs)
+    t = surface_type_from_invariants(rw.chi, rw.orientable)
+    target = canonical_word(t).letters
     _reduce_vertices(rw, classes)
     if len(rw.word) > 2:
-        _split_crosscap_run(rw)
+        if not rw.orientable:
+            _split_crosscap_run(rw, target)
         _gather(rw)
-    t = _finish(rw)
-    if rw.word.letters != canonical_word(t).letters:
+    _finish(rw, target)
+    if rw.word.letters != target:
         raise InternalInvariantError(
             f"finished at {rw.word.render()}, not the canonical word of {t}"
-        )
-    if t != surface_type_from_invariants(rw.chi, rw.orientable):
-        raise InternalInvariantError(
-            f"normalized type {t} disagrees with the invariant classification"
         )
     trace = MoveTrace(word, tuple(rw.steps))
     return NormalizationResult(t, trace)

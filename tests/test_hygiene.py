@@ -145,6 +145,14 @@ def test_line_and_number_rules_are_written_once(rule):
     assert sum(len(re.findall(rule, text)) for text in sources) == 1
 
 
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "words.py"])
+def test_canonical_names_are_spelled_only_in_words(module):
+    # canonical_word in words.py is the one place that names the canonical
+    # symbols a1, b1, ...; every other module takes them from it
+    text = (SRC / module).read_text(encoding="utf-8")
+    assert [s for s in ('"a1"', 'f"a{', 'f"b{', 'f"{head}') if s in text] == []
+
+
 # The benchmark's per-layer tracer wraps program names it looks up by
 # string, so a rename would break only a traced benchmark run; these tests
 # read its tables without running it.

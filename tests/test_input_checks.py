@@ -55,10 +55,15 @@ def _cp2_with(**fields):
          "class coordinate must be an integer, got 1.7"),
         (lambda: DivisorClass("12"), ValidationError,
          "class coordinate must be an integer, got '1'"),
+        (lambda: DivisorClass(["x"]), ValidationError,
+         "class coordinate must be an integer, got 'x'"),
+        (lambda: BaseSurface("hirzebruch", float("inf")), ValidationError,
+         "base surface index must be an integer, got inf"),
     ],
     ids=["gram-shape", "asymmetric", "canonical-dim", "tracked-dim", "tracked-names",
          "rank-below-base", "cp2-index", "chart-origin", "fractional-index",
-         "fractional-coordinate", "string-coordinates"],
+         "fractional-coordinate", "string-coordinates", "non-numeric-coordinate",
+         "infinite-index"],
 )
 def test_lattice_input_checks(build, error, message):
     _raises(build, error, message)
@@ -99,8 +104,9 @@ def test_moves_input_checks(word, move, message):
         (lambda: PolygonSet(()), ValidationError,
          "a polygon set must contain at least one polygon"),
         (lambda: SurfaceType(True, 1.5), ValidationError, "genus must be an integer, got 1.5"),
+        (lambda: SurfaceType(True, None), ValidationError, "genus must be an integer, got None"),
     ],
-    ids=["odd-orientable-chi", "empty-polygon-set", "fractional-genus"],
+    ids=["odd-orientable-chi", "empty-polygon-set", "fractional-genus", "missing-genus"],
 )
 def test_words_input_checks(build, error, message):
     _raises(build, error, message)

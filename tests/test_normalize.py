@@ -291,7 +291,7 @@ def test_rename_order_matches_the_resorting_form():
     assert cycles
 
 # ---------------------------------------------------------------------------
-# the block scan against the full rotation scans it replaced
+# the alignment onto canonical words against full rotation scans for blocks
 
 
 def _reference_crosscap_alignment(word):
@@ -333,21 +333,36 @@ def _reference_commutator_alignment(word):
     return None
 
 
+def _aligned_rotation(letters, target):
+    """The rotation `_alignment` finds, after checking that its relabelling
+    maps the rotated letters onto `target` letter for letter."""
+    aligned = normalize_module._alignment(letters, target)
+    if aligned is None:
+        return None
+    r, mapping = aligned
+    rotated = letters[r:] + letters[:r]
+    assert tuple(Letter(mapping[s][0], mapping[s][1] * e) for s, e in rotated) == target
+    return r
+
+
 def test_block_alignment_matches_full_scans():
-    block_alignment = normalize_module._block_alignment
-    crosscap, commutator = normalize_module._is_crosscap, normalize_module._is_commutator
     pool = list(enumerate_words("abc")) + list(_seeded_words(0xB10C, 60, 4, 40))
     pool += [canonical_word(t) for g in range(1, 7) for t in (O(g), N(g))]
     pool += [canonical_word(O(g)).reflected() for g in range(1, 7)]
     hits = {"crosscap": 0, "commutator": 0}
     for word in pool:
-        for r in range(len(word)):
+        n = len(word)
+        crosscaps = canonical_word(N(n // 2)).letters
+        # genus 0 is the sphere, whose word is no commutator block; a
+        # handle target of another length aligns nothing
+        handles = canonical_word(O(max(n // 4, 1))).letters
+        for r in range(n):
             w = word.rotated(r)
             want = _reference_crosscap_alignment(w)
-            assert block_alignment(w, 2, crosscap) == want, w
+            assert _aligned_rotation(w.letters, crosscaps) == want, w
             hits["crosscap"] += want is not None
             want = _reference_commutator_alignment(w)
-            assert block_alignment(w, 4, commutator) == want, w
+            assert _aligned_rotation(w.letters, handles) == want, w
             hits["commutator"] += want is not None
     # both kinds of block are found, at more than one offset
     assert hits["crosscap"] > 100 and hits["commutator"] > 100

@@ -21,10 +21,12 @@ homeomorphism type and records every elementary move:
    that the leading cross-cap becomes non-adjacent again, which converts one
    inverse pair into cross-cap material per round; on fully orientable words
    gather interleaved pairs into contiguous commutator blocks.  Each round
-   reads one pair map, where each symbol's two letters sit, and every
-   choice of the round is made from it.  The map comes from the corner trace
-   of the word the last move produced, which finds each side's partner on
-   its way, so no round builds it again.
+   makes one pass over the pair map, where each symbol's two letters sit,
+   in order of first letter: it gathers the first non-adjacent same-exponent
+   pair it meets, and lists on its way the inverse pairs that the round
+   splits or collects when there is none.  The map comes from the corner
+   trace of the word the last move produced, which finds each side's
+   partner on its way, so no round builds it again.
 4. Finish: align the word onto the canonical word of its type, which is read
    from the corner trace the rewrite starts with.  One rotation, one flip per
    symbol whose letters point against their canonical letters and one rename
@@ -34,18 +36,18 @@ Every cut is made where its diagonal sits, so the finish's alignment is the
 only rotation a trace can hold.
 
 Each emitted move is checked to preserve the Euler characteristic and
-orientability.  A cut or a cancellation has the corners of the word it
-produces traced once.  Rotations, renames and edge flips are checked by their
-letters instead: a rotation must give exactly the rotated letters, and a
-rename or flip must change only the two letters of its symbol, a rename to a
-symbol not yet in the word with the same exponents, a flip to the inverse
-letters.  Each such move keeps which positions pair and whether the pair's
-exponents agree, so it keeps both invariants.  A vertex-reduction cut must
-also strictly shrink the sorted class-size profile of the corner classes
-traced for it.  The type is read from the trace the rewrite starts with, and
-the finished word must equal that type's canonical word letter for letter.
-Any violation raises InternalInvariantError rather than returning a wrong
-certificate.
+orientability, in one of two ways.  A cut or a cancellation has the corners
+of the word it produces traced once.  A move that only relabels, a rotation,
+a rename or an edge flip, is checked by its letters instead: a rotation must
+give exactly the rotated letters, and a rename or flip must change only the
+two letters of its symbol, a rename to a symbol not yet in the word with the
+same exponents, a flip to the inverse letters.  Each such move keeps, up to
+a cyclic shift, which positions pair and whether the pair's exponents agree,
+so it keeps both invariants.  A vertex-reduction cut must also strictly
+shrink the sorted class-size profile of the corner classes traced for it.
+The type is read from the trace the rewrite starts with, and the finished
+word must equal that type's canonical word letter for letter.  Any violation
+raises InternalInvariantError rather than returning a wrong certificate.
 """
 from __future__ import annotations
 
@@ -93,12 +95,12 @@ class _Rewriter:
     so that vertex reduction can pick its next cut and check that the last
     one shrank the class-size profile.  The same trace gives `pairs`, the
     word's pair map (each symbol's two positions, keyed in order of first
-    letter), which gathering and `fresh` read.  Rotations, renames and edge
-    flips are checked by their letters alone and trace nothing; they leave
-    `pairs` None, as the finish, the only phase to emit them, reads no pair
-    map.  `chi` and `pairs` start as the input's, read from the trace
-    `normalize` starts with, and `orientable` is read off the input's
-    letters.
+    letter), which gathering and `fresh` read.  The moves that only relabel,
+    rotations, renames and edge flips, are checked by `_relabels` on their
+    letters and trace nothing; they leave `pairs` None, as the finish, the
+    only phase to emit them, reads no pair map.  `chi` and `pairs` start as
+    the input's, read from the trace `normalize` starts with, and
+    `orientable` is read off the input's letters.
     """
 
     def __init__(self, word: Word, chi: int, pairs: dict[str, tuple[int, int]]) -> None:
@@ -120,14 +122,7 @@ class _Rewriter:
             ) from exc
         self.steps.append(move)
         self.pairs = None
-        if isinstance(move, Rotate):
-            k = move.offset % len(old)
-            if self.word.letters != old.letters[k:] + old.letters[:k]:
-                raise InternalInvariantError(
-                    f"move {move.render()} did not rotate {old.render()}"
-                )
-            return None
-        if isinstance(move, (Rename, FlipEdge)):
+        if isinstance(move, (Rotate, Rename, FlipEdge)):
             if not _relabels(old.letters, self.word.letters, move):
                 raise InternalInvariantError(
                     f"move {move.render()} changed an invariant of {self.word.render()}"
@@ -150,17 +145,21 @@ class _Rewriter:
 
 
 def _relabels(
-    old: tuple[Letter, ...], new: tuple[Letter, ...], move: Rename | FlipEdge
+    old: tuple[Letter, ...], new: tuple[Letter, ...], move: Rotate | Rename | FlipEdge
 ) -> bool:
-    """True when `new` is `old` with only the two letters of the moved
-    symbol changed: renamed to a symbol absent from `old` with the same
-    exponents, or inverted by a flip.
+    """True when `new` is `old` relabelled by `move` and nothing else: the
+    rotated letters for a rotation, or `old` with only the two letters of
+    the moved symbol changed, renamed to a symbol absent from `old` with the
+    same exponents, or inverted by a flip.
 
     `old` is a closed word, so the moved symbol occurs exactly twice.  The
     unchanged stretches are compared as tuple slices.
     """
     if len(new) != len(old):
         return False
+    if isinstance(move, Rotate):
+        k = move.offset % len(old)
+        return new == old[k:] + old[:k]
     symbols = list(map(_SYMBOL, old))
     if isinstance(move, Rename):
         if move.new in symbols:
@@ -182,29 +181,6 @@ def _relabels(
         and new[i + 1 : j] == old[i + 1 : j]
         and new[j + 1 :] == old[j + 1 :]
     )
-
-
-# ---------------------------------------------------------------------------
-# pair scanning helpers
-# ---------------------------------------------------------------------------
-
-
-def _cyclically_adjacent(i: int, j: int, n: int) -> bool:
-    return j - i == 1 or (i == 0 and j == n - 1)
-
-
-def _first_nonadjacent_same_pair(
-    word: Word, pairs: dict[str, tuple[int, int]]
-) -> tuple[int, int] | None:
-    """The leftmost same-exponent pair whose two letters are not cyclically
-    adjacent.  `pairs` lists symbols by first letter, so the first such pair
-    it yields is the leftmost."""
-    letters = word.letters
-    n = len(letters)
-    for i, j in pairs.values():
-        if letters[i].exponent == letters[j].exponent and not _cyclically_adjacent(i, j, n):
-            return i, j
-    return None
 
 
 def _alignment(
@@ -347,28 +323,23 @@ def _seed_split(rw: _Rewriter, inverse: set[str]) -> None:
     rw.emit(CutPaste(*diagonal, rw.fresh(), word[start + q0].symbol))
 
 
-def _collect_handle(
-    rw: _Rewriter,
-    i: int,
-    p: int,
-    pairs: dict[str, tuple[int, int]],
-    done: set[str],
-) -> None:
+def _collect_handle(rw: _Rewriter, i: int, p: int, done: set[str]) -> None:
     """Gather the inverse pair at positions i < p into a contiguous
     commutator block.
 
-    `pairs` is the pair map of the current word, `rw.pairs` this round.
-    The interleaver is read off it: the first symbol not done with one
-    letter strictly between i and p and the other outside.  Two cuts follow,
-    each where its diagonal sits: the first, from corner i to just past p,
-    re-pastes along the interleaver; the second, from the letter u to just
-    past u', along the original pair.  The two minted symbols u, v end up
-    adjacent as u' v u v'.  Finished blocks are marked done and are never
-    chosen as interleavers again; they cannot interleave anything anyway,
-    because they stay contiguous under later cuts (cut boundaries always sit
-    at letters of the pairs being worked on, never inside a finished block).
+    The interleaver is read off `rw.pairs`, the pair map of the current
+    word: the first symbol not done with one letter strictly between i and p
+    and the other outside.  Two cuts follow, each where its diagonal sits:
+    the first, from corner i to just past p, re-pastes along the
+    interleaver; the second, from the letter u to just past u', along the
+    original pair.  The two minted symbols u, v end up adjacent as
+    u' v u v'.  Finished blocks are marked done and are never chosen as
+    interleavers again; they cannot interleave anything anyway, because they
+    stay contiguous under later cuts (cut boundaries always sit at letters
+    of the pairs being worked on, never inside a finished block).
     """
     letters = rw.word.letters
+    pairs = rw.pairs
     x = letters[i].symbol
     y = None
     for q in range(i + 1, p):
@@ -397,31 +368,37 @@ def _collect_handle(
 
 
 def _gather(rw: _Rewriter) -> None:
-    """Phase 3.  `done` holds the symbols of finished commutator blocks; it
-    stays empty on a non-orientable word, so one list of inverse pairs not
-    yet done serves the seed split and the handle gather alike."""
+    """Phase 3, one pass over the pair map per round.
+
+    The map lists symbols by first letter, so the pass meets the leftmost
+    same-exponent pair whose letters are not cyclically adjacent first, and
+    gathers it into a cross-cap.  On its way it lists the inverse pairs not
+    yet done; when no such same-exponent pair exists, the round splits the
+    leading cross-cap across one of them or collects the leftmost into a
+    commutator block.  `done` holds the symbols of finished commutator
+    blocks; it stays empty on a non-orientable word, so one list serves the
+    seed split and the handle gather alike.
+    """
     done: set[str] = set()
     guard = 20 * (len(rw.word) + 2) ** 2 + 64
     for _ in range(guard):
         letters = rw.word.letters
-        pairs = rw.pairs
-        pair = _first_nonadjacent_same_pair(rw.word, pairs)
-        if pair is not None:
-            i, j = pair
-            rw.emit(CutPaste(i, j, rw.fresh(), letters[i].symbol))
-            continue
-        # the map lists symbols by first letter, so todo[0] sits leftmost
-        todo = [
-            s
-            for s, (i, j) in pairs.items()
-            if s not in done and letters[i].exponent != letters[j].exponent
-        ]
-        if not todo:
-            return
-        if not rw.orientable:
-            _seed_split(rw, set(todo))
-            continue
-        _collect_handle(rw, *pairs[todo[0]], pairs, done)
+        n = len(letters)
+        todo: list[str] = []
+        for s, (i, j) in rw.pairs.items():
+            if letters[i].exponent != letters[j].exponent:
+                if s not in done:
+                    todo.append(s)
+            elif 1 < j - i < n - 1:
+                rw.emit(CutPaste(i, j, rw.fresh(), s))
+                break
+        else:
+            if not todo:
+                return
+            if rw.orientable:
+                _collect_handle(rw, *rw.pairs[todo[0]], done)
+            else:
+                _seed_split(rw, set(todo))
     raise InternalInvariantError("gathering failed to terminate")
 
 

@@ -37,8 +37,9 @@ class ScriptError(SurfclassError):
 
 
 # a coefficient is ASCII digits, optionally followed by *; its sign is the
-# term's own + or -
-_TERM = re.compile(rf"^\s*([+-])?\s*(?:({_DIGITS})\s*\*?\s*)?({_NAME})\s*")
+# term's own + or -.  No two runs of spaces meet, so a failing match gives
+# back each space once: a term costs linear time even on hostile input.
+_TERM = re.compile(rf"\s*(?:([+-])\s*)?(?:({_DIGITS})\s*(?:\*\s*)?)?({_NAME})\s*")
 
 
 def parse_class_expr(expr: str, surf: RationalSurface) -> DivisorClass:
@@ -53,16 +54,15 @@ def parse_class_expr(expr: str, surf: RationalSurface) -> DivisorClass:
     index = {nm: i for i, nm in enumerate(surf.basis)}
     coords = [0] * surf.rank
     pos = 0
-    first = True
     text = expr.strip()
     if not text:
         raise ValidationError("empty class expression")
     while pos < len(text):
-        m = _TERM.match(text[pos:])
+        m = _TERM.match(text, pos)
         if not m:
             raise ValidationError(f"cannot read class expression at {text[pos:]!r}")
         sign_s, coeff_s, name = m.groups()
-        if first and sign_s is None:
+        if pos == 0 and sign_s is None:
             sign_s = "+"
         if sign_s is None:
             raise ValidationError(f"missing + or - before {name!r}")
@@ -77,8 +77,7 @@ def parse_class_expr(expr: str, surf: RationalSurface) -> DivisorClass:
                 f"coefficient of {name!r} is too long ({len(coeff_s)} digits)"
             )
         coords[index[name]] += coeff if sign_s == "+" else -coeff
-        pos += m.end()
-        first = False
+        pos = m.end()
     return DivisorClass(tuple(coords))
 
 

@@ -249,6 +249,10 @@ def test_relabel_check_refuses_a_taken_name():
     old, new = W("a b a' b'").letters, W("b b b' b'").letters
     assert not normalize_module._relabels(old, new, Rename("a", "b"))
     assert normalize_module._relabels(old, W("c b c' b'").letters, Rename("a", "c"))
+    # a rotation must give exactly the letters rotated by its offset
+    rotated = W("b a' b' a").letters
+    assert not normalize_module._relabels(old, rotated, Rotate(2))
+    assert normalize_module._relabels(old, rotated, Rotate(1))
 
 
 def _reference_apply_renames(rw, mapping):
@@ -383,9 +387,9 @@ def _seeded_words(seed, count, lo, hi):
 
 def test_each_produced_word_is_traced_at_most_once(monkeypatch):
     # every apply_move that normalize makes emits a move, and every word is
-    # traced at most once: the start word, whose trace also gives the
-    # invariants of the final type cross-check, and one per move that is
-    # neither a rotation, a rename nor a flip
+    # traced at most once: the start word, whose trace also gives the type
+    # normalize aims at, and one per move that is neither a rotation, a
+    # rename nor a flip
     counts = {"traces": 0, "applies": 0}
     real_trace = words_module.corner_classes
     real_apply = normalize_module.apply_move
@@ -413,16 +417,20 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
 
 def test_pair_map_is_the_current_words(monkeypatch):
     # the pair map each gathering round and each fresh name read is the one
-    # the last trace left in the rewriter: it must be the current word's,
-    # key order included, as _pair_positions builds it
-    real_first = normalize_module._first_nonadjacent_same_pair
+    # the last trace left in the rewriter: after every move that leaves a
+    # map, it must be the current word's, key order included, as
+    # _pair_positions builds it
+    real_emit = normalize_module._Rewriter.emit
     real_fresh = normalize_module._Rewriter.fresh
-    counts = {"rounds": 0, "fresh": 0}
+    counts = {"maps": 0, "fresh": 0}
 
-    def checked_first(word, pairs):
-        assert list(pairs.items()) == list(words_module._pair_positions(word.letters).items())
-        counts["rounds"] += 1
-        return real_first(word, pairs)
+    def checked_emit(rw, move):
+        classes = real_emit(rw, move)
+        if rw.pairs is not None:
+            want = words_module._pair_positions(rw.word.letters)
+            assert list(rw.pairs.items()) == list(want.items())
+            counts["maps"] += 1
+        return classes
 
     def checked_fresh(rw):
         name = real_fresh(rw)
@@ -431,13 +439,13 @@ def test_pair_map_is_the_current_words(monkeypatch):
         counts["fresh"] += 1
         return name
 
-    monkeypatch.setattr(normalize_module, "_first_nonadjacent_same_pair", checked_first)
+    monkeypatch.setattr(normalize_module._Rewriter, "emit", checked_emit)
     monkeypatch.setattr(normalize_module._Rewriter, "fresh", checked_fresh)
     for pairs in (4, 16, 64, 256):
         before = dict(counts)
         for word in _seeded_words(0x9A125 + pairs, 4, pairs, pairs):
             normalize(word)
-        assert counts["rounds"] > before["rounds"] and counts["fresh"] > before["fresh"]
+        assert counts["maps"] > before["maps"] and counts["fresh"] > before["fresh"]
 
 
 def test_only_the_final_alignment_rotates():

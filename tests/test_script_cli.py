@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -47,6 +48,22 @@ def test_class_expr_errors():
         parse_class_expr("   ", surf)
     with pytest.raises(ValidationError, match="missing"):
         parse_class_expr("H E1", make_base(BaseSurface.cp2()))
+
+
+def test_class_expr_costs_linear_time_on_hostile_input():
+    # a run of spaces after a coefficient that no name follows made the
+    # term pattern backtrack quadratically (about 23 s for 50,000 spaces),
+    # and reading each term off a fresh slice of the rest made a long sum
+    # quadratic (about 11 s for 500,000 terms); both take well under a
+    # tenth of their bound in linear time
+    surf = make_base(BaseSurface.cp2())
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="cannot read class expression at '2 "):
+        parse_class_expr("2" + " " * 50_000 + "!", surf)
+    assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    assert parse_class_expr(" + ".join(["H"] * 500_000), surf).coords == (500_000,)
+    assert time.perf_counter() - t0 < 3
 
 
 TWO_POINTS = """\

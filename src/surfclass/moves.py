@@ -182,25 +182,28 @@ def cut(word: Word, i: int, j: int, fresh: str) -> tuple[Word, Word]:
     )
 
 
-def _cut_paste(letters: tuple[Letter, ...], move: CutPaste) -> tuple[Letter, ...]:
-    """The letters of `cut` then `paste`, spliced from the word's letters L.
+def _arc(seq: tuple, start: int, stop: int) -> tuple:
+    """The entries of `seq` read cyclically from `start` up to, not
+    including, `stop`."""
+    return seq[start:stop] if start <= stop else seq[start:] + seq[:stop]
 
-    The cut from corner i to corner j (i < j) leaves sides [i, j) on one
-    piece and the rest, read on from j, on the other.  With pa the paste
-    letter inside [i, j), and `after` and `before` the outer sides after and
-    before the other paste letter, the result is L[pa+1:j] + fresh +
-    L[i:pa] + after + fresh' + before; with equal paste exponents the outer
-    part after + fresh' + before is reflected.  Pasting along the diagonal
-    itself undoes the cut, leaving the word rotated to start at corner i.
-    The guards, and their messages, are the cut's and then the paste's.
+
+def _paste_sites(
+    letters: tuple[Letter, ...], symbols: list[str], move: CutPaste
+) -> tuple[int, int, bool]:
+    """Where a cut from corner i to corner j (i < j) re-pastes along a
+    symbol other than its diagonal: (pa, po, reflect).
+
+    The cut leaves sides [i, j) on one piece and the rest, read on from j,
+    on the other.  pa is the paste letter inside [i, j) and po the one
+    outside it, so the outer sides after po run from po + 1 to i and those
+    before it from j to po.  `reflect` says whether the two paste letters
+    have equal exponents, so that the outer piece is turned over.  `symbols`
+    lists the symbols of `letters`.  This is the one place the case analysis
+    of a paste is written: `_cut_paste` splices letters by it, and
+    normalization splices corner labels by it.
     """
-    i, j, fresh, paste_symbol = move.i, move.j, move.fresh, move.paste
-    if not i < j:
-        raise MoveError("cut positions must satisfy i < j")
-    symbols = list(map(_SYMBOL, letters))
-    _check_cut(symbols, i, j, fresh)
-    if paste_symbol == fresh:
-        return letters[i:] + letters[:i]
+    i, j, paste_symbol = move.i, move.j, move.paste
     a = b = -1
     if symbols.count(paste_symbol) == 2:
         a = symbols.index(paste_symbol)
@@ -208,13 +211,35 @@ def _cut_paste(letters: tuple[Letter, ...], move: CutPaste) -> tuple[Letter, ...
     # a < b, so one letter inside [i, j) and one outside is either a inside
     # with b >= j, or b inside with a < i
     if i <= a < j <= b:
-        pa, after, before = a, letters[b + 1 :] + letters[:i], letters[j:b]
+        pa, po = a, b
     elif a < i <= b < j:
-        pa, after, before = b, letters[a + 1 : i], letters[j:] + letters[:a]
+        pa, po = b, a
     else:
         raise MoveError(f"symbol {paste_symbol} must occur exactly once in each polygon")
-    outer = after + (Letter(fresh, -1),) + before
-    if letters[a].exponent == letters[b].exponent:
+    return pa, po, letters[a].exponent == letters[b].exponent
+
+
+def _cut_paste(letters: tuple[Letter, ...], move: CutPaste) -> tuple[Letter, ...]:
+    """The letters of `cut` then `paste`, spliced from the word's letters L.
+
+    With pa, po and the outer stretches as `_paste_sites` finds them, the
+    result is L[pa+1:j] + fresh + L[i:pa] + after + fresh' + before, where
+    `after` runs from po + 1 to i and `before` from j to po, cyclically; with
+    equal paste exponents the outer part after + fresh' + before is
+    reflected.  Pasting along the diagonal itself undoes the cut, leaving
+    the word rotated to start at corner i.  The guards, and their messages,
+    are the cut's and then the paste's.
+    """
+    i, j, fresh = move.i, move.j, move.fresh
+    if not i < j:
+        raise MoveError("cut positions must satisfy i < j")
+    symbols = list(map(_SYMBOL, letters))
+    _check_cut(symbols, i, j, fresh)
+    if move.paste == fresh:
+        return letters[i:] + letters[:i]
+    pa, po, reflect = _paste_sites(letters, symbols, move)
+    outer = _arc(letters, po + 1, i) + (Letter(fresh, -1),) + _arc(letters, j, po)
+    if reflect:
         outer = _reflect(outer)
     return letters[pa + 1 : j] + (Letter(fresh, 1),) + letters[i:pa] + outer
 

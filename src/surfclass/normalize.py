@@ -24,9 +24,9 @@ homeomorphism type and records every elementary move:
    makes one pass over the pair map, where each symbol's two letters sit,
    in order of first letter: it gathers the first non-adjacent same-exponent
    pair it meets, and lists on its way the inverse pairs that the round
-   splits or collects when there is none.  The map comes from the corner
-   trace of the word the last move produced, which finds each side's
-   partner on its way, so no round builds it again.
+   splits or collects when there is none.  The map comes from the pair
+   pass of the corner trace, run on the word the last move produced, or
+   from the trace that ends phase 1, so no round builds it again.
 4. Finish: align the word onto the canonical word of its type, which is read
    from the corner trace the rewrite starts with.  One rotation, one flip per
    symbol whose letters point against their canonical letters and one rename
@@ -36,24 +36,42 @@ Every cut is made where its diagonal sits, so the finish's alignment is the
 only rotation a trace can hold.
 
 Each emitted move is checked to preserve the Euler characteristic and
-orientability, in one of two ways.  A cut or a cancellation has the corners
-of the word it produces traced once.  A move that only relabels, a rotation,
-a rename or an edge flip, is checked by its letters instead: a rotation must
-give exactly the rotated letters, and a rename or flip must change only the
-two letters of its symbol, a rename to a symbol not yet in the word with the
-same exponents, a flip to the inverse letters.  Each such move keeps, up to
-a cyclic shift, which positions pair and whether the pair's exponents agree,
-so it keeps both invariants.  A vertex-reduction cut must also strictly
-shrink the sorted class-size profile of the corner classes traced for it.
-The type is read from the trace the rewrite starts with, and the finished
-word must equal that type's canonical word letter for letter.  Any violation
+orientability.  A move that only relabels, a rotation, a rename or an edge
+flip, is checked by its letters: a rotation must give exactly the rotated
+letters, and a rename or flip must change only the two letters of its
+symbol, a rename to a symbol not yet in the word with the same exponents, a
+flip to the inverse letters.  Each such move keeps, up to a cyclic shift,
+which positions pair and whether the pair's exponents agree, so it keeps
+both invariants.  A cut or a cancellation must give a word of the right
+length, n for a cut and n - 2 for a cancellation, and of the input's
+orientability, which is read off the letters.  Its Euler characteristic is
+checked once per span: phase 1 is one span, and phases 2 and 3 together are
+another.  A span that emitted a move ends with one corner trace of the word
+it reached, whose Euler characteristic must be the input's.  The Euler
+characteristic and orientability are a complete invariant of closed
+surfaces, so a span that keeps both at its ends kept the type; a move that
+breaks the Euler characteristic is seen only if no later move of its span
+restores it.  Between those traces each phase
+carries what it reads.  Phase 1 derives the corner classes of each word it
+produces from those of the word before, spliced as the move splices the
+letters, and at the span's end they must equal the traced classes; each of
+its cuts must also strictly shrink the sorted class-size profile.  Phases 2
+and 3 run only the pair pass of the corner trace after each move, for the
+pair map they read.  When a span's end check fails, or the span raises
+InternalInvariantError or ValidationError, the span runs again from its
+start word with every word traced, and then picks its cuts from traced
+classes.  So the run again raises where a check after every move raises,
+naming the first move that broke an invariant, and that error is chained to
+the one that set the run off.  The
+type is read from the trace the rewrite starts with, and the finished word
+must equal that type's canonical word letter for letter.  Any violation
 raises InternalInvariantError rather than returning a wrong certificate.
 """
 from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .moves import (
     Cancel,
@@ -64,15 +82,19 @@ from .moves import (
     MoveTrace,
     Rename,
     Rotate,
+    _arc,
+    _paste_sites,
     apply_move,
 )
 from .words import (
     InternalInvariantError,
     Letter,
     SurfaceType,
+    ValidationError,
     Word,
     _SYMBOL,
     _euler_from_classes,
+    _pair_pass,
     canonical_word,
     corner_classes,
     is_orientable,
@@ -87,20 +109,28 @@ class NormalizationResult(NamedTuple):
     trace: MoveTrace
 
 
+def _changed(move: Move, word: Word) -> InternalInvariantError:
+    """The error for a move whose word `word` breaks an invariant."""
+    return InternalInvariantError(f"move {move.render()} changed an invariant of {word.render()}")
+
+
 class _Rewriter:
     """Mutable cursor over a word that records and checks each move.
 
-    Each word a cut or a cancellation produces has its corners traced once,
-    for the Euler-characteristic check, and `emit` hands those classes back
-    so that vertex reduction can pick its next cut and check that the last
-    one shrank the class-size profile.  The same trace gives `pairs`, the
-    word's pair map (each symbol's two positions, keyed in order of first
-    letter), which gathering and `fresh` read.  The moves that only relabel,
-    rotations, renames and edge flips, are checked by `_relabels` on their
-    letters and trace nothing; they leave `pairs` None, as the finish, the
-    only phase to emit them, reads no pair map.  `chi` and `pairs` start as
-    the input's, read from the trace `normalize` starts with, and
-    `orientable` is read off the input's letters.
+    `emit` checks each move on its own, and `span` checks the cuts and
+    cancellations of a phase as a whole.  In between, the rewriter carries
+    what the phases read.  While `classes` is set, in phase 1, each cut or
+    cancellation derives the corner classes of its word from the last ones,
+    which `emit` hands back for vertex reduction to pick its next cut, and
+    keeps no pair map.  Otherwise each cut runs the pair pass of the corner
+    trace on its word, which leaves `pairs`, the word's pair map (each
+    symbol's two positions, keyed in order of first letter), for gathering
+    and `fresh` to read.  While `traced` is set, in the run again of a span
+    that failed, every word is traced and keeps both.  The moves that only
+    relabel leave `pairs` None, as the finish, the only phase to emit them,
+    reads no pair map.  `chi` and `pairs` start as the input's, read from
+    the trace `normalize` starts with, and `orientable` is read off the
+    input's letters.
     """
 
     def __init__(self, word: Word, chi: int, pairs: dict[str, tuple[int, int]]) -> None:
@@ -108,11 +138,14 @@ class _Rewriter:
         self.steps: list[Move] = []
         self.chi = chi
         self.pairs: dict[str, tuple[int, int]] | None = pairs
+        self.classes: tuple[int, ...] | None = None
+        self.traced = False
         self.orientable = is_orientable(word)
 
     def emit(self, move: Move) -> tuple[int, ...] | None:
         """Apply, record and check one move.  Returns the corner classes of
-        the new word for a cut or a cancellation, None otherwise."""
+        the new word while `classes` is set or every word is traced, None
+        otherwise."""
         old = self.word
         try:
             self.word = apply_move(old, move)
@@ -124,24 +157,109 @@ class _Rewriter:
         self.pairs = None
         if isinstance(move, (Rotate, Rename, FlipEdge)):
             if not _relabels(old.letters, self.word.letters, move):
-                raise InternalInvariantError(
-                    f"move {move.render()} changed an invariant of {self.word.render()}"
-                )
+                raise _changed(move, self.word)
             return None
-        self.pairs = {}
-        classes = corner_classes(self.word, self.pairs)
-        if (
-            _euler_from_classes(classes) != self.chi
-            or is_orientable(self.word) != self.orientable
-        ):
-            raise InternalInvariantError(
-                f"move {move.render()} changed an invariant of {self.word.render()}"
-            )
-        return classes
+        if self.traced:
+            self.pairs = {}
+            self.classes = corner_classes(self.word, self.pairs)
+            if (
+                _euler_from_classes(self.classes) != self.chi
+                or is_orientable(self.word) != self.orientable
+            ):
+                raise _changed(move, self.word)
+            return self.classes
+        length = len(old) - 2 if isinstance(move, Cancel) else len(old)
+        if len(self.word) != length or is_orientable(self.word) != self.orientable:
+            raise _changed(move, self.word)
+        if self.classes is None:
+            self.pairs = {}
+            _pair_pass(self.word.letters, self.pairs)
+        else:
+            self.classes = _derive_classes(self.classes, old.letters, move)
+        return self.classes
 
     def fresh(self) -> str:
-        """A symbol not in the current word, read off its pair map."""
-        return mint_fresh(self.pairs)
+        """A symbol not in the current word, read off its pair map where
+        there is one, and off its letters in phase 1, which keeps none."""
+        return mint_fresh(self.word.symbols() if self.pairs is None else self.pairs)
+
+    def span(self, phase: Callable[..., None], *args: object) -> None:
+        """Run `phase(self, *args)` and check the cuts and cancellations it
+        emits as one span.
+
+        If it emitted any, the word it reached has its corners traced once:
+        its Euler characteristic must be the input's, derived classes must
+        equal the traced ones, and the trace's pair map becomes `pairs`.  If
+        that check fails, or the phase raises InternalInvariantError or
+        ValidationError, the phase runs again from the span's start with
+        every word traced, and an InternalInvariantError it raises is
+        chained to the first error; if it raises none, the first error is
+        raised.  Only the span's start word, its index into `steps` and its
+        pair map are kept for that.  The span leaves `classes` None.
+        """
+        start, k, start_pairs = self.word, len(self.steps), self.pairs
+        try:
+            phase(self, *args)
+            if len(self.steps) > k:
+                pairs: dict[str, tuple[int, int]] = {}
+                classes = corner_classes(self.word, pairs)
+                if _euler_from_classes(classes) != self.chi:
+                    raise InternalInvariantError(
+                        f"the moves from step {k + 1} on changed the Euler"
+                        f" characteristic of {start.render()}"
+                    )
+                if self.classes is not None and self.classes != classes:
+                    raise InternalInvariantError(
+                        f"the corner classes derived for {self.word.render()}"
+                        " are not its traced classes"
+                    )
+                self.pairs = pairs
+        except (InternalInvariantError, ValidationError) as exc:
+            self.word, self.pairs, self.traced = start, start_pairs, True
+            del self.steps[k:]
+            try:
+                phase(self, *args)
+            except InternalInvariantError as found:
+                raise found from exc
+            raise
+        finally:
+            self.classes = None
+            self.traced = False
+
+
+def _derive_classes(
+    classes: tuple[int, ...], letters: tuple[Letter, ...], move: Cancel | CutPaste
+) -> tuple[int, ...]:
+    """The corner classes of the word `move` makes of `letters`, derived
+    from `classes`, the corner classes of `letters`.
+
+    A cut or a cancellation keeps the surface's vertices, so each corner of
+    the new word lies in the class of the old corner it is, and corner k is
+    where letter k starts.  A cut splices the labels at the sites
+    `_paste_sites` finds, as `_cut_paste` splices the letters: a copied
+    letter keeps its start label, and a reflected one takes its old end
+    label, that of the corner after it.  The diagonal starts at corner j,
+    and its inverse at corner i, or at corner j when the outer part is
+    reflected.  A cancellation drops the labels of its two letters: the
+    corner between them is a class of its own, and the corner before them
+    shares its class with the one after.  Each class is then labelled by its
+    least corner, as `corner_classes` labels it.
+    """
+    if isinstance(move, Cancel):
+        p = move.position
+        labels = classes[1:p] if p == len(classes) - 1 else classes[:p] + classes[p + 2 :]
+    else:
+        i, j = move.i, move.j
+        pa, po, reflect = _paste_sites(letters, list(map(_SYMBOL, letters)), move)
+        if reflect:
+            ends = classes[1:] + classes[:1]
+            outer = (_arc(ends, po + 1, i) + (classes[j],) + _arc(ends, j, po))[::-1]
+        else:
+            outer = _arc(classes, po + 1, i) + (classes[i],) + _arc(classes, j, po)
+        labels = classes[pa + 1 : j] + (classes[j],) + classes[i:pa] + outer
+    n = len(labels)
+    least = dict(zip(reversed(labels), range(n - 1, -1, -1)))
+    return tuple(map(least.__getitem__, labels))
 
 
 def _relabels(
@@ -216,7 +334,9 @@ def _alignment(
 
 def _reduce_vertices(rw: _Rewriter, classes: tuple[int, ...]) -> None:
     """Phase 1, from the corner classes `classes` of the current word.  It
-    returns nothing and leaves one vertex class or the two-sided word."""
+    sets them on the rewriter, so that each move derives the next ones, and
+    returns nothing; it leaves one vertex class or the two-sided word."""
+    rw.classes = classes
     guard = 8 * len(rw.word) * len(rw.word) + 64
     for _ in range(guard):
         n = len(rw.word)
@@ -254,7 +374,7 @@ def _shrink_class(
     move is the only cut built.  Its two sides carry different symbols: the
     sides of one symbol meeting at p either make p a singleton (an inverse
     pair) or put both neighbours in p's class (a cross-cap).  The shrink is
-    then checked on the classes `emit` traced, and those classes of the
+    then checked on the classes `emit` derived, and those classes of the
     word the cut produced are returned.
     """
     word = rw.word
@@ -402,6 +522,14 @@ def _gather(rw: _Rewriter) -> None:
     raise InternalInvariantError("gathering failed to terminate")
 
 
+def _regroup(rw: _Rewriter, target: tuple[Letter, ...]) -> None:
+    """Phases 2 and 3, which `normalize` checks as one span: the one-shot
+    split of a non-orientable word, then gathering."""
+    if not rw.orientable:
+        _split_crosscap_run(rw, target)
+    _gather(rw)
+
+
 # ---------------------------------------------------------------------------
 # phase 4: finish
 # ---------------------------------------------------------------------------
@@ -473,11 +601,9 @@ def normalize(word: Word) -> NormalizationResult:
     rw = _Rewriter(word, _euler_from_classes(classes), pairs)
     t = surface_type_from_invariants(rw.chi, rw.orientable)
     target = canonical_word(t).letters
-    _reduce_vertices(rw, classes)
+    rw.span(_reduce_vertices, classes)
     if len(rw.word) > 2:
-        if not rw.orientable:
-            _split_crosscap_run(rw, target)
-        _gather(rw)
+        rw.span(_regroup, target)
     _finish(rw, target)
     if rw.word.letters != target:
         raise InternalInvariantError(

@@ -399,24 +399,14 @@ def mint_fresh(used: Container[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _trace_corners(
-    letters: Sequence[Letter], nxt: Sequence[int], pairs: dict[str, tuple[int, int]]
-) -> list[int]:
-    """Least corner index of each corner's vertex class.
+def _pair_pass(letters: Sequence[Letter], pairs: dict[str, tuple[int, int]]) -> list[int]:
+    """Each side's partner: the position of the other letter of its symbol.
 
-    Side g runs from corner g to corner nxt[g], and the sides of each
-    polygon are numbered consecutively, so a multi-polygon complex traces
-    like one polygon.  One dict pass finds each side's partner; the dict it
-    fills is `pairs`, passed in empty, which is left holding the pair map:
-    each symbol's two positions in order, keyed in order of first letter,
-    as `_pair_positions` gives it.  Then each class is walked once, from
-    its least corner (the first corner not yet reached): leave a corner by
-    the side end not yet used, cross to the partner side (equal exponents
-    join start to start and end to end, opposite exponents start to end)
-    and arrive at the corner of that end, until the walk is back where it
-    began.  Each corner is visited once, so a walk takes at most n steps;
-    one that does not close within them means `nxt` is not a permutation,
-    and raises InternalInvariantError.
+    One dict pass finds them; the dict it fills is `pairs`, passed in empty,
+    which is left holding the pair map: each symbol's two positions in
+    order, keyed in order of first letter, as `_pair_positions` gives it.
+    A symbol met a third time, or met once, raises ValidationError, so the
+    pass refuses any word that is not closed.
     """
     n = len(letters)
     mate = [0] * n
@@ -432,6 +422,27 @@ def _trace_corners(
             pairs[s] = (h, g)
     if 2 * len(pairs) != n:
         raise ValidationError("corner tracing needs a closed word")
+    return mate
+
+
+def _trace_corners(
+    letters: Sequence[Letter], nxt: Sequence[int], pairs: dict[str, tuple[int, int]]
+) -> list[int]:
+    """Least corner index of each corner's vertex class.
+
+    Side g runs from corner g to corner nxt[g], and the sides of each
+    polygon are numbered consecutively, so a multi-polygon complex traces
+    like one polygon.  `_pair_pass` finds each side's partner and leaves the
+    pair map in `pairs`.  Then each class is walked once, from its least
+    corner (the first corner not yet reached): leave a corner by the side
+    end not yet used, cross to the partner side (equal exponents join start
+    to start and end to end, opposite exponents start to end) and arrive at
+    the corner of that end, until the walk is back where it began.  Each corner is visited once, so a walk takes at most n steps;
+    one that does not close within them means `nxt` is not a permutation,
+    and raises InternalInvariantError.
+    """
+    n = len(letters)
+    mate = _pair_pass(letters, pairs)
     # the side that ends at corner c: in one polygon side c - 1, where index
     # -1 is the last side (only one polygon has nxt[-1] == 0); in a complex,
     # read off nxt

@@ -31,8 +31,18 @@ from surfclass.minimal import (
     find_minus_one_lines,
     minimal_model,
 )
+from surfclass.normalize import normalize
 from surfclass.script import run_script
-from surfclass.words import InternalInvariantError, ValidationError
+from surfclass.sums import connected_sum_type, connected_sum_words
+from surfclass.words import (
+    InternalInvariantError,
+    SurfaceType,
+    ValidationError,
+    parse_word,
+    surface_type_from_invariants,
+)
+
+N = SurfaceType.non_orientable
 
 
 # ---------------------------------------------------------------------------
@@ -918,6 +928,64 @@ def test_minimal_model_final_type_digest():
         kinds[final.split("(")[0]] += 1
     assert kinds == {"CP2": 171, "Hirzebruch": 243, "Inconclusive": 149}
     assert digest.hexdigest() == _FINAL_TYPE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the paper's dictionary: the real locus of each constructed surface
+#
+# With every blown-up point real, the real structure acts as -1 on H^2, so
+# the Lefschetz formula gives chi(X(R)) = 2 - rank, and the real locus is
+# orientable exactly when the lattice is even (Comessatti; Silhol, LNM 1392).
+# CP2's real locus is RP2, F_n's a torus for n even and a Klein bottle for n
+# odd, and a blow-up at a real point is a connected sum with RP2.  The word
+# side reads the same type off independently, with connected sums and
+# normalize.
+
+
+def _real_type(surf):
+    return surface_type_from_invariants(2 - surf.rank, surf.is_even)
+
+
+def _real_word(base):
+    if base.is_cp2:
+        return parse_word("a a")
+    return parse_word("a b a b'" if base.index % 2 else "a b a' b'")
+
+
+def test_real_loci_agree_with_the_lattice():
+    # law A: a base blown up k times, on lines or not, has the real type of
+    # its base's real word with k cross-caps summed on.  Law B: the base a
+    # reduction names has the real type of the lattice it ends on, and a run
+    # of k contractions took k cross-caps off the real locus
+    summed = {}
+
+    def real_sum(base, k):
+        if (base, k) not in summed:
+            word = _real_word(base)
+            for _ in range(k):
+                word = connected_sum_words(word, parse_word("a a"))
+            summed[base, k] = normalize(word).type
+        return summed[base, k]
+
+    rng = random.Random(0x13A)
+    for base in [BaseSurface.cp2()] + [BaseSurface.hirzebruch(n) for n in range(6)]:
+        surf = make_base(base)
+        for k in range(13):
+            assert real_sum(base, k) == _real_type(surf), (base, k)
+            names = [nm for nm, _ in surf.tracked]
+            through = rng.sample(names, rng.randint(1, 2)) if rng.random() < 0.3 else []
+            surf = blow_up(surf, through)
+    named = 0
+    for surf in _minimal_model_corpus():
+        report = minimal_model(surf)
+        k = len(report.steps)
+        end = _real_type(report.final_surface)
+        assert _real_type(surf) == (connected_sum_type(end, N(k)) if k else end)
+        if isinstance(report.final, BaseSurface):
+            assert real_sum(report.final, 0) == end, report.final
+            assert real_sum(report.final, k) == _real_type(surf), (report.final, k)
+            named += 1
+    assert named == 414
 
 
 # ---------------------------------------------------------------------------

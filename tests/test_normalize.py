@@ -25,6 +25,7 @@ from surfclass.orbit import enumerate_words
 from surfclass.words import (
     InternalInvariantError,
     Letter,
+    PolygonSet,
     SurfaceType,
     ValidationError,
     Word,
@@ -32,6 +33,7 @@ from surfclass.words import (
     classify_by_invariants,
     corner_classes,
     euler_characteristic,
+    glue_polygons,
     is_orientable,
     mint_fresh,
     parse_word,
@@ -385,14 +387,29 @@ def _seeded_words(seed, count, lo, hi):
         yield Word(tuple(letters))
 
 
+def _phase_1_length(monkeypatch):
+    """Patch vertex reduction to record how many moves the rewrite holds
+    when it returns; returns the list the counts go to."""
+    real_reduce = normalize_module._reduce_vertices
+    ends: list = []
+
+    def recording_reduce(rw, classes):
+        real_reduce(rw, classes)
+        ends.append(len(rw.steps))
+
+    monkeypatch.setattr(normalize_module, "_reduce_vertices", recording_reduce)
+    return ends
+
+
 def test_each_produced_word_is_traced_at_most_once(monkeypatch):
-    # every apply_move that normalize makes emits a move, and every word is
-    # traced at most once: the start word, whose trace also gives the type
-    # normalize aims at, and one per move that is neither a rotation, a
-    # rename nor a flip
+    # every apply_move that normalize makes emits a move, and the corners
+    # are traced once for the start word, whose trace also gives the type
+    # normalize aims at, and once at the end of each span that emitted a
+    # cut or a cancellation: phase 1, then phases 2-3
     counts = {"traces": 0, "applies": 0}
     real_trace = words_module.corner_classes
     real_apply = normalize_module.apply_move
+    phase_1 = _phase_1_length(monkeypatch)
 
     def counting_trace(word, pairs=None):
         counts["traces"] += 1
@@ -407,12 +424,12 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
     monkeypatch.setattr(normalize_module, "apply_move", counting_apply)
     for word in _seeded_words(0x7ACE, 50, 10, 40):
         counts.update(traces=0, applies=0)
+        phase_1.clear()
         steps = normalize(word).trace.steps
-        non_rotations = sum(not isinstance(m, Rotate) for m in steps)
-        renames = sum(isinstance(m, Rename) for m in steps)
-        flips = sum(isinstance(m, FlipEdge) for m in steps)
+        (k,) = phase_1
+        later_cuts = sum(isinstance(m, (CutPaste, Cancel)) for m in steps[k:])
         assert counts["applies"] == len(steps)
-        assert counts["traces"] == non_rotations - renames - flips + 1
+        assert counts["traces"] == 1 + (k > 0) + (later_cuts > 0)
 
 
 def test_pair_map_is_the_current_words(monkeypatch):
@@ -434,7 +451,8 @@ def test_pair_map_is_the_current_words(monkeypatch):
 
     def checked_fresh(rw):
         name = real_fresh(rw)
-        assert list(rw.pairs.items()) == list(words_module._pair_positions(rw.word.letters).items())
+        if rw.pairs is not None:
+            assert list(rw.pairs.items()) == list(words_module._pair_positions(rw.word.letters).items())
         assert name == mint_fresh(rw.word.symbols())
         counts["fresh"] += 1
         return name
@@ -446,6 +464,98 @@ def test_pair_map_is_the_current_words(monkeypatch):
         for word in _seeded_words(0x9A125 + pairs, 4, pairs, pairs):
             normalize(word)
         assert counts["maps"] > before["maps"] and counts["fresh"] > before["fresh"]
+
+
+def _square_chain(k):
+    """k squares glued in a ring, the top of each to its own bottom: a torus
+    word of 2k + 2 letters with k vertex classes."""
+    squares = [W(f"u{m} v{(m + 1) % k} u{m}' v{m}'") for m in range(k)]
+    return glue_polygons(PolygonSet(squares))
+
+
+def test_derived_classes_are_the_traced_classes(monkeypatch):
+    # phase 1 derives each word's corner classes from the last ones instead
+    # of tracing them; after every phase-1 move they must be the classes
+    # corner_classes traces, on seeded words of both orientabilities and on
+    # a chain of squares, which starts with many vertex classes
+    real_emit = normalize_module._Rewriter.emit
+    kinds = Counter()
+
+    def checked_emit(rw, move):
+        classes = real_emit(rw, move)
+        if classes is not None:
+            assert classes == corner_classes(rw.word), (rw.word.render(), move.render())
+            kinds[type(move).__name__] += 1
+        return classes
+
+    monkeypatch.setattr(normalize_module._Rewriter, "emit", checked_emit)
+    chain = _square_chain(40)
+    assert len(chain) == 82 and len(set(corner_classes(chain))) == 40
+    seeded = [w for pairs in (4, 16, 64, 256) for w in _seeded_words(0xC1A55 + pairs, 2, pairs, pairs)]
+    assert {is_orientable(w) for w in seeded} == {True, False}
+    pool = [chain] + seeded
+    for word in pool:
+        assert normalize(word).type == classify_by_invariants(word)
+    assert kinds["CutPaste"] > 300 and kinds["Cancel"] > 20, kinds
+
+
+def _chi_changed(word):
+    """`word` with the first two adjacent letters of different symbols
+    swapped that change its Euler characteristic: the same letters, so
+    still closed, of the same length and orientability."""
+    letters = word.letters
+    chi = euler_characteristic(word)
+    for k in range(len(letters) - 1):
+        if letters[k].symbol != letters[k + 1].symbol:
+            swapped = Word(letters[:k] + (letters[k + 1], letters[k]) + letters[k + 2 :])
+            if euler_characteristic(swapped) != chi:
+                return swapped
+    raise AssertionError(f"no swap changes the Euler characteristic of {word.render()}")
+
+
+@pytest.mark.parametrize("phase", [1, 3])
+def test_a_deferred_euler_check_names_the_move(monkeypatch, phase):
+    # χ is traced once per span, not after each cut; a cut whose word keeps
+    # its length and orientability but not χ must still be named, with the
+    # per-move message, once the span runs again with every word traced.
+    # The tamper is keyed by the move and the word it is applied to, so it
+    # recurs on that run
+    word = list(_seeded_words(0xFA17, 2, 12, 12))[1]
+    assert is_orientable(word)  # phase 2 emits nothing on an orientable word
+    ends = _phase_1_length(monkeypatch)
+    steps = normalize(word).trace.steps
+    (k,) = ends
+    befores = list(accumulate(steps, apply_move, initial=word))
+    span = range(k) if phase == 1 else range(k, len(steps))
+    at = next(t for t in span if isinstance(steps[t], CutPaste))
+    target, before = steps[at], befores[at]
+    tampered = _chi_changed(befores[at + 1])
+    real_apply = normalize_module.apply_move
+
+    def tampering_apply(w, move):
+        if move == target and w.letters == before.letters:
+            return tampered
+        return real_apply(w, move)
+
+    monkeypatch.setattr(normalize_module, "apply_move", tampering_apply)
+    with pytest.raises(InternalInvariantError) as exc:
+        normalize(word)
+    assert str(exc.value) == f"move {target.render()} changed an invariant of {tampered.render()}"
+    assert isinstance(exc.value.__cause__, InternalInvariantError)
+
+
+def test_derived_classes_that_differ_from_the_trace_are_refused(monkeypatch):
+    # derived labels shifted by one pick the same cuts, since only their
+    # order is read, but are not the least corners the trace labels classes
+    # by; the trace at the end of phase 1 must refuse them, and as no move
+    # broke an invariant, no move is named
+    real_derive = normalize_module._derive_classes
+    monkeypatch.setattr(
+        normalize_module, "_derive_classes", lambda *args: tuple(c + 1 for c in real_derive(*args))
+    )
+    with pytest.raises(InternalInvariantError, match="are not its traced classes") as exc:
+        normalize(_square_chain(4))
+    assert exc.value.__cause__ is None
 
 
 def test_only_the_final_alignment_rotates():

@@ -1,4 +1,5 @@
 import io
+import importlib.util
 import json
 import os
 import subprocess
@@ -565,6 +566,19 @@ def test_orbit_census_script_runs():
     proc = _run_repo_script("orbit_census.py", "--symbols", "a,b")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "orbit partition matches type classes"
+
+
+def test_orbit_census_prints_an_uncertified_word_and_fails(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("orbit_census", _ROOT / "scripts" / "orbit_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    # a trace that replays to the word it started from certifies no word
+    # over {a}, as none is spelled with the canonical name a1
+    monkeypatch.setattr(census, "replay", lambda trace: trace.initial)
+    assert census.main(["--symbols", "a", "--skip-orbits"]) == 1
+    out = capsys.readouterr().out
+    assert "\"a a'\": normalized to Sphere, invariants give Sphere, trace ends on \"a a'\"" in out
+    assert "3 cyclic words over {a}, 2 surface types, 0 certified" in out
 
 
 # 1,000 construction scripts of 8/16/24 blow-ups over CP2 and F0-F3, half

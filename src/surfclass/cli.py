@@ -35,6 +35,8 @@ from .words import (
     Word,
     canonical_word,
     classify_by_invariants,
+    complex_euler,
+    complex_is_orientable,
     glue_polygons,
     parse_polygon_file,
     parse_word,
@@ -110,6 +112,14 @@ def cmd_glue(args) -> tuple[dict, list[str]]:
     polys = parse_polygon_file(_read_file(args.file))
     merged = glue_polygons(polys)
     t = normalize(merged).type
+    # gluing keeps the surface: the merged word's χ and orientability are the
+    # complex's, read off the polygons before any merging
+    chi, orientable = complex_euler(polys), complex_is_orientable(polys)
+    if (t.euler, t.orientable) != (chi, orientable):
+        raise InternalInvariantError(
+            f"glued word {merged.render()} is {t}, but its polygons give"
+            f" χ={chi}, {'orientable' if orientable else 'non-orientable'}"
+        )
     return _type_payload(t), [f"polygons: {len(polys.polygons)}"] + _word_report(merged, t)
 
 

@@ -21,12 +21,11 @@ homeomorphism type and records every elementary move:
    that the leading cross-cap becomes non-adjacent again, which converts one
    inverse pair into cross-cap material per round; on fully orientable words
    gather interleaved pairs into contiguous commutator blocks.  Each round
-   makes one pass over the pair map, where each symbol's two letters sit,
-   in order of first letter: it gathers the first non-adjacent same-exponent
-   pair it meets, and lists on its way the inverse pairs that the round
-   splits or collects when there is none.  The map comes from the pair
-   pass of the corner trace, run on the word the last move produced, or
-   from the trace that ends phase 1, so no round builds it again.
+   builds the pair map of the word it reads, where each symbol's two
+   letters sit, and makes one pass over it in order of first letter: it
+   gathers the first non-adjacent same-exponent pair it meets, and lists on
+   its way the inverse pairs that the round splits or collects when there
+   is none.
 4. Finish: align the word onto the canonical word of its type, which is read
    from the corner trace the rewrite starts with.  One rotation, one flip per
    symbol whose letters point against their canonical letters and one rename
@@ -51,21 +50,21 @@ it reached, whose Euler characteristic must be the input's.  The Euler
 characteristic and orientability are a complete invariant of closed
 surfaces, so a span that keeps both at its ends kept the type; a move that
 breaks the Euler characteristic is seen only if no later move of its span
-restores it.  Between those traces each phase
-carries what it reads.  Phase 1 derives the corner classes of each word it
-produces from those of the word before, spliced as the move splices the
-letters, and at the span's end they must equal the traced classes; each of
-its cuts must also strictly shrink the sorted class-size profile.  Phases 2
-and 3 run only the pair pass of the corner trace after each move, for the
-pair map they read.  When a span's end check fails, or the span raises
+restores it.  Between those traces phase 1 carries what it reads: it
+derives the corner classes of each word it produces from those of the word
+before, spliced as the move splices the letters, and at the span's end they
+must equal the traced classes; each of its cuts must also strictly shrink
+the sorted class-size profile.  Phases 2 and 3 carry nothing; each
+gathering round builds the pair map it reads, which refuses a word that is
+not closed.  When a span's end check fails, or the span raises
 InternalInvariantError or ValidationError, the span runs again from its
 start word with every word traced, and then picks its cuts from traced
-classes.  So the run again raises where a check after every move raises,
-naming the first move that broke an invariant, and that error is chained to
-the one that set the run off.  The
-type is read from the trace the rewrite starts with, and the finished word
-must equal that type's canonical word letter for letter.  Any violation
-raises InternalInvariantError rather than returning a wrong certificate.
+classes; a traced word that is not closed names its move.  So the run again
+raises where a check after every move raises, naming the first move that
+broke an invariant, and that error is chained to the one that set the run
+off.  The type is read from the trace the rewrite starts with, and the
+finished word must equal that type's canonical word letter for letter.  Any
+violation raises InternalInvariantError rather than returning a wrong certificate.
 """
 from __future__ import annotations
 
@@ -94,7 +93,7 @@ from .words import (
     Word,
     _SYMBOL,
     _euler_from_classes,
-    _pair_pass,
+    _pair_positions,
     canonical_word,
     corner_classes,
     is_orientable,
@@ -118,26 +117,19 @@ class _Rewriter:
     """Mutable cursor over a word that records and checks each move.
 
     `emit` checks each move on its own, and `span` checks the cuts and
-    cancellations of a phase as a whole.  In between, the rewriter carries
-    what the phases read.  While `classes` is set, in phase 1, each cut or
-    cancellation derives the corner classes of its word from the last ones,
-    which `emit` hands back for vertex reduction to pick its next cut, and
-    keeps no pair map.  Otherwise each cut runs the pair pass of the corner
-    trace on its word, which leaves `pairs`, the word's pair map (each
-    symbol's two positions, keyed in order of first letter), for gathering
-    and `fresh` to read.  While `traced` is set, in the run again of a span
-    that failed, every word is traced and keeps both.  The moves that only
-    relabel leave `pairs` None, as the finish, the only phase to emit them,
-    reads no pair map.  `chi` and `pairs` start as the input's, read from
-    the trace `normalize` starts with, and `orientable` is read off the
-    input's letters.
+    cancellations of a phase as a whole.  While `classes` is set, in phase
+    1, each cut or cancellation derives the corner classes of its word from
+    the last ones, which `emit` hands back for vertex reduction to pick its
+    next cut; while `traced` is set, in the run again of a span that
+    failed, every word is traced instead.  No pair map is carried: each
+    gathering round builds its own.  `chi` is read from the trace
+    `normalize` starts with, and `orientable` off the input's letters.
     """
 
-    def __init__(self, word: Word, chi: int, pairs: dict[str, tuple[int, int]]) -> None:
+    def __init__(self, word: Word, chi: int) -> None:
         self.word = word
         self.steps: list[Move] = []
         self.chi = chi
-        self.pairs: dict[str, tuple[int, int]] | None = pairs
         self.classes: tuple[int, ...] | None = None
         self.traced = False
         self.orientable = is_orientable(word)
@@ -145,7 +137,7 @@ class _Rewriter:
     def emit(self, move: Move) -> tuple[int, ...] | None:
         """Apply, record and check one move.  Returns the corner classes of
         the new word while `classes` is set or every word is traced, None
-        otherwise."""
+        otherwise.  A traced word that is not closed names the move."""
         old = self.word
         try:
             self.word = apply_move(old, move)
@@ -154,14 +146,15 @@ class _Rewriter:
                 f"normalization emitted an inapplicable move {move.render()}: {exc}"
             ) from exc
         self.steps.append(move)
-        self.pairs = None
         if isinstance(move, (Rotate, Rename, FlipEdge)):
             if not _relabels(old.letters, self.word.letters, move):
                 raise _changed(move, self.word)
             return None
         if self.traced:
-            self.pairs = {}
-            self.classes = corner_classes(self.word, self.pairs)
+            try:
+                self.classes = corner_classes(self.word)
+            except ValidationError as exc:
+                raise _changed(move, self.word) from exc
             if (
                 _euler_from_classes(self.classes) != self.chi
                 or is_orientable(self.word) != self.orientable
@@ -171,38 +164,29 @@ class _Rewriter:
         length = len(old) - 2 if isinstance(move, Cancel) else len(old)
         if len(self.word) != length or is_orientable(self.word) != self.orientable:
             raise _changed(move, self.word)
-        if self.classes is None:
-            self.pairs = {}
-            _pair_pass(self.word.letters, self.pairs)
-        else:
+        if self.classes is not None:
             self.classes = _derive_classes(self.classes, old.letters, move)
         return self.classes
-
-    def fresh(self) -> str:
-        """A symbol not in the current word, read off its pair map where
-        there is one, and off its letters in phase 1, which keeps none."""
-        return mint_fresh(self.word.symbols() if self.pairs is None else self.pairs)
 
     def span(self, phase: Callable[..., None], *args: object) -> None:
         """Run `phase(self, *args)` and check the cuts and cancellations it
         emits as one span.
 
         If it emitted any, the word it reached has its corners traced once:
-        its Euler characteristic must be the input's, derived classes must
-        equal the traced ones, and the trace's pair map becomes `pairs`.  If
-        that check fails, or the phase raises InternalInvariantError or
-        ValidationError, the phase runs again from the span's start with
-        every word traced, and an InternalInvariantError it raises is
-        chained to the first error; if it raises none, the first error is
-        raised.  Only the span's start word, its index into `steps` and its
-        pair map are kept for that.  The span leaves `classes` None.
+        its Euler characteristic must be the input's, and derived classes
+        must equal the traced ones.  If that check fails, or the phase
+        raises InternalInvariantError or ValidationError (a pair map built
+        on a word that is not closed), the phase runs again from the span's
+        start with every word traced, and an InternalInvariantError it
+        raises is chained to the first error; if it raises none, the first
+        error is raised.  Only the span's start word and its index into
+        `steps` are kept for that.  The span leaves `classes` None.
         """
-        start, k, start_pairs = self.word, len(self.steps), self.pairs
+        start, k = self.word, len(self.steps)
         try:
             phase(self, *args)
             if len(self.steps) > k:
-                pairs: dict[str, tuple[int, int]] = {}
-                classes = corner_classes(self.word, pairs)
+                classes = corner_classes(self.word)
                 if _euler_from_classes(classes) != self.chi:
                     raise InternalInvariantError(
                         f"the moves from step {k + 1} on changed the Euler"
@@ -213,9 +197,8 @@ class _Rewriter:
                         f"the corner classes derived for {self.word.render()}"
                         " are not its traced classes"
                     )
-                self.pairs = pairs
         except (InternalInvariantError, ValidationError) as exc:
-            self.word, self.pairs, self.traced = start, start_pairs, True
+            self.word, self.traced = start, True
             del self.steps[k:]
             try:
                 phase(self, *args)
@@ -388,7 +371,8 @@ def _shrink_class(
             (word[p].symbol, classes[p - 1]),
         ):
             if dst != qroot:
-                move = CutPaste(*sorted(((p - 1) % n, (p + 1) % n)), rw.fresh(), paste)
+                diagonal = sorted(((p - 1) % n, (p + 1) % n))
+                move = CutPaste(*diagonal, mint_fresh(word.symbols()), paste)
                 new = rw.emit(move)
                 if sorted(Counter(new).values()) >= old_profile:
                     raise InternalInvariantError(
@@ -412,7 +396,8 @@ def _split_crosscap_run(rw: _Rewriter, target: tuple[Letter, ...]) -> None:
     if aligned is None:
         return
     r = aligned[0]
-    rw.emit(CutPaste(*sorted(((r + 1) % n, (r - 1) % n)), rw.fresh(), rw.word[r - 1].symbol))
+    fresh = mint_fresh(rw.word.symbols())
+    rw.emit(CutPaste(*sorted(((r + 1) % n, (r - 1) % n)), fresh, rw.word[r - 1].symbol))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +405,7 @@ def _split_crosscap_run(rw: _Rewriter, target: tuple[Letter, ...]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _seed_split(rw: _Rewriter, inverse: set[str]) -> None:
+def _seed_split(rw: _Rewriter, pairs: dict[str, tuple[int, int]], inverse: set[str]) -> None:
     """Break the leading cross-cap across an inverse pair.
 
     The leading cross-cap is the first adjacent same-exponent pair, at
@@ -429,7 +414,8 @@ def _seed_split(rw: _Rewriter, inverse: set[str]) -> None:
     one of the symbols in `inverse`, reading cyclically from `start`.
     Pasting along that letter leaves the leading pair non-adjacent, so the
     next round regathers it, and the pasted-away inverse pair is gone for
-    good; that is the strictly decreasing quantity.
+    good; that is the strictly decreasing quantity.  The diagonal's name is
+    minted off `pairs`, the round's pair map.
     """
     word = rw.word
     n = len(word.letters)
@@ -440,26 +426,29 @@ def _seed_split(rw: _Rewriter, inverse: set[str]) -> None:
     if q0 is None:
         raise InternalInvariantError("seed split called without an inverse pair")
     diagonal = sorted(((start + 1) % n, (start + q0 + 1) % n))
-    rw.emit(CutPaste(*diagonal, rw.fresh(), word[start + q0].symbol))
+    rw.emit(CutPaste(*diagonal, mint_fresh(pairs), word[start + q0].symbol))
 
 
-def _collect_handle(rw: _Rewriter, i: int, p: int, done: set[str]) -> None:
+def _collect_handle(
+    rw: _Rewriter, pairs: dict[str, tuple[int, int]], i: int, p: int, done: set[str]
+) -> None:
     """Gather the inverse pair at positions i < p into a contiguous
     commutator block.
 
-    The interleaver is read off `rw.pairs`, the pair map of the current
-    word: the first symbol not done with one letter strictly between i and p
-    and the other outside.  Two cuts follow, each where its diagonal sits:
-    the first, from corner i to just past p, re-pastes along the
-    interleaver; the second, from the letter u to just past u', along the
-    original pair.  The two minted symbols u, v end up adjacent as
-    u' v u v'.  Finished blocks are marked done and are never chosen as
-    interleavers again; they cannot interleave anything anyway, because they
-    stay contiguous under later cuts (cut boundaries always sit at letters
-    of the pairs being worked on, never inside a finished block).
+    The interleaver is read off `pairs`, the round's pair map of the
+    current word: the first symbol not done with one letter strictly
+    between i and p and the other outside.  Two cuts follow, each where its
+    diagonal sits: the first, from corner i to just past p, re-pastes along
+    the interleaver; the second, from the letter u to just past u', along
+    the original pair, at the sites the pair map of the first cut's word
+    gives, which refuses that word if it is not closed.  The two minted
+    symbols u, v end up adjacent as u' v u v'.  Finished blocks are marked
+    done and are never chosen as interleavers again; they cannot interleave
+    anything anyway, because they stay contiguous under later cuts (cut
+    boundaries always sit at letters of the pairs being worked on, never
+    inside a finished block).
     """
     letters = rw.word.letters
-    pairs = rw.pairs
     x = letters[i].symbol
     y = None
     for q in range(i + 1, p):
@@ -475,13 +464,14 @@ def _collect_handle(rw: _Rewriter, i: int, p: int, done: set[str]) -> None:
             f"pair {x} in a one-vertex word has no usable interleaver"
         )
     n = len(letters)
-    u = rw.fresh()
+    u = mint_fresh(pairs)
     rw.emit(CutPaste(*sorted((i, (p + 1) % n)), u, y))
     # cut from the positively oriented u to just past u'; the word is
     # orientable, so u occurs once with each exponent
     # the paste pair y has opposite exponents, so the cut reflects nothing and puts u before u'
-    u_plus, u_minus = rw.pairs[u]
-    v = rw.fresh()
+    after = _pair_positions(rw.word.letters)
+    u_plus, u_minus = after[u]
+    v = mint_fresh(after)
     rw.emit(CutPaste(*sorted((u_plus, (u_minus + 1) % n)), v, x))
     done.add(u)
     done.add(v)
@@ -490,9 +480,10 @@ def _collect_handle(rw: _Rewriter, i: int, p: int, done: set[str]) -> None:
 def _gather(rw: _Rewriter) -> None:
     """Phase 3, one pass over the pair map per round.
 
-    The map lists symbols by first letter, so the pass meets the leftmost
-    same-exponent pair whose letters are not cyclically adjacent first, and
-    gathers it into a cross-cap.  On its way it lists the inverse pairs not
+    Each round builds the pair map of the word it reads.  The map lists
+    symbols by first letter, so the pass meets the leftmost same-exponent
+    pair whose letters are not cyclically adjacent first, and gathers it
+    into a cross-cap.  On its way it lists the inverse pairs not
     yet done; when no such same-exponent pair exists, the round splits the
     leading cross-cap across one of them or collects the leftmost into a
     commutator block.  `done` holds the symbols of finished commutator
@@ -504,21 +495,22 @@ def _gather(rw: _Rewriter) -> None:
     for _ in range(guard):
         letters = rw.word.letters
         n = len(letters)
+        pairs = _pair_positions(letters)
         todo: list[str] = []
-        for s, (i, j) in rw.pairs.items():
+        for s, (i, j) in pairs.items():
             if letters[i].exponent != letters[j].exponent:
                 if s not in done:
                     todo.append(s)
             elif 1 < j - i < n - 1:
-                rw.emit(CutPaste(i, j, rw.fresh(), s))
+                rw.emit(CutPaste(i, j, mint_fresh(pairs), s))
                 break
         else:
             if not todo:
                 return
             if rw.orientable:
-                _collect_handle(rw, *rw.pairs[todo[0]], done)
+                _collect_handle(rw, pairs, *pairs[todo[0]], done)
             else:
-                _seed_split(rw, set(todo))
+                _seed_split(rw, pairs, set(todo))
     raise InternalInvariantError("gathering failed to terminate")
 
 
@@ -596,9 +588,8 @@ def _finish(rw: _Rewriter, target: tuple[Letter, ...]) -> None:
 def normalize(word: Word) -> NormalizationResult:
     """Classify a word and return the type with a replayable certificate."""
     validate(word)
-    pairs: dict[str, tuple[int, int]] = {}
-    classes = corner_classes(word, pairs)
-    rw = _Rewriter(word, _euler_from_classes(classes), pairs)
+    classes = corner_classes(word)
+    rw = _Rewriter(word, _euler_from_classes(classes))
     t = surface_type_from_invariants(rw.chi, rw.orientable)
     target = canonical_word(t).letters
     rw.span(_reduce_vertices, classes)

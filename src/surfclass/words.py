@@ -324,14 +324,19 @@ def validate(word: Word) -> Word:
 
 
 def _pair_positions(letters: Sequence[Letter]) -> dict[str, tuple[int, int]]:
-    """Positions of the two letters of each symbol of a closed word, in
-    order, keyed by symbol in order of first letter: the pair map.  A
-    corner trace leaves the same map behind (`corner_classes`); this builds
-    it where nothing is traced."""
+    """The pair map: each symbol's two positions, in order, keyed in order of
+    first letter.  The corner trace and each gathering round of `normalize`
+    build it; a symbol met once, or a third time, raises ValidationError."""
     pos: dict = {}
     for k, s in enumerate(map(_SYMBOL, letters)):
-        # replacing a value keeps its key where the first letter put it
-        pos[s] = (pos[s], k) if s in pos else k
+        h = pos.setdefault(s, k)
+        if h != k:
+            if type(h) is tuple:
+                raise ValidationError("corner tracing needs a closed word")
+            # replacing a value keeps its key where the first letter put it
+            pos[s] = (h, k)
+    if 2 * len(pos) != len(letters):
+        raise ValidationError("corner tracing needs a closed word")
     return pos
 
 
@@ -399,50 +404,25 @@ def mint_fresh(used: Container[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _pair_pass(letters: Sequence[Letter], pairs: dict[str, tuple[int, int]]) -> list[int]:
-    """Each side's partner: the position of the other letter of its symbol.
-
-    One dict pass finds them; the dict it fills is `pairs`, passed in empty,
-    which is left holding the pair map: each symbol's two positions in
-    order, keyed in order of first letter, as `_pair_positions` gives it.
-    A symbol met a third time, or met once, raises ValidationError, so the
-    pass refuses any word that is not closed.
-    """
-    n = len(letters)
-    mate = [0] * n
-    # first occurrence, replaced by both positions once the pair is joined;
-    # replacing a value keeps its key where the first letter put it
-    for g, s in enumerate(map(_SYMBOL, letters)):
-        h = pairs.setdefault(s, g)
-        if h != g:
-            if type(h) is tuple:
-                raise ValidationError("corner tracing needs a closed word")
-            mate[g] = h
-            mate[h] = g
-            pairs[s] = (h, g)
-    if 2 * len(pairs) != n:
-        raise ValidationError("corner tracing needs a closed word")
-    return mate
-
-
-def _trace_corners(
-    letters: Sequence[Letter], nxt: Sequence[int], pairs: dict[str, tuple[int, int]]
-) -> list[int]:
+def _trace_corners(letters: Sequence[Letter], nxt: Sequence[int]) -> list[int]:
     """Least corner index of each corner's vertex class.
 
     Side g runs from corner g to corner nxt[g], and the sides of each
     polygon are numbered consecutively, so a multi-polygon complex traces
-    like one polygon.  `_pair_pass` finds each side's partner and leaves the
-    pair map in `pairs`.  Then each class is walked once, from its least
-    corner (the first corner not yet reached): leave a corner by the side
-    end not yet used, cross to the partner side (equal exponents join start
-    to start and end to end, opposite exponents start to end) and arrive at
-    the corner of that end, until the walk is back where it began.  Each corner is visited once, so a walk takes at most n steps;
-    one that does not close within them means `nxt` is not a permutation,
-    and raises InternalInvariantError.
+    like one polygon.  Each side's partner, the other letter of its symbol,
+    is read off the pair map, which refuses a word that is not closed.
+    Then each class is walked once, from its least corner (the first corner
+    not yet reached): leave a corner by the side end not yet used, cross to
+    the partner side (equal exponents join start to start and end to end,
+    opposite exponents start to end) and arrive at the corner of that end,
+    until the walk is back where it began.  Each corner is visited once, so
+    a walk takes at most n steps; one that does not close within them means
+    `nxt` is not a permutation, and raises InternalInvariantError.
     """
     n = len(letters)
-    mate = _pair_pass(letters, pairs)
+    mate = [0] * n
+    for a, b in _pair_positions(letters).values():
+        mate[a], mate[b] = b, a
     # the side that ends at corner c: in one polygon side c - 1, where index
     # -1 is the last side (only one polygon has nxt[-1] == 0); in a complex,
     # read off nxt
@@ -478,17 +458,14 @@ def _trace_corners(
     return rep
 
 
-def corner_classes(
-    word: Word, pairs: dict[str, tuple[int, int]] | None = None
-) -> tuple[int, ...]:
+def corner_classes(word: Word) -> tuple[int, ...]:
     """Representative corner index, per corner, under side identifications.
 
-    The representative of a class is its least corner index.  An empty
-    dict passed as `pairs` is left holding the word's pair map, which the
-    trace finds on its way.
+    The representative of a class is its least corner index.  A word that
+    is not closed raises ValidationError.
     """
     n = len(word.letters)
-    return tuple(_trace_corners(word.letters, [*range(1, n), 0], {} if pairs is None else pairs))
+    return tuple(_trace_corners(word.letters, [*range(1, n), 0]))
 
 
 def _euler_from_classes(classes: Sequence[int], faces: int = 1) -> int:
@@ -667,7 +644,7 @@ def complex_euler(polys: PolygonSet) -> int:
         letters += poly.letters
         nxt += range(start + 1, len(letters))
         nxt.append(start)
-    return _euler_from_classes(_trace_corners(letters, nxt, {}), len(polys.polygons))
+    return _euler_from_classes(_trace_corners(letters, nxt), len(polys.polygons))
 
 
 def complex_is_orientable(polys: PolygonSet) -> bool:

@@ -869,31 +869,34 @@ def _reference_minimal_model(surf):
     return ReductionReport(tuple(steps), classify_minimal(current), current)
 
 
+@functools.lru_cache(maxsize=None)
 def _minimal_model_corpus():
     """Plain 10/20/40/80 blow-ups over CP2 and F0-F5, 10/20 blow-ups with
     some points on tracked lines, every surface along the random scripts,
     and scripted no-unit-pivot contractions of Cremona classes, with the
-    surface before and after the contraction."""
+    surface before and after the contraction.  Built once, as a tuple."""
     rng = random.Random(0x3A1)
+    corpus = []
     for base in [BaseSurface.cp2()] + [BaseSurface.hirzebruch(k) for k in range(6)]:
         for n in (10, 20, 40, 80):
             surf = make_base(base)
             for _ in range(n):
                 surf = blow_up(surf)
-            yield surf
+            corpus.append(surf)
         for n in (10, 20):
             surf = make_base(base)
             for _ in range(n):
                 names = [nm for nm, _ in surf.tracked]
                 k = min(len(names), rng.randint(1, 2))
                 surf = blow_up(surf, rng.sample(names, k) if rng.random() < 0.3 else [])
-            yield surf
+            corpus.append(surf)
     for _, outcome in _random_scripts():
-        yield outcome.surface
+        corpus.append(outcome.surface)
     for surf, c in _cremona_corpus()[:20]:
         script = "base cp2\n" + "blowup\n" * (surf.rank - 1) + f"line C = {c.render(surf.basis)}\n"
-        yield run_script(script).surface
-        yield run_script(script + "blowdown C\n").surface
+        corpus.append(run_script(script).surface)
+        corpus.append(run_script(script + "blowdown C\n").surface)
+    return tuple(corpus)
 
 
 def test_minimal_model_matches_full_scan_reference():

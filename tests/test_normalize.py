@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import words
+from surfclass.cli import main as cli_main
 from surfclass.moves import (
     Cancel,
     CutPaste,
@@ -287,9 +288,7 @@ def test_rename_order_matches_the_resorting_form():
         mapping = dict(zip(symbols, rng.sample(names, k)))
         runs = []
         for apply in (normalize_module._apply_renames, _reference_apply_renames):
-            rw = normalize_module._Rewriter(
-                word, euler_characteristic(word), words_module._pair_positions(word.letters)
-            )
+            rw = normalize_module._Rewriter(word, euler_characteristic(word))
             apply(rw, mapping)
             runs.append(rw.steps)
         assert runs[0] == runs[1], mapping
@@ -411,9 +410,9 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
     real_apply = normalize_module.apply_move
     phase_1 = _phase_1_length(monkeypatch)
 
-    def counting_trace(word, pairs=None):
+    def counting_trace(word):
         counts["traces"] += 1
-        return real_trace(word, pairs)
+        return real_trace(word)
 
     def counting_apply(word, move):
         counts["applies"] += 1
@@ -433,37 +432,25 @@ def test_each_produced_word_is_traced_at_most_once(monkeypatch):
 
 
 def test_pair_map_is_the_current_words(monkeypatch):
-    # the pair map each gathering round and each fresh name read is the one
-    # the last trace left in the rewriter: after every move that leaves a
-    # map, it must be the current word's, key order included, as
-    # _pair_positions builds it
+    # each gathering round builds the pair map of the word it reads and
+    # mints the diagonal's name off it, and phases 1-2 mint it off the
+    # word's symbols: every emitted cut must name its diagonal as
+    # mint_fresh does for the symbols of the word it cuts
     real_emit = normalize_module._Rewriter.emit
-    real_fresh = normalize_module._Rewriter.fresh
-    counts = {"maps": 0, "fresh": 0}
+    cuts = []
 
     def checked_emit(rw, move):
-        classes = real_emit(rw, move)
-        if rw.pairs is not None:
-            want = words_module._pair_positions(rw.word.letters)
-            assert list(rw.pairs.items()) == list(want.items())
-            counts["maps"] += 1
-        return classes
-
-    def checked_fresh(rw):
-        name = real_fresh(rw)
-        if rw.pairs is not None:
-            assert list(rw.pairs.items()) == list(words_module._pair_positions(rw.word.letters).items())
-        assert name == mint_fresh(rw.word.symbols())
-        counts["fresh"] += 1
-        return name
+        if isinstance(move, CutPaste):
+            assert move.fresh == mint_fresh(rw.word.symbols()), (rw.word.render(), move.render())
+            cuts.append(move)
+        return real_emit(rw, move)
 
     monkeypatch.setattr(normalize_module._Rewriter, "emit", checked_emit)
-    monkeypatch.setattr(normalize_module._Rewriter, "fresh", checked_fresh)
     for pairs in (4, 16, 64, 256):
-        before = dict(counts)
+        before = len(cuts)
         for word in _seeded_words(0x9A125 + pairs, 4, pairs, pairs):
             normalize(word)
-        assert counts["maps"] > before["maps"] and counts["fresh"] > before["fresh"]
+        assert len(cuts) > before
 
 
 def _square_chain(k):
@@ -542,6 +529,52 @@ def test_a_deferred_euler_check_names_the_move(monkeypatch, phase):
         normalize(word)
     assert str(exc.value) == f"move {target.render()} changed an invariant of {tampered.render()}"
     assert isinstance(exc.value.__cause__, InternalInvariantError)
+
+
+def _respelled(word, move):
+    """`word` with the first letter of `move`'s diagonal renamed to a symbol
+    not in it: of the same length and orientability, but not closed."""
+    letters = list(word.letters)
+    k = next(k for k, let in enumerate(letters) if let.symbol == move.fresh)
+    letters[k] = Letter(mint_fresh(word.symbols()), letters[k].exponent)
+    return Word(tuple(letters))
+
+
+@pytest.mark.parametrize("phase", [1, 3])
+def test_a_cut_that_leaves_a_word_not_closed_names_the_move(monkeypatch, capsys, phase):
+    # a cut whose word is not closed passes the per-move length and
+    # orientability checks, and is refused once a corner trace or the next
+    # gathering round's pair map reads the word; the span then runs again
+    # with every word traced, which must name the cut, so that the command
+    # exits 2 for a bug and not 1 for bad input.  Each cut of the span is
+    # tampered in turn, keyed by the move and the word it is applied to
+    text = "a b c a' b' c' d e d' e'"
+    word = W(text)
+    ends = _phase_1_length(monkeypatch)
+    steps = normalize(word).trace.steps
+    (k,) = ends
+    befores = list(accumulate(steps, apply_move, initial=word))
+    span = range(k) if phase == 1 else range(k, len(steps))
+    cuts = [t for t in span if isinstance(steps[t], CutPaste)]
+    assert len(cuts) >= 2
+    real_apply = normalize_module.apply_move
+    for at in cuts:
+        target, before = steps[at], befores[at]
+        tampered = _respelled(befores[at + 1], target)
+        assert is_orientable(tampered) and len(tampered) == len(before)
+
+        def tampering_apply(w, move):
+            if move == target and w.letters == before.letters:
+                return tampered
+            return real_apply(w, move)
+
+        monkeypatch.setattr(normalize_module, "apply_move", tampering_apply)
+        with pytest.raises(InternalInvariantError) as exc:
+            normalize(word)
+        assert str(exc.value) == f"move {target.render()} changed an invariant of {tampered.render()}"
+        assert isinstance(exc.value.__cause__, ValidationError)
+        assert cli_main(["normalize", text]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_derived_classes_that_differ_from_the_trace_are_refused(monkeypatch):

@@ -23,7 +23,7 @@ from surfclass.script import (
 )
 from surfclass.minimal import minimal_model
 from surfclass.moves import ReplayError
-from surfclass.words import InternalInvariantError, SurfclassError, ValidationError
+from surfclass.words import InternalInvariantError, SurfclassError, ValidationError, parse_word
 
 from conftest import words
 
@@ -318,6 +318,20 @@ def test_cli_glue(capsys, tmp_path):
     assert main(["glue", str(f), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["euler"] == 0 and payload["genus"] == 1
+
+
+def test_cli_glue_checks_the_glued_word_against_the_complex(monkeypatch, capsys, tmp_path):
+    # a merge that loses the complex's surface is a bug, not bad input: the
+    # two triangles glue to a torus, the faked merge returns a sphere word
+    f = tmp_path / "polys.txt"
+    f.write_text("a b c\na' b' c'\n", encoding="utf-8")
+    monkeypatch.setattr("surfclass.cli.glue_polygons", lambda polys: parse_word("a b b' a'"))
+    assert main(["glue", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: glued word a b b' a' is Sphere, but its polygons give χ=0, orientable\n"
+    )
 
 
 def test_cli_replay_exit_codes(capsys, tmp_path):

@@ -19,7 +19,6 @@ from surfclass.words import (
     Word,
     WordSyntaxError,
     _check_pairing,
-    _pair_positions,
     canonical_word,
     classify_by_invariants,
     complex_euler,
@@ -398,9 +397,9 @@ def _reference_trace_corners(letters, nxt):
     return parent
 
 
-def _trace_outcome(trace, letters, nxt, *pairs):
+def _trace_outcome(trace, letters, nxt):
     try:
-        return tuple(trace(letters, nxt, *pairs))
+        return tuple(trace(letters, nxt))
     except ValidationError as exc:
         return str(exc)
 
@@ -420,11 +419,9 @@ def test_corner_walk_matches_the_union_find(monkeypatch):
     traced = []
     real = words_module._trace_corners
 
-    def checked(letters, nxt, pairs):
-        got = real(letters, nxt, pairs)
+    def checked(letters, nxt):
+        got = real(letters, nxt)
         assert tuple(got) == tuple(_reference_trace_corners(letters, nxt)), (letters, nxt)
-        # the pair map it leaves, key order included
-        assert list(pairs.items()) == list(_pair_positions(letters).items()), letters
         traced.append(len(nxt))
         return got
 
@@ -451,7 +448,7 @@ def test_corner_walk_matches_the_union_find(monkeypatch):
         else:
             letters.insert(rng.randrange(len(letters) + 1), extra)
         nxt = [*range(1, len(letters)), 0]
-        got = _trace_outcome(real, letters, nxt, {})
+        got = _trace_outcome(real, letters, nxt)
         assert got == "corner tracing needs a closed word", letters
         assert got == _trace_outcome(_reference_trace_corners, letters, nxt)
 
@@ -464,7 +461,7 @@ def test_corner_walk_is_bounded_on_a_broken_successor_map():
     for text in ("a a'", "a b a' b'", "a b a b", "a a b b"):
         letters = parse_word(text).letters
         with pytest.raises(InternalInvariantError, match="did not close in"):
-            trace(letters, [0] * len(letters), {})
+            trace(letters, [0] * len(letters))
     rng = random.Random(21)
     raised = 0
     for k in range(300):
@@ -473,7 +470,7 @@ def test_corner_walk_is_bounded_on_a_broken_successor_map():
         # one polygon's last side still ends at corner 0, the rest is random
         nxt = [rng.randrange(n) for _ in range(n - 1)] + [0]
         try:
-            trace(letters, nxt, {})
+            trace(letters, nxt)
         except InternalInvariantError:
             raised += 1
     assert raised > 100

@@ -425,8 +425,10 @@ def _trace_corners(letters: Sequence[Letter], nxt: Sequence[int]) -> list[int]:
         mate[a], mate[b] = b, a
     # the side that ends at corner c: in one polygon side c - 1, where index
     # -1 is the last side (only one polygon has nxt[-1] == 0); in a complex,
-    # read off nxt
+    # read off nxt, which must then be a permutation
     prv = range(-1, n - 1) if nxt[-1] == 0 else dict(zip(nxt, range(n)))
+    if len(prv) != n:
+        raise InternalInvariantError(f"the successor map of {n} sides is not a permutation")
     rep = [-1] * n
     for c0 in range(n):
         if rep[c0] >= 0:
@@ -615,9 +617,27 @@ class PolygonSet(_Value):
         object.__setattr__(self, "polygons", tuple(polygons))
 
 
+def _sides(polys: PolygonSet) -> dict[str, list[tuple[int, int]]]:
+    """Each symbol's sides, as (polygon, exponent) pairs in reading order;
+    a symbol not met exactly twice raises `validate`'s message."""
+    sides: dict[str, list[tuple[int, int]]] = {}
+    for p, poly in enumerate(polys.polygons):
+        for s, e in poly.letters:
+            sides.setdefault(s, []).append((p, e))
+    _check_pairing({s: len(at) for s, at in sides.items()})
+    return sides
+
+
+def _root(parent: list[int], k: int) -> int:
+    """The root of k's set in a union-find forest, halving its path."""
+    while parent[k] != k:
+        parent[k] = k = parent[parent[k]]
+    return k
+
+
 def validate_polygon_set(polys: PolygonSet) -> PolygonSet:
     """The closed-surface condition across the set, with `validate`'s message."""
-    _check_pairing(Counter(let.symbol for poly in polys.polygons for let in poly.letters))
+    _sides(polys)
     return polys
 
 
@@ -650,43 +670,19 @@ def complex_euler(polys: PolygonSet) -> int:
 def complex_is_orientable(polys: PolygonSet) -> bool:
     """True when every polygon can be oriented consistently.
 
-    An identification is orientation-compatible when the two sides carry
-    opposite exponents after each polygon's chosen orientation sign is
-    applied; flipping a polygon negates all of its exponents.
+    Flipping a polygon negates all of its exponents, and a side pair is
+    orientation-compatible when its exponents are opposite after the flips.
+    This is a two-colouring by union-find: node 2p is polygon p as read and
+    2p + 1 is p flipped.  A pair with equal exponents joins each node of one
+    polygon to the other node of the other, opposite exponents join like to
+    like, and a pair inside one polygon the same way.  The complex is
+    orientable unless some 2p and 2p + 1 end up in one set.
     """
-    validate_polygon_set(polys)
-    occ: dict[str, list[tuple[int, int]]] = {}
-    for p, poly in enumerate(polys.polygons):
-        for let in poly.letters:
-            occ.setdefault(let.symbol, []).append((p, let.exponent))
-    npoly = len(polys.polygons)
-    sign = [0] * npoly
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(npoly)]
-    for pair in occ.values():
-        (p1, e1), (p2, e2) = pair
-        if p1 == p2:
-            if e1 == e2:
-                return False
-            continue
-        # required relation: sign[p1] * sign[p2] == -e1 * e2
-        rel = -e1 * e2
-        adj[p1].append((p2, rel))
-        adj[p2].append((p1, rel))
-    for start in range(npoly):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for q, rel in adj[p]:
-                want = sign[p] * rel
-                if sign[q] == 0:
-                    sign[q] = want
-                    stack.append(q)
-                elif sign[q] != want:
-                    return False
-    return True
+    parent = list(range(2 * len(polys.polygons)))
+    for (p, e), (q, f) in _sides(polys).values():
+        parent[_root(parent, 2 * p)] = _root(parent, 2 * q + (e == f))
+        parent[_root(parent, 2 * p + 1)] = _root(parent, 2 * q + 1 - (e == f))
+    return all(_root(parent, k) != _root(parent, k + 1) for k in range(0, len(parent), 2))
 
 
 def _join_on_symbol(
@@ -716,25 +712,27 @@ def _join_on_symbol(
 def glue_polygons(polys: PolygonSet) -> Word:
     """Merge a connected polygon set into one polygon word.
 
-    Repeatedly splices the two lowest-indexed polygons sharing the
-    lexicographically least cross-polygon symbol.  Symbols paired inside a
-    single polygon are internal identifications and survive into the result.
+    The symbols are taken in sorted order, and each one whose two sides lie
+    in different components splices those components along it (Kruskal's
+    order on the dual graph): a merge only turns cross-component symbols
+    into internal ones, so each step splices along the least symbol still
+    joining two components.  Of the two, the left is the most recently
+    merged component, or else the one holding the lower-indexed polygon.
+    Symbols paired inside a single polygon are internal identifications and
+    survive into the result.  A tree of polygons, whose merges use up every
+    side, is a sphere and glues to ``s s'`` for the last merged symbol s.
     """
-    validate_polygon_set(polys)
-    current: list[tuple[Letter, ...]] = [p.letters for p in polys.polygons]
-    while len(current) > 1:
-        shared: dict[str, list[int]] = {}
-        for idx, letters in enumerate(current):
-            for let in letters:
-                shared.setdefault(let.symbol, []).append(idx)
-        candidates = sorted(
-            sym for sym, where in shared.items() if where[0] != where[-1]
-        )
-        if not candidates:
-            raise ValidationError("polygon set is disconnected")
-        sym = candidates[0]
-        a, b = shared[sym][0], shared[sym][-1]
-        merged = _join_on_symbol(current[a], current[b], sym)
-        current = [w for k, w in enumerate(current) if k not in (a, b)]
-        current.insert(0, merged)
-    return Word(current[0])
+    words = [p.letters for p in polys.polygons]
+    parent = list(range(len(words)))
+    place = [-p for p in parent]  # the step of the last merge, or -index if none
+    merged: list[str] = []
+    for s, ((p, _), (q, _)) in sorted(_sides(polys).items()):
+        a, b = _root(parent, p), _root(parent, q)
+        if a != b:
+            a, b = (a, b) if place[a] > place[b] else (b, a)
+            merged.append(s)
+            words[a] = _join_on_symbol(words[a], words[b], s)
+            parent[b], place[a] = a, len(merged)
+    if len(merged) < len(words) - 1:
+        raise ValidationError("polygon set is disconnected")
+    return Word(words[_root(parent, 0)] or (Letter(merged[-1], 1), Letter(merged[-1], -1)))

@@ -2,6 +2,7 @@ import io
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,17 @@ from surfclass.script import (
 )
 from surfclass.minimal import minimal_model
 from surfclass.moves import ReplayError
-from surfclass.words import InternalInvariantError, SurfclassError, ValidationError, parse_word
+from surfclass.words import (
+    InternalInvariantError,
+    Letter,
+    PolygonSet,
+    SurfclassError,
+    ValidationError,
+    Word,
+    classify_by_invariants,
+    glue_polygons,
+    parse_word,
+)
 
 from conftest import words
 
@@ -65,6 +76,27 @@ def test_class_expr_costs_linear_time_on_hostile_input():
     t0 = time.perf_counter()
     assert parse_class_expr(" + ".join(["H"] * 500_000), surf).coords == (500_000,)
     assert time.perf_counter() - t0 < 3
+
+
+def test_glue_costs_one_pass_on_a_fan_of_triangles():
+    # a rescan of every polygon per merge made this fan quadratic at Python
+    # level (about 6 s); in Kruskal order only the splices grow with it
+    rng = random.Random(28)
+    letters = []
+    for t in range(2001):
+        letters += [Letter(f"s{t}", rng.choice((1, -1))), Letter(f"s{t}", rng.choice((1, -1)))]
+    rng.shuffle(letters)
+    word = Word(tuple(letters))
+    # the diagonal d{k} runs from corner 0 to corner k + 1
+    n = len(letters)
+    fan = [Word((letters[0], letters[1], Letter("d1", -1)))]
+    fan += [Word((Letter(f"d{k - 1}", 1), letters[k], Letter(f"d{k}", -1))) for k in range(2, n - 2)]
+    fan.append(Word((Letter(f"d{n - 3}", 1), letters[n - 2], letters[n - 1])))
+    assert len(fan) == 4000
+    t0 = time.perf_counter()
+    glued = glue_polygons(PolygonSet(fan))
+    assert time.perf_counter() - t0 < 1
+    assert classify_by_invariants(glued) == classify_by_invariants(word)
 
 
 TWO_POINTS = """\
@@ -318,6 +350,14 @@ def test_cli_glue(capsys, tmp_path):
     assert main(["glue", str(f), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["euler"] == 0 and payload["genus"] == 1
+
+
+@pytest.mark.parametrize("text", ["a\na'\n", "a\na' b\nb'\n"])
+def test_cli_glue_of_a_tree_of_polygons_is_a_sphere(capsys, tmp_path, text):
+    f = tmp_path / "tree.poly"
+    f.write_text(text, encoding="utf-8")
+    assert main(["glue", str(f)]) == 0
+    assert "type: sphere, χ=2" in capsys.readouterr().out
 
 
 def test_cli_glue_checks_the_glued_word_against_the_complex(monkeypatch, capsys, tmp_path):

@@ -474,6 +474,16 @@ def test_corner_walk_is_bounded_on_a_broken_successor_map():
         except InternalInvariantError:
             raised += 1
     assert raised > 100
+    # a complex's map (last entry not 0) with two sides ending at one corner
+    # is refused before any walk
+    for k in range(300):
+        letters = _closed_letters(rng, rng.randint(1, 40), k % 2 == 0)
+        n = len(letters)
+        nxt = [rng.randrange(n) for _ in range(n - 1)] + [rng.randrange(1, n)]
+        i = rng.randrange(n - 1)
+        nxt[i] = nxt[rng.choice([j for j in range(n) if j != i])]
+        with pytest.raises(InternalInvariantError, match="is not a permutation"):
+            trace(letters, nxt)
     assert time.perf_counter() - t0 < 10
 
 
@@ -772,3 +782,125 @@ def test_glue_deterministic():
     first = glue_polygons(parse_polygon_file(text))
     for _ in range(3):
         assert glue_polygons(parse_polygon_file(text)) == first
+
+
+@pytest.mark.parametrize(
+    "text,word", [("a\na'\n", "a a'"), ("a\na' b\nb'\n", "b b'"), ("a\na\n", "a a'")]
+)
+def test_glue_tree_of_polygons_is_a_sphere(text, word):
+    # the merges use up every side, so the sphere word of the last merged
+    # symbol stands for the empty result
+    merged = glue_polygons(parse_polygon_file(text))
+    assert merged.letters == parse_word(word).letters
+    assert classify_by_invariants(merged) == SurfaceType.sphere()
+
+
+def _reference_glue(polys):
+    """The rescan loop that gluing in Kruskal order replaced: each merge
+    rebuilds the symbol -> polygon map, splices the two lowest-indexed
+    polygons sharing the least cross-polygon symbol, and puts the merged
+    polygon first."""
+    validate_polygon_set(polys)
+    current = [p.letters for p in polys.polygons]
+    while len(current) > 1:
+        shared = {}
+        for idx, letters in enumerate(current):
+            for let in letters:
+                shared.setdefault(let.symbol, []).append(idx)
+        candidates = sorted(sym for sym, where in shared.items() if where[0] != where[-1])
+        if not candidates:
+            raise ValidationError("polygon set is disconnected")
+        sym = candidates[0]
+        a, b = shared[sym][0], shared[sym][-1]
+        merged = words_module._join_on_symbol(current[a], current[b], sym)
+        current = [w for k, w in enumerate(current) if k not in (a, b)]
+        current.insert(0, merged)
+    return Word(current[0])
+
+
+def _reference_is_orientable(polys):
+    """The sign propagation that the two-colouring union-find replaced: a
+    search over the polygons' adjacency lists, where each cross pair asks
+    sign[p] * sign[q] == -e * f."""
+    validate_polygon_set(polys)
+    occ = {}
+    for p, poly in enumerate(polys.polygons):
+        for let in poly.letters:
+            occ.setdefault(let.symbol, []).append((p, let.exponent))
+    npoly = len(polys.polygons)
+    sign = [0] * npoly
+    adj = [[] for _ in range(npoly)]
+    for (p1, e1), (p2, e2) in occ.values():
+        if p1 == p2:
+            if e1 == e2:
+                return False
+            continue
+        adj[p1].append((p2, -e1 * e2))
+        adj[p2].append((p1, -e1 * e2))
+    for start in range(npoly):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for q, rel in adj[p]:
+                want = sign[p] * rel
+                if sign[q] == 0:
+                    sign[q] = want
+                    stack.append(q)
+                elif sign[q] != want:
+                    return False
+    return True
+
+
+_COMPLEX_NAMES = [c + t for t in ("", "1", "2", "10") for c in "abcdefghijklmnopqrstuvwxyz"]
+
+
+def _random_complex(rng):
+    """1-30 polygons of 1-6 sides, paired at random under shuffled names
+    with random exponents.  The largest size is drawn first, so that sets
+    of monogons and bigons, where trees of polygons live, are common."""
+    top = rng.randint(1, 6)
+    sizes = [rng.randint(1, top) for _ in range(rng.randint(1, 30))]
+    if sum(sizes) % 2:
+        k = rng.randrange(len(sizes))
+        sizes[k] += 1 if sizes[k] == 1 else -1
+    sides = [rng.choice((1, -1)) for _ in range(sum(sizes))]
+    slots = list(range(len(sides)))
+    rng.shuffle(slots)
+    symbol = [None] * len(sides)
+    for name, k in zip(rng.sample(_COMPLEX_NAMES, len(slots) // 2), range(0, len(slots), 2)):
+        symbol[slots[k]] = symbol[slots[k + 1]] = name
+    letters = [Letter(s, e) for s, e in zip(symbol, sides)]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return PolygonSet(tuple(Word(tuple(letters[a:b])) for a, b in zip(starts, starts[1:])))
+
+
+def _glue_outcome(glue, polys):
+    try:
+        return glue(polys).letters
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_glue_and_orientability_match_the_rescan_references():
+    rng = random.Random(28)
+    seen = {"glued": 0, "disconnected": 0, "sphere tree": 0, "monogon": 0, "internal pair": 0}
+    for _ in range(2000):
+        polys = _random_complex(rng)
+        want = _glue_outcome(_reference_glue, polys)
+        if want == "a word must have at least one letter":
+            # a tree of polygons: every symbol was merged, the greatest last
+            seen["sphere tree"] += 1
+            last = max(let.symbol for poly in polys.polygons for let in poly.letters)
+            want = (Letter(last, 1), Letter(last, -1))
+        seen["glued"] += type(want) is tuple
+        seen["disconnected"] += want == "polygon set is disconnected"
+        seen["monogon"] += any(len(poly.letters) == 1 for poly in polys.polygons)
+        seen["internal pair"] += any(
+            len({let.symbol for let in poly.letters}) < len(poly.letters) for poly in polys.polygons
+        )
+        assert _glue_outcome(glue_polygons, polys) == want, polys
+        assert complex_is_orientable(polys) == _reference_is_orientable(polys), polys
+    assert min(seen.values()) >= 20, seen

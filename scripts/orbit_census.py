@@ -8,9 +8,10 @@ representative per type reaches exactly the words of that type.  A word is
 certified when its normalized type is the one its invariants give and its
 trace replays to that type's canonical word letter for letter; every word
 that is not is printed, and the script exits 1.  With three symbols this is
-1055 cyclic words and runs in about a second; four symbols is 84,728 words,
-whose certificates alone take about twenty seconds, and the orbit floods
-are slow.
+1055 cyclic words, and the whole run, its five floods included, takes about
+0.6 s; four symbols is 84,728 words, whose certificates alone take about
+30 s, and one four-symbol flood, the 5,328-word orbit of ``a a``, takes
+about 3 s (Python 3.11, shared 2-vCPU VM).
 
 Usage:
     python scripts/orbit_census.py

@@ -9,8 +9,10 @@ occurs exactly twice, capping the number of distinct symbols also caps the
 word length, so the search space is finite and the flood can genuinely
 exhaust it.
 
-The oracle shares no code with the normalizer's strategy layer; it only
-re-uses the move legality rules themselves.
+The oracle shares no code with the normalizer's strategy layer.  It re-uses
+the splices of :mod:`surfclass.moves` (reflection, the respelling behind a
+flip or a rename, and the guarded cut-and-paste) and ``apply_move`` for a
+cancellation or an insertion.
 """
 
 from __future__ import annotations
@@ -19,19 +21,14 @@ from collections import deque
 from itertools import combinations, permutations, product
 from typing import NamedTuple, Sequence
 
-from .moves import (
-    Cancel,
-    CutPaste,
-    FlipEdge,
-    Insert,
-    Reflect,
-    Rename,
-    apply_move,
-)
+from .moves import Cancel, CutPaste, Insert, _cut_paste, _respell, apply_move
 from .words import (
     Letter,
     ValidationError,
     Word,
+    _SYMBOL,
+    _as_int,
+    _check_symbol,
     _pair_positions,
     mint_fresh,
     validate,
@@ -72,48 +69,52 @@ def _symbol_universe(word: Word, max_symbols: int) -> list[str]:
 def _successors(word: Word, universe: Sequence[str], temp: str) -> list[Word]:
     """Every word one legal move away, using only names from ``universe``.
 
-    Rotations are omitted because words compare cyclically.  A cut-and-paste
-    needs a fresh edge name; when the universe is fully occupied the move is
-    run with the throwaway name ``temp``, which lies outside the universe,
-    and immediately renamed onto the symbol the paste just freed, which is a
-    two-move path to the same word.
+    Rotations are omitted because words compare cyclically.  Each successor
+    is spliced as its move splices it; a flip's or a rename's guards hold by
+    construction (its symbol occurs, its target is free, every name is the
+    universe's).  A cut-and-paste needs a fresh edge name; when the universe
+    is fully occupied the cut is made with the throwaway name ``temp``,
+    outside the universe, and one respell turns that diagonal into the
+    symbol the paste just freed: one cut and one respell, giving the same
+    word as the two-move path of the cut and ``Rename(temp, paste)``.
     """
-    out: list[Word] = []
-    n = len(word)
-    used = word.symbols()
+    letters = word.letters
+    n = len(letters)
+    symbols = list(map(_SYMBOL, letters))
+    used = set(symbols)
     free = [s for s in universe if s not in used]
+    checked = Word._from_checked
 
-    out.append(apply_move(word, Reflect()))
+    out = [word.reflected()]
     for s in sorted(used):
-        out.append(apply_move(word, FlipEdge(s)))
+        out.append(checked(_respell(letters, symbols, s, s, -1)))
         for t in free:
-            out.append(apply_move(word, Rename(s, t)))
+            out.append(checked(_respell(letters, symbols, s, t, 1)))
 
     if n > 2:
         for p in range(n):
-            a = word.letters[p]
-            b = word.letters[(p + 1) % n]
+            a = letters[p]
+            b = letters[(p + 1) % n]
             if a.symbol == b.symbol and a.exponent == -b.exponent:
                 out.append(apply_move(word, Cancel(p)))
 
-    if len(used) < len(universe):
-        fresh = free[0]
+    if free:
         for p in range(n + 1):
-            out.append(apply_move(word, Insert(p, fresh)))
+            out.append(apply_move(word, Insert(p, free[0])))
 
     if n >= 3:
-        pairs = sorted(_pair_positions(word.letters).items())
+        fresh = free[0] if free else temp
+        pairs = sorted(_pair_positions(letters).items())
         for i in range(n):
             for j in range(i + 1, n):
                 for paste_sym, (a, b) in pairs:
                     # a paste symbol has exactly one letter on the arc [i, j)
                     if (i <= a < j) == (i <= b < j):
                         continue
-                    if free:
-                        out.append(apply_move(word, CutPaste(i, j, free[0], paste_sym)))
-                    else:
-                        mid = apply_move(word, CutPaste(i, j, temp, paste_sym))
-                        out.append(apply_move(mid, Rename(temp, paste_sym)))
+                    spliced = _cut_paste(letters, CutPaste(i, j, fresh, paste_sym))
+                    if not free:  # the diagonal takes the name the paste freed
+                        spliced = _respell(spliced, list(map(_SYMBOL, spliced)), temp, paste_sym, 1)
+                    out.append(checked(spliced))
     return out
 
 
@@ -127,8 +128,10 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     ``budget`` caps how many nodes get expanded.
     """
     validate(word)
+    max_symbols = _as_int(max_symbols, "symbol cap")
     if max_symbols < 1:
         raise ValidationError("symbol cap must be at least 1")
+    budget = _as_int(budget, "budget")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
     universe = _symbol_universe(word, max_symbols)
@@ -159,6 +162,8 @@ def enumerate_words(symbols: Sequence[str]) -> set[Word]:
     does not follow the string hash seed.
     """
     pool = list(dict.fromkeys(symbols))
+    for s in pool:
+        _check_symbol(s)
     out: set[Word] = set()
     for k in range(1, len(pool) + 1):
         for subset in combinations(pool, k):
@@ -167,5 +172,5 @@ def enumerate_words(symbols: Sequence[str]) -> set[Word]:
                 base.extend([s, s])
             for perm in sorted(set(permutations(base))):
                 for signs in product((1, -1), repeat=2 * k):
-                    out.add(Word(tuple(Letter(s, e) for s, e in zip(perm, signs))))
+                    out.add(Word._from_checked(tuple(map(Letter, perm, signs))))
     return out

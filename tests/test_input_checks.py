@@ -71,8 +71,17 @@ def test_lattice_input_checks(build, error, message):
 
 @pytest.mark.parametrize(
     "max_symbols, budget, message",
-    [(0, 100, "symbol cap must be at least 1"), (1, 0, "budget must be at least 1")],
-    ids=["symbol-cap", "budget"],
+    [
+        (0, 100, "symbol cap must be at least 1"),
+        (1, 0, "budget must be at least 1"),
+        (1.5, 100, "symbol cap must be an integer, got 1.5"),
+        ("2", 100, "symbol cap must be an integer, got '2'"),
+        (None, 100, "symbol cap must be an integer, got None"),
+        (3, 2.5, "budget must be an integer, got 2.5"),
+        (3, None, "budget must be an integer, got None"),
+    ],
+    ids=["symbol-cap", "budget", "fractional-cap", "string-cap", "no-cap", "fractional-budget",
+         "no-budget"],
 )
 def test_orbit_input_checks(max_symbols, budget, message):
     _raises(lambda: orbit_oracle(W("a a"), max_symbols, budget), ValidationError, message)

@@ -1,14 +1,27 @@
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 from string import ascii_lowercase
 
 import pytest
 
 from surfclass.moves import Cancel, CutPaste, FlipEdge, Insert, Reflect, Rename, apply_move
-from surfclass.orbit import _successors, _symbol_universe, enumerate_words, orbit_oracle
-from surfclass.words import SurfaceType, ValidationError, mint_fresh, parse_word
+from surfclass.orbit import (
+    OrbitResult,
+    _successors,
+    _symbol_universe,
+    enumerate_words,
+    orbit_oracle,
+)
+from surfclass.words import (
+    SurfaceType,
+    ValidationError,
+    classify_by_invariants,
+    mint_fresh,
+    parse_word,
+)
 
 W = parse_word
 
@@ -72,12 +85,17 @@ def test_two_symbol_orbits_partition_census():
 
 
 def test_orbit_respects_type():
-    from surfclass.words import classify_by_invariants
-
     r = orbit_oracle(W("a b a' b'"), max_symbols=3, budget=100_000)
     assert r.exhausted
     t = SurfaceType.orientable_genus(1)
     assert all(classify_by_invariants(w) == t for w in r.words)
+
+
+def test_enumerate_words_names_the_first_bad_symbol():
+    # each pool symbol is checked once, in pool order, before any word is built
+    with pytest.raises(ValidationError) as info:
+        enumerate_words(["a", "b!", "1x"])
+    assert str(info.value) == "bad symbol name 'b!'"
 
 
 def test_enumerate_words_ignores_hash_seed():
@@ -161,3 +179,48 @@ def test_symbol_universe_pads_with_mint_fresh_names():
     assert _symbol_universe(W("q b q' b'"), 30) == ["b", "q"] + rest + ["a1", "b1", "c1", "d1"]
     rest = [c for c in ascii_lowercase if c != "b"]
     assert _symbol_universe(W("a1 b a1' b'"), 30) == ["a1", "b"] + rest + ["b1", "c1", "d1"]
+
+
+def _flood_by_arc_sets(word, max_symbols, budget):
+    """`orbit_oracle`'s breadth-first flood, written out over
+    `_successors_by_arc_sets`, which applies every move by `apply_move`."""
+    universe = _symbol_universe(word, max_symbols)
+    temp = mint_fresh(frozenset(universe))
+    seen = {word}
+    queue = deque([word])
+    expanded = 0
+    while queue:
+        if expanded >= budget:
+            return OrbitResult(frozenset(seen), False, expanded)
+        cur = queue.popleft()
+        expanded += 1
+        for nxt in _successors_by_arc_sets(cur, universe, temp):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return OrbitResult(frozenset(seen), True, expanded)
+
+
+def _assert_same_flood(word, max_symbols, budget):
+    want = _flood_by_arc_sets(word, max_symbols, budget)
+    got = orbit_oracle(word, max_symbols, budget)
+    assert got == want, word.render()
+    # the rotation each reached word is stored in is the one reached first
+    assert {w.letters for w in got.words} == {w.letters for w in want.words}
+    return got
+
+
+def test_flood_matches_arc_set_reference():
+    # one full flood per three-symbol type, at the cap that leaves a
+    # three-symbol word no free name
+    reps = {}
+    for word in sorted(enumerate_words("abc"), key=lambda w: (len(w), w.render())):
+        reps.setdefault(classify_by_invariants(word), word)
+    assert len(reps) == 5
+    for word in reps.values():
+        assert _assert_same_flood(word, 3, 100_000).exhausted
+    # cut off early in the four-symbol flood of a a, which pins the order in
+    # which the breadth-first search expands its words
+    for budget in (1, 10, 100):
+        r = _assert_same_flood(W("a a"), 4, budget)
+        assert not r.exhausted and r.expanded == budget

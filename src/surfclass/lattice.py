@@ -218,8 +218,8 @@ def make_base(b: BaseSurface) -> RationalSurface:
     )
 
 
-def intersect(surf: RationalSurface, c1: DivisorClass, c2: DivisorClass) -> int:
-    """Intersection number c1 . c2 under the surface's form.
+def _dot(gram: Sequence[Sequence[int]], left: Sequence[int], right: Sequence[int]) -> int:
+    """left . right under the Gram rows ``gram``, for tuples and lists alike.
 
     Each nonzero coordinate a_i of one class contributes a_i (G_i . b), one
     dot product of a Gram row with the other class b.  The form is
@@ -227,17 +227,20 @@ def intersect(surf: RationalSurface, c1: DivisorClass, c2: DivisorClass) -> int:
     coordinates, and its cost is that support times the rank, with the
     inner products taken at C level.
     """
+    if left.count(0) < right.count(0):
+        left, right = right, left
+    return sum([left[i] * sum(map(mul, gram[i], right)) for i in compress(range(len(left)), left)])
+
+
+def intersect(surf: RationalSurface, c1: DivisorClass, c2: DivisorClass) -> int:
+    """Intersection number c1 . c2 under the surface's form."""
     n = surf.rank
     if len(c1.coords) != n or len(c2.coords) != n:
         raise ValidationError(
             f"class dimension mismatch: lattice rank {n}, "
             f"got {len(c1.coords)} and {len(c2.coords)}"
         )
-    gram = surf.gram
-    left, right = c1.coords, c2.coords
-    if left.count(0) < right.count(0):
-        left, right = right, left
-    return sum([left[i] * sum(map(mul, gram[i], right)) for i in compress(range(n), left)])
+    return _dot(surf.gram, c1.coords, c2.coords)
 
 
 def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurface:
@@ -248,6 +251,10 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
     exceptional curve); the canonical class gains it.  Naming a line twice
     is an error, not a second pass through the point.
     """
+    if isinstance(through, str):
+        raise ValidationError(
+            f"through must be a sequence of line names, got the string {through!r}"
+        )
     through = list(through)
     known = {nm for nm, _ in surf.tracked}
     seen = set()
@@ -275,14 +282,63 @@ def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurfa
     return RationalSurface(surf.base, basis, gram, canonical, tracked)
 
 
-def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
-    """Contract a tracked -1 line.
+def _working(surf: RationalSurface) -> Tuple[list, list, list, list]:
+    """A working lattice: the surface's basis names, Gram rows, canonical
+    class and tracked (name, coordinates) pairs, copied into lists that
+    ``_contract`` changes in place."""
+    return (
+        list(surf.basis),
+        list(map(list, surf.gram)),
+        list(surf.canonical.coords),
+        [(nm, list(cls.coords)) for nm, cls in surf.tracked],
+    )
 
-    The new lattice is the orthogonal complement of the contracted class c,
-    with a deterministic integer basis; every tracked class l moves to
-    l + (l.c) c, which lies in that complement, and the canonical class
-    drops the contracted class.  Lines whose class collapses to zero were
-    other names for the contracted curve and are removed.
+
+def _surface(base: BaseSurface, names: list, gram: list, canonical: list,
+             tracked: list) -> RationalSurface:
+    """The surface of a working lattice, through the full constructor; a
+    lattice contracted below the rank of ``base`` records the plane."""
+    if len(names) < base.rank:
+        base = BaseSurface.cp2()
+    return RationalSurface(
+        base,
+        tuple(names),
+        tuple(map(tuple, gram)),
+        DivisorClass._from_checked(tuple(canonical)),
+        tuple([(nm, DivisorClass._from_checked(tuple(x))) for nm, x in tracked]),
+    )
+
+
+def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
+    """Contract a tracked -1 line: check that it is one, then run
+    ``_contract`` on a copy of the lattice."""
+    c = surf.tracked_class(line)
+    c2 = intersect(surf, c, c)
+    ck = intersect(surf, c, surf.canonical)
+    if c2 != -1:
+        raise ValidationError(
+            f"{line} is a {c2:+d} line, not -1 (self-intersection {c2}, K-degree {ck})"
+        )
+    if ck != -1:
+        raise ValidationError(
+            f"{line} has self-intersection -1 but K-degree {ck:+d}, not -1"
+        )
+    working = _working(surf)
+    _contract(*working, line)
+    return _surface(surf.base, *working)
+
+
+def _contract(names: list, g: list, canonical: list, tracked: list, line: str) -> list:
+    """Contract the tracked line ``line``, whose class c the caller has
+    checked to be a -1 line, in place on a working lattice.  Returns the
+    names of the tracked lines whose coordinates changed by more than
+    losing slot p: those with l.c != 0, or every line when a basis step ran.
+
+    The new lattice is the orthogonal complement of c, with a deterministic
+    integer basis; every tracked class l moves to l + (l.c) c, which lies
+    in that complement, and the canonical class drops c.  Lines whose class
+    collapses to zero were other names for the contracted curve and are
+    removed.
 
     The basis is reached by one step, e_i <- s (e_i - q e_j) with s = +-1,
     an O(n) update of row and column i of the Gram matrix and of w = G c.
@@ -296,25 +352,13 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
     dropped.  A class is pushed by replaying the steps on its coordinates,
     and lies in the complement exactly when its coordinate at p is then
     zero.  A fresh exceptional curve, whose w is nonzero only at the pivot,
-    takes no step, so its contraction only slices.
+    takes no step, so its contraction only deletes slot p.
     """
-    c = surf.tracked_class(line)
-    c2 = intersect(surf, c, c)
-    ck = intersect(surf, c, surf.canonical)
-    if c2 != -1:
-        raise ValidationError(
-            f"{line} is a {c2:+d} line, not -1 (self-intersection {c2}, K-degree {ck})"
-        )
-    if ck != -1:
-        raise ValidationError(
-            f"{line} has self-intersection -1 but K-degree {ck:+d}, not -1"
-        )
-
-    n = surf.rank
-    g = list(surf.gram)
+    c = dict(tracked)[line]
+    n = len(names)
     w = [0] * n
-    for j in compress(range(n), c.coords):
-        a = c.coords[j]
+    for j in compress(range(n), c):
+        a = c[j]
         w = [x + a * y for x, y in zip(w, g[j])]
     support = list(compress(range(n), w))
     w_support = [w[i] for i in support]
@@ -328,14 +372,16 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
 
     def change(i: int, j: int, q: int, s: int = 1) -> None:
         # e_i <- s (e_i - q e_j): row i, then column i, which by symmetry
-        # takes the entries of the new row; only rows whose entry moves are rebuilt
+        # takes the entries of the new row where they moved.  The form
+        # started symmetric, so it still is when the new row equals its column
         old = g[i]
         row = [s * (a - q * b) for a, b in zip(old, g[j])]
         row[i] = s * (row[i] - q * row[j])
-        g[i] = tuple(row)
+        g[i] = row
         for k in compress(range(n), map(ne, row, old)):
-            if k != i:
-                g[k] = g[k][:i] + (row[k],) + g[k][i + 1:]
+            g[k][i] = row[k]
+        if row != [r[i] for r in g]:
+            raise InternalInvariantError("intersection form must be symmetric")
         w[i] = s * (w[i] - q * w[j])
         frame[i] = [s * (a - q * b) for a, b in zip(vec(i), vec(j))]
         steps.append((i, j, q, s))
@@ -363,44 +409,43 @@ def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
         change(a, p, q, 1 if lead > 0 else -1)
 
     del g[p]
-    gram = tuple([row[:p] + row[p + 1:] for row in g])
-    names = list(surf.basis)
+    for row in g:
+        del row[p]
     if moved:
-        avoid = set(names) | {nm for nm, _ in surf.tracked}
+        avoid = set(names) | {nm for nm, _ in tracked}
         fresh = (nm for nm in map("B{}".format, count(1)) if nm not in avoid)
         for i, nm in zip(moved, fresh):
             names[i] = nm
     del names[p]
-    names = tuple(names)
     if len(set(names)) != len(names):
         raise InternalInvariantError("duplicate basis name after contraction")
 
-    def push(cls: Sequence[int]) -> Tuple[int, ...]:
-        # l + (l.c) c in the old coordinates, then in the new basis: the
-        # step e_i <- s (e_i - q e_j) moves q x_i onto x_j and signs x_i
-        lc = sum(map(mul, map(cls.__getitem__, support), w_support))
-        x = [a + lc * b for a, b in zip(cls, c.coords)] if lc else cls
-        if steps:
-            x = list(x)
-            for i, j, q, s in steps:
-                x[j] += q * x[i]
-                x[i] *= s
+    def push(x: list) -> int:
+        # l + (l.c) c, then in the new basis: the step
+        # e_i <- s (e_i - q e_j) moves q x_i onto x_j and signs x_i
+        lc = sum(map(mul, map(x.__getitem__, support), w_support))
+        if lc:
+            x[:] = [a + lc * b for a, b in zip(x, c)]
+        for i, j, q, s in steps:
+            x[j] += q * x[i]
+            x[i] *= s
         if x[p]:
             raise InternalInvariantError("class does not lie in the sublattice")
-        return tuple(x[:p] + x[p + 1:])
+        del x[p]
+        return lc
 
-    canonical = DivisorClass._from_checked(
-        push([k - ci for k, ci in zip(surf.canonical.coords, c.coords)])
-    )
-    tracked = []
-    for nm, cls in surf.tracked:
+    canonical[:] = [k - ci for k, ci in zip(canonical, c)]
+    push(canonical)
+    changed = []
+    kept = []
+    for nm, x in tracked:
         if nm != line:
-            x = push(cls.coords)
+            if push(x) or steps:
+                changed.append(nm)
             if any(x):
-                tracked.append((nm, DivisorClass._from_checked(x)))
-
-    base = surf.base if n - 1 >= surf.base.rank else BaseSurface.cp2()
-    return RationalSurface(base, names, gram, canonical, tuple(tracked))
+                kept.append((nm, x))
+    tracked[:] = kept
+    return changed
 
 
 def euler_characteristic_cx(surf: RationalSurface) -> int:

@@ -6,18 +6,27 @@ none remain, and then reads the minimal surface off the lattice.  Insertion
 order matters: different contraction orders can genuinely land on different
 minimal surfaces (the projective plane versus a Hirzebruch surface), so the
 report records the order taken.
+
+The contractions all run in place on one working copy of the lattice, and
+only the end result is built as a surface.  The scan keeps each line's
+(c.c, c.K) once read and re-reads it only after a contraction moved the
+line's coordinates by more than deleting the contracted slot; such a
+deletion leaves both numbers as they were.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .lattice import (
     BaseSurface,
     DivisorClass,
     RationalSurface,
-    blow_down,
+    _contract,
+    _dot,
+    _surface,
+    _working,
     intersect,
 )
 from .words import InternalInvariantError, ValidationError, _Value
@@ -52,22 +61,32 @@ class ReductionReport(_Value):
         object.__setattr__(self, "final_surface", final_surface)
 
 
-def _minus_one_lines(surf: RationalSurface) -> Iterator[str]:
-    """Yield the names of tracked lines with square -1 and K-degree -1, in
-    insertion order, testing each line only when the next name is asked
-    for."""
-    for name, cls in surf.tracked:
-        if (
-            intersect(surf, cls, cls) == -1
-            and intersect(surf, cls, surf.canonical) == -1
-        ):
-            yield name
+def _degrees(gram: Sequence[Sequence[int]], canonical: Sequence[int],
+             cls: Sequence[int]) -> Tuple[int, int]:
+    """(c.c, c.K) of the coordinates ``cls`` under the Gram rows ``gram``."""
+    return _dot(gram, cls, cls), _dot(gram, cls, canonical)
+
+
+def _minus_one_scan(gram: Sequence[Sequence[int]], canonical: Sequence[int],
+                    tracked: Iterable[Tuple[str, Sequence[int]]],
+                    kept: Dict[str, Tuple[int, int]]) -> Iterator[Tuple[str, Sequence[int]]]:
+    """Yield the (name, coordinates) of each tracked line with square -1 and
+    K-degree -1, in insertion order, reading each line only when the next
+    hit is asked for.  ``kept`` maps a name to its (c.c, c.K) where they are
+    known; the numbers of every other line it reads are added to it."""
+    for name, cls in tracked:
+        degrees = kept.get(name)
+        if degrees is None:
+            degrees = kept[name] = _degrees(gram, canonical, cls)
+        if degrees == (-1, -1):
+            yield name, cls
 
 
 def find_minus_one_lines(surf: RationalSurface) -> List[str]:
     """Names of tracked lines with square -1 and K-degree -1, in insertion
-    order."""
-    return list(_minus_one_lines(surf))
+    order, each line read afresh."""
+    tracked = [(nm, cls.coords) for nm, cls in surf.tracked]
+    return [nm for nm, _ in _minus_one_scan(surf.gram, surf.canonical.coords, tracked, {})]
 
 
 def classify_minimal(surf: RationalSurface) -> BaseSurface | Inconclusive:
@@ -105,18 +124,29 @@ def classify_minimal(surf: RationalSurface) -> BaseSurface | Inconclusive:
 def minimal_model(surf: RationalSurface) -> ReductionReport:
     """Contract the first -1 line in insertion order until none remain.
 
-    Each scan stops at the first contractible line: only that one is
-    contracted, and the next scan starts over on the contracted surface,
-    whose classes have all moved.
+    Each scan reads the lines in insertion order and stops at the first
+    contractible one: only that one is contracted.  A line's c.c and c.K,
+    once read, are kept until a contraction moves it, that is when it pairs
+    nonzero with the contracted class or a basis step ran; every other line
+    only loses the contracted slot, where its coordinate is 0.  The chosen
+    line's numbers are read again before it is contracted.  The surface is
+    copied once and built once, at the end; with nothing to contract the
+    report's surface is ``surf`` itself.
     """
     steps: List[Tuple[str, DivisorClass]] = []
-    current = surf
+    names, gram, canonical, tracked = _working(surf)
+    kept: Dict[str, Tuple[int, int]] = {}
     for _ in range(surf.rank):
-        name = next(_minus_one_lines(current), None)
-        if name is None:
+        hit = next(_minus_one_scan(gram, canonical, tracked, kept), None)
+        if hit is None:
             break
-        steps.append((name, current.tracked_class(name)))
-        current = blow_down(current, name)
+        name, cls = hit
+        if _degrees(gram, canonical, cls) != (-1, -1):
+            raise InternalInvariantError(f"kept numbers of {name} disagree with its class")
+        steps.append((name, DivisorClass._from_checked(tuple(cls))))
+        for moved in _contract(names, gram, canonical, tracked, name):
+            kept.pop(moved, None)
     else:
         raise InternalInvariantError("reduction did not terminate within rank steps")
+    current = _surface(surf.base, names, gram, canonical, tracked) if steps else surf
     return ReductionReport(tuple(steps), classify_minimal(current), current)

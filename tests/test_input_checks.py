@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from surfclass.lattice import BaseSurface, DivisorClass, blowup_chart_transition, make_base
+from surfclass.lattice import BaseSurface, DivisorClass, blow_up, blowup_chart_transition, make_base
 from surfclass.moves import Cancel, CutPaste, Insert, MoveError, apply_move
 from surfclass.orbit import orbit_oracle
 from surfclass.words import (
@@ -59,11 +59,13 @@ def _cp2_with(**fields):
          "class coordinate must be an integer, got 'x'"),
         (lambda: BaseSurface("hirzebruch", float("inf")), ValidationError,
          "base surface index must be an integer, got inf"),
+        (lambda: blow_up(blow_up(make_base(BaseSurface.cp2())), "E1"), ValidationError,
+         "through must be a sequence of line names, got the string 'E1'"),
     ],
     ids=["gram-shape", "asymmetric", "canonical-dim", "tracked-dim", "tracked-names",
          "rank-below-base", "cp2-index", "chart-origin", "fractional-index",
          "fractional-coordinate", "string-coordinates", "non-numeric-coordinate",
-         "infinite-index"],
+         "infinite-index", "through-string"],
 )
 def test_lattice_input_checks(build, error, message):
     _raises(build, error, message)

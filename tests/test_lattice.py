@@ -4,6 +4,7 @@ import functools
 import hashlib
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -467,14 +468,16 @@ def _dense_unit_pivot_blow_down(surf, line):
     return tuple(names), gram, canonical, tuple(tracked)
 
 
-def _recording_blow_down(updates):
-    """``blow_down`` that also appends (n, p, support, steps, pushes) of each
-    contraction to ``updates``: the rank, the pivot, the support of w = G c,
-    the basis changes (i, j, q, s) in order, and for each class it pushed forward
-    whether l.c was nonzero.  They are read off the frames of ``blow_down``
-    and of its nested ``push`` as they return, so a corpus can show which
-    cases of the basis change and of the pushforward it reached."""
-    code = blow_down.__code__
+def _recording_blow_down(updates, run=blow_down):
+    """``blow_down``, or ``run`` in its place, that also appends (n, p,
+    support, steps, pushes) of each contraction to ``updates``: the rank,
+    the pivot, the support of w = G c, the basis changes (i, j, q, s) in
+    order, and for each class it pushed forward whether l.c was nonzero.
+    They are read off the frames of the contraction kernel
+    ``lattice._contract`` and of its nested ``push`` as they return, so a
+    corpus can show which cases of the basis change and of the pushforward
+    it reached."""
+    code = lattice._contract.__code__
     push_code = next(k for k in code.co_consts if getattr(k, "co_name", None) == "push")
     pushes = []
 
@@ -489,11 +492,11 @@ def _recording_blow_down(updates):
             updates.append((f["n"], f["p"], f["support"], f["steps"], tuple(pushes)))
             pushes.clear()
 
-    def contract(surf, line):
+    def contract(*args):
         previous = sys.getprofile()
         sys.setprofile(hook)
         try:
-            return blow_down(surf, line)
+            return run(*args)
         finally:
             sys.setprofile(previous)
 
@@ -915,6 +918,60 @@ def test_minimal_model_matches_full_scan_reference():
         surfaces += 1
         contractions += len(report.steps)
     assert surfaces > 500 and contractions >= 3000
+
+
+def test_minimal_model_runs_euclid_and_moves_every_later_line():
+    # 6H - 2E1 - ... - 2E7 - 3E8 tracked first pairs to no basis vector with
+    # +-1, so the first contraction of the reduction runs Euclid's steps and
+    # moves every line tracked after it
+    plane = make_base(BaseSurface.cp2())
+    for _ in range(8):
+        plane = blow_up(plane)
+    c = DivisorClass((6,) + (-2,) * 7 + (-3,))
+    surf = _surface(plane, (("C", c),) + plane.tracked)
+    updates = []
+    report = _recording_blow_down(updates, minimal_model)(surf)
+    assert report.steps[0] == ("C", c)
+    assert report == _reference_minimal_model(surf)
+    n, p, _, steps, _ = updates[0]
+    assert n == 9 and any(j != p for _, j, _, _ in steps)
+
+
+def _chain(k):
+    """The plane blown up k times, each point on the last exceptional curve,
+    built by the constructor: H = e0, E_i = e_i - e_(i+1) for i < k and
+    E_k = e_k, with the form diag(1, -1, ..., -1)."""
+    basis = ("H",) + tuple(f"E{i}" for i in range(1, k + 1))
+    diagonal = (1,) + (-1,) * k
+    gram = tuple(tuple(d if i == j else 0 for j in range(k + 1)) for i, d in enumerate(diagonal))
+    tracked = [("H", _unit_class(k + 1, 0))]
+    for i in range(1, k + 1):
+        e = _unit_class(k + 1, i)
+        tracked.append((f"E{i}", e - _unit_class(k + 1, i + 1) if i < k else e))
+    canonical = DivisorClass((-3,) + (1,) * k)
+    return RationalSurface(BaseSurface.cp2(), basis, gram, canonical, tuple(tracked))
+
+
+def test_minimal_model_on_a_chain_matches_the_reference():
+    # each contraction turns the line before it into a -1 line, which the
+    # scan reaches only at the end of the tracked lines
+    surf = _chain(40)
+    report = minimal_model(surf)
+    assert [nm for nm, _ in report.steps] == [f"E{i}" for i in range(40, 0, -1)]
+    assert report == _reference_minimal_model(surf)
+
+
+def test_minimal_model_on_a_long_chain_is_not_cubic():
+    # 640 contractions, each found at the end of the scan: 0.6-0.7 s on a
+    # shared 2-vCPU VM (Python 3.11.7), and 11-14 s there when every
+    # contraction built a surface and every scan read every line again
+    surf = _chain(640)
+    start = time.perf_counter()
+    report = minimal_model(surf)
+    elapsed = time.perf_counter() - start
+    assert [nm for nm, _ in report.steps] == [f"E{i}" for i in range(640, 0, -1)]
+    assert str(report.final) == "CP2"
+    assert elapsed < 6.0, elapsed
 
 
 # sha256 of the printed minimal-model answer of every corpus surface, one per

@@ -13,6 +13,8 @@ from surfclass.lattice import (
     BaseSurface,
     DivisorClass,
     RationalSurface,
+    blow_down,
+    blow_up,
     make_base,
     topological_model,
 )
@@ -190,3 +192,39 @@ def test_replace_on_a_rational_surface_runs_its_checks():
         dataclasses.replace(CP2, canonical=DivisorClass((3, 0)))
     with pytest.raises(InternalInvariantError, match="must be symmetric"):
         dataclasses.replace(F0, gram=((0, 1), (2, 0)))
+
+
+@pytest.fixture
+def surface_inits(monkeypatch):
+    """Count the calls of ``RationalSurface.__post_init__``, the full check
+    of a built surface, through a wrapper set on the class."""
+    calls = []
+    original = RationalSurface.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RationalSurface, "__post_init__", counting)
+    return calls
+
+
+def test_a_reduction_builds_one_surface(surface_inits):
+    surf = blow_up(blow_up(blow_up(CP2), ["H"]), ["E1"])
+    surface_inits.clear()
+    report = minimal_model(surf)
+    assert len(report.steps) == 3
+    assert surface_inits == [report.final_surface]
+
+
+def test_a_minimal_surface_is_its_own_reduction(surface_inits):
+    report = minimal_model(F0)
+    assert report.steps == () and report.final_surface is F0
+    assert surface_inits == []
+
+
+def test_blow_down_builds_one_surface(surface_inits):
+    surf = blow_up(blow_up(CP2))
+    surface_inits.clear()
+    down = blow_down(surf, "E1")
+    assert surface_inits == [down]

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import mul, ne
-from typing import Iterable, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Iterable, List, Sequence, Tuple
 
 from .words import InternalInvariantError, ValidationError, _as_int, _Value
 
@@ -148,7 +149,9 @@ class RationalSurface:
     current lattice is authoritative and ``base`` may no longer be the true
     minimal model; the classifier in :mod:`surfclass.minimal` reads the
     lattice, not this tag.  ``tracked`` is insertion-ordered, which fixes the
-    contraction order of the minimal-model procedure.
+    contraction order of the minimal-model procedure.  The operations and a
+    script's statements change a working copy in lists (``_working``), and
+    a surface is built only where one is handed out.
     """
 
     base: BaseSurface
@@ -244,95 +247,88 @@ def intersect(surf: RationalSurface, c1: DivisorClass, c2: DivisorClass) -> int:
 
 
 def blow_up(surf: RationalSurface, through: Iterable[str] = ()) -> RationalSurface:
-    """Blow up a point, optionally lying on the named tracked lines.
-
-    The lattice gains an orthogonal generator of square -1; lines through the
-    point lose it from their class (the strict transform separates from the
-    exceptional curve); the canonical class gains it.  Naming a line twice
-    is an error, not a second pass through the point.
-    """
+    """Blow up a point, optionally lying on the named tracked lines: run
+    ``_blow_up`` on a copy of the lattice."""
     if isinstance(through, str):
         raise ValidationError(
             f"through must be a sequence of line names, got the string {through!r}"
         )
-    through = list(through)
-    known = {nm for nm, _ in surf.tracked}
+    lat = _working(surf)
+    _blow_up(lat, through)
+    return _surface(lat)
+
+
+def _working(surf: RationalSurface) -> SimpleNamespace:
+    """A working lattice: the surface's ``base``, and its basis ``names``,
+    ``gram`` rows, ``canonical`` class and ``tracked`` classes, the last an
+    insertion-ordered dict of name to coordinates, copied into lists that
+    ``_blow_up`` and ``_contract`` change in place.  A script holds one from
+    its base statement to its last."""
+    return SimpleNamespace(
+        base=surf.base, names=list(surf.basis), gram=list(map(list, surf.gram)),
+        canonical=list(surf.canonical.coords),
+        tracked={nm: list(cls.coords) for nm, cls in surf.tracked},
+    )
+
+
+def _surface(lat: SimpleNamespace) -> RationalSurface:
+    """The surface of a working lattice, through the full constructor."""
+    return RationalSurface(
+        lat.base,
+        tuple(lat.names),
+        tuple(map(tuple, lat.gram)),
+        DivisorClass._from_checked(tuple(lat.canonical)),
+        tuple([(nm, DivisorClass._from_checked(tuple(x))) for nm, x in lat.tracked.items()]),
+    )
+
+
+def _blow_up(lat: SimpleNamespace, through: Iterable[str]) -> None:
+    """Blow up a point on the lines ``through``, in place on a working lattice.
+
+    The lattice gains an orthogonal generator of square -1; lines through the
+    point lose it from their class (the strict transform separates from the
+    exceptional curve); the canonical class gains it.  Naming a line twice
+    is an error, not a second pass through the point.  The generator is
+    E<k>, k the blow-ups over the base with this one, or the next k free.
+    """
+    names, tracked = lat.names, lat.tracked
     seen = set()
     for nm in through:
-        if nm not in known:
+        if nm not in tracked:
             raise ValidationError(f"unknown line name {nm!r}")
         if nm in seen:
             raise ValidationError(f"line name {nm!r} is repeated")
         seen.add(nm)
 
-    idx = surf.blowups + 1
-    taken = set(surf.basis) | known
+    n = len(names)
+    idx = n - lat.base.rank + 1
+    taken = set(names).union(tracked)
     while f"E{idx}" in taken:
         idx += 1
-    ename = f"E{idx}"
-
-    n = surf.rank
-    basis = surf.basis + (ename,)
-    gram = tuple([row + (0,) for row in surf.gram]) + ((0,) * n + (-1,),)
-    canonical = DivisorClass._from_checked(surf.canonical.coords + (1,))
-    tracked = tuple([
-        (nm, DivisorClass._from_checked(cls.coords + ((-1,) if nm in seen else (0,))))
-        for nm, cls in surf.tracked
-    ]) + ((ename, DivisorClass._from_checked((0,) * n + (1,))),)
-    return RationalSurface(surf.base, basis, gram, canonical, tracked)
-
-
-def _working(surf: RationalSurface) -> Tuple[list, list, list, list]:
-    """A working lattice: the surface's basis names, Gram rows, canonical
-    class and tracked (name, coordinates) pairs, copied into lists that
-    ``_contract`` changes in place."""
-    return (
-        list(surf.basis),
-        list(map(list, surf.gram)),
-        list(surf.canonical.coords),
-        [(nm, list(cls.coords)) for nm, cls in surf.tracked],
-    )
-
-
-def _surface(base: BaseSurface, names: list, gram: list, canonical: list,
-             tracked: list) -> RationalSurface:
-    """The surface of a working lattice, through the full constructor; a
-    lattice contracted below the rank of ``base`` records the plane."""
-    if len(names) < base.rank:
-        base = BaseSurface.cp2()
-    return RationalSurface(
-        base,
-        tuple(names),
-        tuple(map(tuple, gram)),
-        DivisorClass._from_checked(tuple(canonical)),
-        tuple([(nm, DivisorClass._from_checked(tuple(x))) for nm, x in tracked]),
-    )
+    for row in lat.gram:
+        row.append(0)
+    lat.gram.append([0] * n + [-1])
+    lat.canonical.append(1)
+    for nm, x in tracked.items():
+        x.append(-1 if nm in seen else 0)
+    names.append(f"E{idx}")
+    tracked[names[-1]] = [0] * n + [1]
 
 
 def blow_down(surf: RationalSurface, line: str) -> RationalSurface:
-    """Contract a tracked -1 line: check that it is one, then run
-    ``_contract`` on a copy of the lattice."""
-    c = surf.tracked_class(line)
-    c2 = intersect(surf, c, c)
-    ck = intersect(surf, c, surf.canonical)
-    if c2 != -1:
-        raise ValidationError(
-            f"{line} is a {c2:+d} line, not -1 (self-intersection {c2}, K-degree {ck})"
-        )
-    if ck != -1:
-        raise ValidationError(
-            f"{line} has self-intersection -1 but K-degree {ck:+d}, not -1"
-        )
-    working = _working(surf)
-    _contract(*working, line)
-    return _surface(surf.base, *working)
+    """Contract a tracked -1 line: run ``_contract`` on a copy of the
+    lattice."""
+    lat = _working(surf)
+    _contract(lat, line)
+    return _surface(lat)
 
 
-def _contract(names: list, g: list, canonical: list, tracked: list, line: str) -> list:
-    """Contract the tracked line ``line``, whose class c the caller has
-    checked to be a -1 line, in place on a working lattice.  Returns the
-    names of the tracked lines whose coordinates changed by more than
-    losing slot p: those with l.c != 0, or every line when a basis step ran.
+def _contract(lat: SimpleNamespace, line: str) -> List[str]:
+    """Check that the tracked line ``line`` is a -1 line, of class c with
+    c.c = c.K = -1, and contract it in place on a working lattice.  Returns
+    the names of the tracked lines whose class moved, those with l.c != 0.
+    A basis step rewrites the form with the coordinates, so every other
+    line keeps its square and K-degree.
 
     The new lattice is the orthogonal complement of c, with a deterministic
     integer basis; every tracked class l moves to l + (l.c) c, which lies
@@ -354,7 +350,19 @@ def _contract(names: list, g: list, canonical: list, tracked: list, line: str) -
     zero.  A fresh exceptional curve, whose w is nonzero only at the pivot,
     takes no step, so its contraction only deletes slot p.
     """
-    c = dict(tracked)[line]
+    names, g, canonical, tracked = lat.names, lat.gram, lat.canonical, lat.tracked
+    if line not in tracked:
+        raise ValidationError(f"unknown line name {line!r}")
+    c = tracked[line]
+    c2, ck = _dot(g, c, c), _dot(g, c, canonical)
+    if c2 != -1:
+        raise ValidationError(
+            f"{line} is a {c2:+d} line, not -1 (self-intersection {c2}, K-degree {ck})"
+        )
+    if ck != -1:
+        raise ValidationError(
+            f"{line} has self-intersection -1 but K-degree {ck:+d}, not -1"
+        )
     n = len(names)
     w = [0] * n
     for j in compress(range(n), c):
@@ -412,13 +420,15 @@ def _contract(names: list, g: list, canonical: list, tracked: list, line: str) -
     for row in g:
         del row[p]
     if moved:
-        avoid = set(names) | {nm for nm, _ in tracked}
+        avoid = set(names).union(tracked)
         fresh = (nm for nm in map("B{}".format, count(1)) if nm not in avoid)
         for i, nm in zip(moved, fresh):
             names[i] = nm
     del names[p]
     if len(set(names)) != len(names):
         raise InternalInvariantError("duplicate basis name after contraction")
+    if len(names) < lat.base.rank:
+        lat.base = BaseSurface.cp2()
 
     def push(x: list) -> int:
         # l + (l.c) c, then in the new basis: the step
@@ -436,15 +446,10 @@ def _contract(names: list, g: list, canonical: list, tracked: list, line: str) -
 
     canonical[:] = [k - ci for k, ci in zip(canonical, c)]
     push(canonical)
-    changed = []
-    kept = []
-    for nm, x in tracked:
-        if nm != line:
-            if push(x) or steps:
-                changed.append(nm)
-            if any(x):
-                kept.append((nm, x))
-    tracked[:] = kept
+    del tracked[line]
+    changed = [nm for nm, x in tracked.items() if push(x)]
+    for nm in [nm for nm, x in tracked.items() if not any(x)]:
+        del tracked[nm]
     return changed
 
 

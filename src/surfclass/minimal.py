@@ -10,8 +10,8 @@ report records the order taken.
 The contractions all run in place on one working copy of the lattice, and
 only the end result is built as a surface.  The scan keeps each line's
 (c.c, c.K) once read and re-reads it only after a contraction moved the
-line's coordinates by more than deleting the contracted slot; such a
-deletion leaves both numbers as they were.
+line's class, l.c != 0; a change of basis keeps the form, so it leaves
+both numbers as they were.
 """
 
 from __future__ import annotations
@@ -126,27 +126,27 @@ def minimal_model(surf: RationalSurface) -> ReductionReport:
 
     Each scan reads the lines in insertion order and stops at the first
     contractible one: only that one is contracted.  A line's c.c and c.K,
-    once read, are kept until a contraction moves it, that is when it pairs
-    nonzero with the contracted class or a basis step ran; every other line
-    only loses the contracted slot, where its coordinate is 0.  The chosen
+    once read, are kept until a contraction moves its class, that is when
+    it pairs nonzero with the contracted class; a change of basis rewrites
+    the form with the coordinates and keeps both numbers.  The chosen
     line's numbers are read again before it is contracted.  The surface is
     copied once and built once, at the end; with nothing to contract the
     report's surface is ``surf`` itself.
     """
     steps: List[Tuple[str, DivisorClass]] = []
-    names, gram, canonical, tracked = _working(surf)
+    lat = _working(surf)
     kept: Dict[str, Tuple[int, int]] = {}
     for _ in range(surf.rank):
-        hit = next(_minus_one_scan(gram, canonical, tracked, kept), None)
+        hit = next(_minus_one_scan(lat.gram, lat.canonical, lat.tracked.items(), kept), None)
         if hit is None:
             break
         name, cls = hit
-        if _degrees(gram, canonical, cls) != (-1, -1):
+        if _degrees(lat.gram, lat.canonical, cls) != (-1, -1):
             raise InternalInvariantError(f"kept numbers of {name} disagree with its class")
         steps.append((name, DivisorClass._from_checked(tuple(cls))))
-        for moved in _contract(names, gram, canonical, tracked, name):
+        for moved in _contract(lat, name):
             kept.pop(moved, None)
     else:
         raise InternalInvariantError("reduction did not terminate within rank steps")
-    current = _surface(surf.base, names, gram, canonical, tracked) if steps else surf
+    current = _surface(lat) if steps else surf
     return ReductionReport(tuple(steps), classify_minimal(current), current)

@@ -11,14 +11,17 @@ statement.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from types import SimpleNamespace
+from typing import List, Optional, Sequence, Tuple
 
 from .lattice import (
     BaseSurface,
     DivisorClass,
     RationalSurface,
-    blow_up,
-    blow_down,
+    _blow_up,
+    _contract,
+    _surface,
+    _working,
     euler_characteristic_cx,
     intersect,
     make_base,
@@ -42,17 +45,17 @@ class ScriptError(SurfclassError):
 _TERM = re.compile(rf"\s*(?:([+-])\s*)?(?:({_DIGITS})\s*(?:\*\s*)?)?({_NAME})\s*")
 
 
-def parse_class_expr(expr: str, surf: RationalSurface) -> DivisorClass:
+def parse_class_expr(expr: str, basis: Sequence[str]) -> DivisorClass:
     """Integer combination of basis names, e.g. ``H - E1 - E2`` or ``2S + 3F``.
 
-    Names resolve against the current lattice basis, not against tracked
+    Names resolve against the lattice's ``basis`` names, not against tracked
     lines; a tracked line may have drifted away from the basis vector that
     shares its name, and expressions are meant to write raw lattice vectors.
     An expression that cannot be read raises ``ValidationError``; inside a
     script, ``run_script`` reports it with its line number.
     """
-    index = {nm: i for i, nm in enumerate(surf.basis)}
-    coords = [0] * surf.rank
+    index = {nm: i for i, nm in enumerate(basis)}
+    coords = [0] * len(basis)
     pos = 0
     text = expr.strip()
     if not text:
@@ -68,7 +71,7 @@ def parse_class_expr(expr: str, surf: RationalSurface) -> DivisorClass:
             raise ValidationError(f"missing + or - before {name!r}")
         if name not in index:
             raise ValidationError(
-                f"unknown basis name {name!r} (basis: {', '.join(surf.basis)})"
+                f"unknown basis name {name!r} (basis: {', '.join(basis)})"
             )
         try:
             coeff = _read_int(coeff_s) if coeff_s else 1
@@ -134,26 +137,27 @@ def render_reduction(report: ReductionReport) -> str:
 
 
 def _statement(
-    surf: Optional[RationalSurface], stmt: str, events: List[Tuple[str, object]]
-) -> RationalSurface:
-    """Run one statement on the working surface and return the new one; a
-    statement that cannot be read or run raises ``ValidationError``."""
+    lat: Optional[SimpleNamespace], stmt: str, events: List[Tuple[str, object]]
+) -> SimpleNamespace:
+    """Run one statement on the working lattice ``lat``, in place, and
+    return the lattice to go on with; a statement that cannot be read or
+    run raises ``ValidationError``."""
     words = stmt.split()
     head = words[0].lower()
     if head == "base":
-        if surf is not None:
+        if lat is not None:
             raise ValidationError("base is already set")
         if len(words) == 2 and words[1].lower() == "cp2":
-            return make_base(BaseSurface.cp2())
+            return _working(make_base(BaseSurface.cp2()))
         if len(words) == 3 and words[1].lower() == "hirzebruch":
             # a negative index is read, to reach the base surface's check
             try:
                 n = _read_int(words[2])
             except ValueError:
                 raise ValidationError(f"bad Hirzebruch index {words[2]!r}")
-            return make_base(BaseSurface.hirzebruch(n))
+            return _working(make_base(BaseSurface.hirzebruch(n)))
         raise ValidationError("expected 'base cp2' or 'base hirzebruch <n>'")
-    if surf is None:
+    if lat is None:
         raise ValidationError("script must start with a base statement")
     if head == "blowup":
         through = []
@@ -163,52 +167,50 @@ def _statement(
             through = words[2:]
             if not through:
                 raise ValidationError("'blowup on' needs at least one line name")
-        return blow_up(surf, through)
-    if head == "line":
+        _blow_up(lat, through)
+    elif head == "line":
         m = re.match(rf"^line\s+({_NAME})\s*=\s*(.+)$", stmt, re.IGNORECASE)
         if not m:
             raise ValidationError("expected 'line <name> = <class expr>'")
         name, expr = m.group(1), m.group(2)
-        if any(nm == name for nm, _ in surf.tracked):
+        if name in lat.tracked:
             raise ValidationError(f"line name {name!r} is already tracked")
-        cls = parse_class_expr(expr, surf)
-        return RationalSurface(
-            surf.base, surf.basis, surf.gram, surf.canonical,
-            surf.tracked + ((name, cls),),
-        )
-    if head == "blowdown":
+        lat.tracked[name] = list(parse_class_expr(expr, lat.names).coords)
+    elif head == "blowdown":
         if len(words) != 2:
             raise ValidationError("expected 'blowdown <name>'")
-        return blow_down(surf, words[1])
-    if head == "minimal-model":
+        _contract(lat, words[1])
+    elif head == "minimal-model":
         if len(words) != 1:
             raise ValidationError("'minimal-model' takes no arguments")
-        report = minimal_model(surf)
+        report = minimal_model(_surface(lat))
         events.append(("reduction", report))
-        return report.final_surface
-    if head == "report":
+        return _working(report.final_surface)
+    elif head == "report":
         if len(words) != 1:
             raise ValidationError("'report' takes no arguments")
-        events.append(("report", render_report(surf)))
-        return surf
-    raise ValidationError(f"unknown statement {head!r}")
+        events.append(("report", render_report(_surface(lat))))
+    else:
+        raise ValidationError(f"unknown statement {head!r}")
+    return lat
 
 
 def run_script(text: str) -> ScriptOutcome:
     """Execute a script and return its outcome.
 
-    The ``minimal-model`` statement replaces the working surface with the
-    reduced one, so later statements continue from the minimal model.  A
-    statement or lattice error, a ``ValidationError``, becomes a
-    ``ScriptError`` on its statement's line.
+    Each statement changes one working lattice (``lattice._working``) in
+    place, and a surface is built only for each ``report``, as the input of
+    each ``minimal-model``, and once for the outcome; later statements go on
+    from the minimal model.  A statement or lattice error, a
+    ``ValidationError``, becomes a ``ScriptError`` on its statement's line.
     """
-    surf: Optional[RationalSurface] = None
+    lat: Optional[SimpleNamespace] = None
     events: List[Tuple[str, object]] = []
     for line_no, stmt in _lines(text):
         try:
-            surf = _statement(surf, stmt, events)
+            lat = _statement(lat, stmt, events)
         except ValidationError as e:
             raise ScriptError(str(e), line_no)
-    if surf is None:
+    if lat is None:
         raise ScriptError("script is empty", max(1, len(text.splitlines())))
-    return ScriptOutcome(surf, events)
+    return ScriptOutcome(_surface(lat), events)

@@ -2,10 +2,13 @@ import cmath
 import collections
 import functools
 import hashlib
+import importlib
 import random
+import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,15 +36,20 @@ from surfclass.minimal import (
     minimal_model,
 )
 from surfclass.normalize import normalize
-from surfclass.script import run_script
+from surfclass.script import ScriptError, ScriptOutcome, parse_class_expr, render_report, run_script
 from surfclass.sums import connected_sum_type, connected_sum_words
 from surfclass.words import (
+    _NAME,
     InternalInvariantError,
     SurfaceType,
     ValidationError,
+    _lines,
+    _read_int,
     parse_word,
     surface_type_from_invariants,
 )
+
+from test_script_cli import _SCRIPT_LINE
 
 N = SurfaceType.non_orientable
 
@@ -561,7 +569,7 @@ def test_blow_down_guards_pushforward(monkeypatch):
         BaseSurface.hirzebruch(0), ("S", "F"), ((-1, 0), (0, 3)), DivisorClass((0, 0)),
         (("C", DivisorClass((2, 3))),),
     )
-    monkeypatch.setattr(lattice, "intersect", lambda surf, a, b: -1)
+    monkeypatch.setattr(lattice, "_dot", lambda gram, a, b: -1)
     for surf, line in [(unit, "H"), (euclid, "C")]:
         with pytest.raises(InternalInvariantError, match="does not lie in the sublattice"):
             blow_down(surf, line)
@@ -937,6 +945,28 @@ def test_minimal_model_runs_euclid_and_moves_every_later_line():
     assert n == 9 and any(j != p for _, j, _, _ in steps)
 
 
+def test_contract_names_only_the_lines_whose_class_moved():
+    # on the same surface Euclid's steps rewrite every coordinate, but a
+    # change of basis keeps the form: L = E1 - E2 pairs to 0 with C, so its
+    # class, its square and its K-degree stay, and it is not among the lines
+    # the contraction names as moved; H and every E_i pair nonzero with C
+    plane = make_base(BaseSurface.cp2())
+    for _ in range(8):
+        plane = blow_up(plane)
+    c = DivisorClass((6,) + (-2,) * 7 + (-3,))
+    l = plane.tracked_class("E1") - plane.tracked_class("E2")
+    surf = _surface(plane, (("C", c),) + plane.tracked + (("L", l),))
+    assert intersect(surf, c, l) == 0
+    lat = lattice._working(surf)
+    moved = lattice._contract(lat, "C")
+    assert moved == [nm for nm, _ in plane.tracked]
+    down = blow_down(surf, "C")
+    l = down.tracked_class("L")
+    assert l != surf.tracked_class("L")
+    assert (intersect(down, l, l), intersect(down, l, down.canonical)) == (-2, 0)
+    assert minimal_model(surf) == _reference_minimal_model(surf)
+
+
 def _chain(k):
     """The plane blown up k times, each point on the last exceptional curve,
     built by the constructor: H = e0, E_i = e_i - e_(i+1) for i < k and
@@ -988,6 +1018,134 @@ def test_minimal_model_final_type_digest():
         kinds[final.split("(")[0]] += 1
     assert kinds == {"CP2": 171, "Hirzebruch": 243, "Inconclusive": 149}
     assert digest.hexdigest() == _FINAL_TYPE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# run_script against the statement loop it replaced
+
+
+def _reference_statement(surf, stmt, events):
+    """One statement on an immutable surface, rebuilt by ``blow_up``,
+    ``blow_down``, ``minimal_model`` or the constructor."""
+    words = stmt.split()
+    head = words[0].lower()
+    if head == "base":
+        if surf is not None:
+            raise ValidationError("base is already set")
+        if len(words) == 2 and words[1].lower() == "cp2":
+            return make_base(BaseSurface.cp2())
+        if len(words) == 3 and words[1].lower() == "hirzebruch":
+            try:
+                n = _read_int(words[2])
+            except ValueError:
+                raise ValidationError(f"bad Hirzebruch index {words[2]!r}")
+            return make_base(BaseSurface.hirzebruch(n))
+        raise ValidationError("expected 'base cp2' or 'base hirzebruch <n>'")
+    if surf is None:
+        raise ValidationError("script must start with a base statement")
+    if head == "blowup":
+        through = []
+        if len(words) > 1:
+            if words[1].lower() != "on":
+                raise ValidationError("expected 'blowup' or 'blowup on <line> ...'")
+            through = words[2:]
+            if not through:
+                raise ValidationError("'blowup on' needs at least one line name")
+        return blow_up(surf, through)
+    if head == "line":
+        m = re.match(rf"^line\s+({_NAME})\s*=\s*(.+)$", stmt, re.IGNORECASE)
+        if not m:
+            raise ValidationError("expected 'line <name> = <class expr>'")
+        name, expr = m.group(1), m.group(2)
+        if any(nm == name for nm, _ in surf.tracked):
+            raise ValidationError(f"line name {name!r} is already tracked")
+        cls = parse_class_expr(expr, surf.basis)
+        return RationalSurface(
+            surf.base, surf.basis, surf.gram, surf.canonical, surf.tracked + ((name, cls),)
+        )
+    if head == "blowdown":
+        if len(words) != 2:
+            raise ValidationError("expected 'blowdown <name>'")
+        return blow_down(surf, words[1])
+    if head == "minimal-model":
+        if len(words) != 1:
+            raise ValidationError("'minimal-model' takes no arguments")
+        report = minimal_model(surf)
+        events.append(("reduction", report))
+        return report.final_surface
+    if head == "report":
+        if len(words) != 1:
+            raise ValidationError("'report' takes no arguments")
+        events.append(("report", render_report(surf)))
+        return surf
+    raise ValidationError(f"unknown statement {head!r}")
+
+
+def _reference_run_script(text):
+    """``run_script`` as it was when every statement built a surface."""
+    surf = None
+    events = []
+    for line_no, stmt in _lines(text):
+        try:
+            surf = _reference_statement(surf, stmt, events)
+        except ValidationError as e:
+            raise ScriptError(str(e), line_no)
+    if surf is None:
+        raise ScriptError("script is empty", max(1, len(text.splitlines())))
+    return ScriptOutcome(surf, events)
+
+
+def _outcome_or_error(run, text):
+    """The outcome of ``run`` on ``text``, or the line and message of the
+    ``ScriptError`` it raised."""
+    try:
+        return run(text)
+    except ScriptError as e:
+        return e.line_no, e.bare_message
+
+
+def _assert_runs_agree(text):
+    outcome = _outcome_or_error(run_script, text)
+    reference = _outcome_or_error(_reference_run_script, text)
+    if isinstance(outcome, ScriptOutcome):
+        assert outcome.surface.base == reference.surface.base, text
+        assert outcome.events == reference.events, text
+    assert outcome == reference, text
+
+
+def test_run_script_matches_the_surface_per_statement_reference(monkeypatch):
+    # every prefix of the random scripts, the benchmark's construction
+    # scripts of three seeds, and the Cremona scripts, each carried on to a
+    # reduction and a report
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    texts = ["\n".join(lines) + "\n" for lines, _ in _random_scripts()]
+    texts += [item.text for seed in (1, 2, 3) for item in inputs.script_inputs(seed)]
+    for surf, c in _cremona_corpus()[:20]:
+        script = "base cp2\n" + "blowup\n" * (surf.rank - 1) + f"line C = {c.render(surf.basis)}\n"
+        texts += [script, script + "blowdown C\n", script + "blowdown C\nminimal-model\nreport\n"]
+    assert len(texts) > 500
+    for text in texts:
+        _assert_runs_agree(text)
+
+
+def test_run_script_labels_after_a_contraction_below_the_base():
+    # contracting the section of F1 leaves rank 1, so the base is the plane
+    # and the next exceptional curve is E1; the Hirzebruch base would give E0
+    text = "base hirzebruch 1\nblowdown S\nblowup\n"
+    outcome = run_script(text)
+    assert outcome.surface.base == BaseSurface.cp2()
+    assert outcome.surface.basis[-1] == "E1"
+    _assert_runs_agree(text)
+
+
+@given(
+    st.sampled_from(["base cp2", "base hirzebruch 0", "base hirzebruch 1", "base hirzebruch 3", ""]),
+    st.lists(_SCRIPT_LINE, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_run_script_matches_the_reference_on_generated_scripts(first, lines):
+    _assert_runs_agree("\n".join([first, *lines]))
 
 
 # ---------------------------------------------------------------------------

@@ -228,3 +228,13 @@ def test_blow_down_builds_one_surface(surface_inits):
     surface_inits.clear()
     down = blow_down(surf, "E1")
     assert surface_inits == [down]
+
+
+def test_a_script_builds_a_surface_only_where_one_is_output(surface_inits):
+    # one working lattice from base to the end: a surface for make_base, one
+    # for the report and one for the outcome, and none per statement
+    text = "base cp2\n" + "blowup\n" * 20 + "".join(f"line L{i} = H - E{i + 1}\n" for i in range(5))
+    outcome = run_script(text + "report\n")
+    base, reported, final = surface_inits
+    assert base.rank == 1 and final is outcome.surface
+    assert reported == final and reported.rank == 21 and len(final.tracked) == 26

@@ -9,9 +9,9 @@ certified when its normalized type is the one its invariants give and its
 trace replays to that type's canonical word letter for letter; every word
 that is not is printed, and the script exits 1.  With three symbols this is
 1055 cyclic words, and the whole run, its five floods included, takes about
-0.6 s; four symbols is 84,728 words, whose certificates alone take about
-30 s, and one four-symbol flood, the 5,328-word orbit of ``a a``, takes
-about 3 s (Python 3.11, shared 2-vCPU VM).
+0.4 s; four symbols is 84,728 words, and the whole run, its seven floods
+included, takes about 45 s, of which the flood of the 5,328-word orbit of
+``a a`` takes about 1.3 s (Python 3.11, shared 2-vCPU VM).
 
 Usage:
     python scripts/orbit_census.py

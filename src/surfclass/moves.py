@@ -188,6 +188,23 @@ def _arc(seq: tuple, start: int, stop: int) -> tuple:
     return seq[start:stop] if start <= stop else seq[start:] + seq[:stop]
 
 
+def _paste_pair(i: int, j: int, a: int, b: int) -> tuple[int, int] | None:
+    """(pa, po) for a cut from corner i to corner j (i < j) and a paste
+    symbol at positions a < b, or None when its two letters do not lie one
+    inside the sides [i, j) and one outside them.
+
+    pa is the paste letter inside [i, j) and po the one outside.  Since
+    a < b, one letter inside and one outside is either a inside with b >= j,
+    or b inside with a < i.  This is the one place the case analysis of a
+    paste is written: `_paste_sites` and the orbit flood read it.
+    """
+    if i <= a < j <= b:
+        return a, b
+    if a < i <= b < j:
+        return b, a
+    return None
+
+
 def _paste_sites(
     letters: tuple[Letter, ...], symbols: list[str], move: CutPaste
 ) -> tuple[int, int, bool]:
@@ -195,40 +212,49 @@ def _paste_sites(
     symbol other than its diagonal: (pa, po, reflect).
 
     The cut leaves sides [i, j) on one piece and the rest, read on from j,
-    on the other.  pa is the paste letter inside [i, j) and po the one
-    outside it, so the outer sides after po run from po + 1 to i and those
-    before it from j to po.  `reflect` says whether the two paste letters
-    have equal exponents, so that the outer piece is turned over.  `symbols`
-    lists the symbols of `letters`.  This is the one place the case analysis
-    of a paste is written: `_cut_paste` splices letters by it, and
-    normalization splices corner labels by it.
+    on the other.  pa and po are the paste letters `_paste_pair` finds, so
+    the outer sides after po run from po + 1 to i and those before it from
+    j to po.  `reflect` says whether the two paste letters have equal
+    exponents, so that the outer piece is turned over.  `symbols` lists the
+    symbols of `letters`.  `_cut_paste` splices letters by these sites, and
+    normalization splices corner labels by them.
     """
-    i, j, paste_symbol = move.i, move.j, move.paste
+    paste_symbol = move.paste
     a = b = -1
     if symbols.count(paste_symbol) == 2:
         a = symbols.index(paste_symbol)
         b = symbols.index(paste_symbol, a + 1)
-    # a < b, so one letter inside [i, j) and one outside is either a inside
-    # with b >= j, or b inside with a < i
-    if i <= a < j <= b:
-        pa, po = a, b
-    elif a < i <= b < j:
-        pa, po = b, a
-    else:
+    sites = _paste_pair(move.i, move.j, a, b)
+    if sites is None:
         raise MoveError(f"symbol {paste_symbol} must occur exactly once in each polygon")
-    return pa, po, letters[a].exponent == letters[b].exponent
+    return sites + (letters[a].exponent == letters[b].exponent,)
+
+
+def _splice(
+    letters: tuple[Letter, ...], i: int, j: int, pa: int, po: int, reflect: bool, fresh: str
+) -> tuple[Letter, ...]:
+    """The letters L of a word cut from corner i to corner j along a
+    diagonal `fresh` and re-pasted at the sites (pa, po, reflect) that
+    `_paste_sites` finds: L[pa+1:j] + fresh + L[i:pa] + after + fresh' +
+    before, where `after` runs from po + 1 to i and `before` from j to po,
+    cyclically; when `reflect` is set the outer part after + fresh' + before
+    is reflected.  Nothing is checked: the caller vouches for the sites and
+    for `fresh`, a valid name that no letter outside the two paste letters
+    spells.
+    """
+    outer = _arc(letters, po + 1, i) + (Letter(fresh, -1),) + _arc(letters, j, po)
+    if reflect:
+        outer = _reflect(outer)
+    return letters[pa + 1 : j] + (Letter(fresh, 1),) + letters[i:pa] + outer
 
 
 def _cut_paste(letters: tuple[Letter, ...], move: CutPaste) -> tuple[Letter, ...]:
-    """The letters of `cut` then `paste`, spliced from the word's letters L.
+    """The letters of `cut` then `paste`, spliced from the word's letters by
+    `_splice` at the sites `_paste_sites` finds.
 
-    With pa, po and the outer stretches as `_paste_sites` finds them, the
-    result is L[pa+1:j] + fresh + L[i:pa] + after + fresh' + before, where
-    `after` runs from po + 1 to i and `before` from j to po, cyclically; with
-    equal paste exponents the outer part after + fresh' + before is
-    reflected.  Pasting along the diagonal itself undoes the cut, leaving
-    the word rotated to start at corner i.  The guards, and their messages,
-    are the cut's and then the paste's.
+    Pasting along the diagonal itself undoes the cut, leaving the word
+    rotated to start at corner i.  The guards, and their messages, are the
+    cut's and then the paste's.
     """
     i, j, fresh = move.i, move.j, move.fresh
     if not i < j:
@@ -237,11 +263,7 @@ def _cut_paste(letters: tuple[Letter, ...], move: CutPaste) -> tuple[Letter, ...
     _check_cut(symbols, i, j, fresh)
     if move.paste == fresh:
         return letters[i:] + letters[:i]
-    pa, po, reflect = _paste_sites(letters, symbols, move)
-    outer = _arc(letters, po + 1, i) + (Letter(fresh, -1),) + _arc(letters, j, po)
-    if reflect:
-        outer = _reflect(outer)
-    return letters[pa + 1 : j] + (Letter(fresh, 1),) + letters[i:pa] + outer
+    return _splice(letters, i, j, *_paste_sites(letters, symbols, move), fresh)
 
 
 def paste(w1: Word, w2: Word, symbol: str) -> Word:

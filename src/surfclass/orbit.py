@@ -11,17 +11,19 @@ exhaust it.
 
 The oracle shares no code with the normalizer's strategy layer.  It re-uses
 the splices of :mod:`surfclass.moves` (reflection, the respelling behind a
-flip or a rename, and the guarded cut-and-paste) and ``apply_move`` for a
-cancellation or an insertion.
+flip or a rename, and the splice of a cut-and-paste at the sites its one
+case analysis finds), but neither ``apply_move`` nor the guards of a move:
+every successor is sliced from the letters of the word it leaves, at sites
+that are legal by construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import NamedTuple, Sequence
 
-from .moves import Cancel, CutPaste, Insert, _cut_paste, _respell, apply_move
+from .moves import _paste_pair, _respell, _splice
 from .words import (
     Letter,
     ValidationError,
@@ -29,8 +31,8 @@ from .words import (
     _SYMBOL,
     _as_int,
     _check_symbol,
+    _names,
     _pair_positions,
-    mint_fresh,
     validate,
 )
 
@@ -52,31 +54,32 @@ class OrbitResult(NamedTuple):
 
 def _symbol_universe(word: Word, max_symbols: int) -> list[str]:
     """Fixed name pool for the flood: the word's own symbols in sorted
-    order, then successive `mint_fresh` names until the pool has
-    ``max_symbols`` names."""
+    order, then the names `mint_fresh` would pick in turn, skipping those
+    the word uses, until the pool has ``max_symbols`` names."""
     pool = sorted(word.symbols())
     if len(pool) > max_symbols:
         raise ValidationError(
             f"word uses {len(pool)} symbols, above the cap of {max_symbols}"
         )
     used = set(pool)
-    while len(pool) < max_symbols:
-        pool.append(mint_fresh(used))
-        used.add(pool[-1])
+    pool += islice((s for s in _names() if s not in used), max_symbols - len(pool))
     return pool
 
 
-def _successors(word: Word, universe: Sequence[str], temp: str) -> list[Word]:
+def _successors(word: Word, universe: Sequence[str]) -> list[Word]:
     """Every word one legal move away, using only names from ``universe``.
 
     Rotations are omitted because words compare cyclically.  Each successor
-    is spliced as its move splices it; a flip's or a rename's guards hold by
-    construction (its symbol occurs, its target is free, every name is the
-    universe's).  A cut-and-paste needs a fresh edge name; when the universe
-    is fully occupied the cut is made with the throwaway name ``temp``,
-    outside the universe, and one respell turns that diagonal into the
-    symbol the paste just freed: one cut and one respell, giving the same
-    word as the two-move path of the cut and ``Rename(temp, paste)``.
+    is sliced from the word's letters, with no move object and no guard: a
+    flip's or a rename's guards hold by construction (its symbol occurs,
+    its target is free, every name is the universe's), a cancellation is
+    taken only at an adjacent inverse pair and an insertion only under a
+    free name.  A cut-and-paste is spliced at the sites `_paste_pair`
+    finds from the pair map, so each chord and paste symbol it keeps is a
+    legal cut.  Its diagonal takes the first free name; when the universe
+    is fully occupied it takes the name of the symbol the paste frees,
+    which gives the same word as a cut along a name outside the universe
+    followed by a rename of that diagonal to the paste symbol.
     """
     letters = word.letters
     n = len(letters)
@@ -96,25 +99,25 @@ def _successors(word: Word, universe: Sequence[str], temp: str) -> list[Word]:
             a = letters[p]
             b = letters[(p + 1) % n]
             if a.symbol == b.symbol and a.exponent == -b.exponent:
-                out.append(apply_move(word, Cancel(p)))
+                out.append(checked(letters[1:p] if p == n - 1 else letters[:p] + letters[p + 2 :]))
 
     if free:
+        pair = (Letter(free[0], 1), Letter(free[0], -1))
         for p in range(n + 1):
-            out.append(apply_move(word, Insert(p, free[0])))
+            out.append(checked(letters[:p] + pair + letters[p:]))
 
     if n >= 3:
-        fresh = free[0] if free else temp
-        pairs = sorted(_pair_positions(letters).items())
+        fresh = free[0] if free else None
+        pairs = [(s, a, b, letters[a].exponent == letters[b].exponent)
+                 for s, (a, b) in sorted(_pair_positions(letters).items())]
         for i in range(n):
             for j in range(i + 1, n):
-                for paste_sym, (a, b) in pairs:
-                    # a paste symbol has exactly one letter on the arc [i, j)
-                    if (i <= a < j) == (i <= b < j):
-                        continue
-                    spliced = _cut_paste(letters, CutPaste(i, j, fresh, paste_sym))
-                    if not free:  # the diagonal takes the name the paste freed
-                        spliced = _respell(spliced, list(map(_SYMBOL, spliced)), temp, paste_sym, 1)
-                    out.append(checked(spliced))
+                for paste_sym, a, b, reflect in pairs:
+                    sites = _paste_pair(i, j, a, b)
+                    if sites is not None:
+                        out.append(checked(
+                            _splice(letters, i, j, *sites, reflect, fresh or paste_sym)
+                        ))
     return out
 
 
@@ -135,7 +138,6 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     if budget < 1:
         raise ValidationError("budget must be at least 1")
     universe = _symbol_universe(word, max_symbols)
-    temp = mint_fresh(frozenset(universe))
 
     seen: set[Word] = {word}
     queue: deque[Word] = deque([word])
@@ -145,7 +147,7 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
             return OrbitResult(frozenset(seen), False, expanded)
         cur = queue.popleft()
         expanded += 1
-        for nxt in _successors(cur, universe, temp):
+        for nxt in _successors(cur, universe):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -156,21 +158,29 @@ def enumerate_words(symbols: Sequence[str]) -> set[Word]:
     """All valid words drawing their symbols from ``symbols``.
 
     Every nonempty subset of the pool contributes the words in which each
-    chosen symbol occurs exactly twice, with all four exponent combinations.
-    Rotationally equal words collapse to one representative, the first one
-    reached: symbol arrangements run in sorted order, so the stored rotation
-    does not follow the string hash seed.
+    chosen symbol occurs exactly twice, with all four exponent combinations,
+    one word per cyclic class.  Symbol arrangements run in sorted order and
+    sign vectors in ``product((1, -1))`` order, and each class is built once,
+    in the first rotation that order reaches: an arrangement is kept only
+    when it is its own least rotation, and a sign vector only when no
+    rotation that fixes the arrangement gives an earlier one.  So the stored
+    rotation does not follow the string hash seed.
     """
     pool = list(dict.fromkeys(symbols))
     for s in pool:
         _check_symbol(s)
     out: set[Word] = set()
     for k in range(1, len(pool) + 1):
+        n = 2 * k
         for subset in combinations(pool, k):
-            base = []
-            for s in subset:
-                base.extend([s, s])
-            for perm in sorted(set(permutations(base))):
-                for signs in product((1, -1), repeat=2 * k):
+            for perm in sorted(set(permutations(subset * 2))):
+                rotations = [perm[r:] + perm[:r] for r in range(1, n)]
+                if min(rotations) < perm:
+                    continue
+                shifts = [r for r, rot in enumerate(rotations, 1) if rot == perm]
+                for signs in product((1, -1), repeat=n):
+                    # 1 runs before -1, so an earlier sign vector is a larger tuple
+                    if any(signs[r:] + signs[:r] > signs for r in shifts):
+                        continue
                     out.add(Word._from_checked(tuple(map(Letter, perm, signs))))
     return out

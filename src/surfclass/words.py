@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter, neg
+from string import ascii_lowercase
 from typing import Container, Iterator, NamedTuple, Sequence
 
 
@@ -378,16 +379,21 @@ def _as_int(value: object, what: str) -> int:
     return n
 
 
+def _names() -> Iterator[str]:
+    """Every name `mint_fresh` may pick, in the order it tries them:
+    a, b, ..., z, then a1, b1, ..., z1, a2, ..."""
+    yield from ascii_lowercase
+    for suffix in count(1):
+        tail = str(suffix)
+        for ch in ascii_lowercase:
+            yield ch + tail
+
+
 def mint_fresh(used: Container[str]) -> str:
     """First symbol not in `used`, scanning a, b, ..., z, a1, b1, ..."""
-    suffix = 0
-    while True:
-        tail = "" if suffix == 0 else str(suffix)
-        for ch in "abcdefghijklmnopqrstuvwxyz":
-            name = ch + tail
-            if name not in used:
-                return name
-        suffix += 1
+    for name in _names():
+        if name not in used:
+            return name
 
 
 # ---------------------------------------------------------------------------

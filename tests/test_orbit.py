@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import time
 from collections import deque
+from itertools import combinations, permutations, product
 from pathlib import Path
 from string import ascii_lowercase
 
 import pytest
 
+from surfclass import moves
 from surfclass.moves import Cancel, CutPaste, FlipEdge, Insert, Reflect, Rename, apply_move
 from surfclass.orbit import (
     OrbitResult,
@@ -16,8 +19,10 @@ from surfclass.orbit import (
     orbit_oracle,
 )
 from surfclass.words import (
+    Letter,
     SurfaceType,
     ValidationError,
+    Word,
     classify_by_invariants,
     mint_fresh,
     parse_word,
@@ -119,6 +124,33 @@ def test_enumerate_words_ignores_hash_seed():
     assert outs[0].count("'") >= 2 * 1055
 
 
+def _enumerate_words_by_hashing(symbols):
+    """`enumerate_words` as it was before it built each cyclic class once:
+    every arrangement with every sign vector, collapsed by the set, which
+    keeps the first word of each class it meets."""
+    pool = list(dict.fromkeys(symbols))
+    out = set()
+    for k in range(1, len(pool) + 1):
+        for subset in combinations(pool, k):
+            base = []
+            for s in subset:
+                base.extend([s, s])
+            for perm in sorted(set(permutations(base))):
+                for signs in product((1, -1), repeat=2 * k):
+                    out.add(Word._from_checked(tuple(map(Letter, perm, signs))))
+    return out
+
+
+@pytest.mark.parametrize("pool", ["a", "ab", "abc", "bac"])
+def test_enumerate_words_matches_hashing_reference(pool):
+    # the same classes in the same stored rotations, letter for letter;
+    # bac checks that the pool's order does not matter
+    got = enumerate_words(pool)
+    want = _enumerate_words_by_hashing(pool)
+    assert len(got) == len(want)
+    assert {w.letters for w in got} == {w.letters for w in want}
+
+
 def _successors_by_arc_sets(word, universe, temp):
     """`_successors` as it was before it read the pair map: the paste
     symbols of each chord are the symbols in both of two per-arc sets."""
@@ -166,7 +198,7 @@ def test_successors_match_arc_set_reference():
             universe = _symbol_universe(word, cap)
             temp = mint_fresh(frozenset(universe))
             want = [w.letters for w in _successors_by_arc_sets(word, universe, temp)]
-            got = [w.letters for w in _successors(word, universe, temp)]
+            got = [w.letters for w in _successors(word, universe)]
             assert got == want, word.render()
             checked += 1
     assert checked == 2 * (1055 - 9)  # nine one-symbol words
@@ -179,6 +211,32 @@ def test_symbol_universe_pads_with_mint_fresh_names():
     assert _symbol_universe(W("q b q' b'"), 30) == ["b", "q"] + rest + ["a1", "b1", "c1", "d1"]
     rest = [c for c in ascii_lowercase if c != "b"]
     assert _symbol_universe(W("a1 b a1' b'"), 30) == ["a1", "b"] + rest + ["b1", "c1", "d1"]
+
+
+def test_symbol_universe_is_linear_in_the_cap():
+    # padding a pool of 20,000 names reads the name order once; rescanning
+    # it from a for each name took tens of seconds
+    start = time.perf_counter()
+    r = orbit_oracle(W("a a"), 20_000, budget=1)
+    assert time.perf_counter() - start < 2.0
+    # a a, its reflection a' a', a rename to each of the 19,999 free names
+    # and one insertion of b b', the same word at every position
+    assert len(r.words) == 20_002 and r.expanded == 1
+
+
+def test_flood_builds_no_move_and_runs_no_cut_guard(monkeypatch):
+    want = orbit_oracle(W("a b a b"), 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flood built a move or ran a cut guard")
+
+    for move in (CutPaste, Cancel, Insert):
+        monkeypatch.setattr(move, "__init__", refuse)
+    monkeypatch.setattr(moves, "_check_cut", refuse)
+    got = orbit_oracle(W("a b a b"), 3)
+    assert got.exhausted
+    assert got == want
+    assert {w.letters for w in got.words} == {w.letters for w in want.words}
 
 
 def _flood_by_arc_sets(word, max_symbols, budget):

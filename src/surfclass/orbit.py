@@ -15,6 +15,13 @@ flip or a rename, and the splice of a cut-and-paste at the sites its one
 case analysis finds), but neither ``apply_move`` nor the guards of a move:
 every successor is sliced from the letters of the word it leaves, at sites
 that are legal by construction.
+
+The flood keys reached words by letter tuples rather than by `Word`
+hashes.  No letter of a closed word occurs more than twice, so a word has
+at most two *anchored rotations*, those that start at an occurrence of its
+least letter; the flood keeps both for every word it reaches and looks a
+successor up by the one that starts at the first such occurrence.  Only a
+new successor becomes a `Word`.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .words import (
     _check_symbol,
     _names,
     _pair_positions,
+    _reflect,
     validate,
 )
 
@@ -66,45 +74,46 @@ def _symbol_universe(word: Word, max_symbols: int) -> list[str]:
     return pool
 
 
-def _successors(word: Word, universe: Sequence[str]) -> list[Word]:
-    """Every word one legal move away, using only names from ``universe``.
+def _successors(letters: tuple[Letter, ...], universe: Sequence[str]) -> list[tuple[Letter, ...]]:
+    """The letters of every word one legal move away from ``letters``, using
+    only names from ``universe``.
 
     Rotations are omitted because words compare cyclically.  Each successor
-    is sliced from the word's letters, with no move object and no guard: a
-    flip's or a rename's guards hold by construction (its symbol occurs,
-    its target is free, every name is the universe's), a cancellation is
-    taken only at an adjacent inverse pair and an insertion only under a
-    free name.  A cut-and-paste is spliced at the sites `_paste_pair`
-    finds from the pair map, so each chord and paste symbol it keeps is a
-    legal cut.  Its diagonal takes the first free name; when the universe
-    is fully occupied it takes the name of the symbol the paste frees,
-    which gives the same word as a cut along a name outside the universe
-    followed by a rename of that diagonal to the paste symbol.
+    is sliced from the letters, with no move object, no guard and no
+    `Word`: a flip's or a rename's guards hold by construction (its symbol
+    occurs, its target is free, every name is the universe's), a
+    cancellation is taken only at an adjacent inverse pair and an insertion
+    only under a free name.  A cut-and-paste is spliced at the sites
+    `_paste_pair` finds from the pair map, so each chord and paste symbol
+    it keeps is a legal cut.  Its diagonal takes the first free name; when
+    the universe is fully occupied it takes the name of the symbol the
+    paste frees, which gives the same word as a cut along a name outside
+    the universe followed by a rename of that diagonal to the paste symbol.
+    `orbit_oracle` keys each successor by its anchored rotation, so only
+    the successors it has not reached become words.
     """
-    letters = word.letters
     n = len(letters)
     symbols = list(map(_SYMBOL, letters))
     used = set(symbols)
     free = [s for s in universe if s not in used]
-    checked = Word._from_checked
 
-    out = [word.reflected()]
+    out = [_reflect(letters)]
     for s in sorted(used):
-        out.append(checked(_respell(letters, symbols, s, s, -1)))
+        out.append(_respell(letters, symbols, s, s, -1))
         for t in free:
-            out.append(checked(_respell(letters, symbols, s, t, 1)))
+            out.append(_respell(letters, symbols, s, t, 1))
 
     if n > 2:
         for p in range(n):
             a = letters[p]
             b = letters[(p + 1) % n]
             if a.symbol == b.symbol and a.exponent == -b.exponent:
-                out.append(checked(letters[1:p] if p == n - 1 else letters[:p] + letters[p + 2 :]))
+                out.append(letters[1:p] if p == n - 1 else letters[:p] + letters[p + 2 :])
 
     if free:
         pair = (Letter(free[0], 1), Letter(free[0], -1))
         for p in range(n + 1):
-            out.append(checked(letters[:p] + pair + letters[p:]))
+            out.append(letters[:p] + pair + letters[p:])
 
     if n >= 3:
         fresh = free[0] if free else None
@@ -115,9 +124,22 @@ def _successors(word: Word, universe: Sequence[str]) -> list[Word]:
                 for paste_sym, a, b, reflect in pairs:
                     sites = _paste_pair(i, j, a, b)
                     if sites is not None:
-                        out.append(checked(
-                            _splice(letters, i, j, *sites, reflect, fresh or paste_sym)
-                        ))
+                        out.append(_splice(letters, i, j, *sites, reflect, fresh or paste_sym))
+    return out
+
+
+def _anchored_rotations(letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
+    """The rotations of ``letters`` that start at an occurrence of its least
+    letter: at most two, since no letter of a closed word occurs more than
+    twice.  The least rotation is one of them, so two words are equal up to
+    rotation exactly when the first-occurrence rotation of one is an
+    anchored rotation of the other."""
+    m = min(letters)
+    k = letters.index(m)
+    out = [letters[k:] + letters[:k]]
+    if letters.count(m) == 2:
+        k = letters.index(m, k + 1)
+        out.append(letters[k:] + letters[:k])
     return out
 
 
@@ -129,6 +151,13 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     draws its names from that pool, so the state space has at most
     ``2 * max_symbols`` letters per word and the flood terminates.
     ``budget`` caps how many nodes get expanded.
+
+    Reached words are keyed by letter tuples, not by `Word` hashes: the set
+    ``reached`` holds the anchored rotations (at most two) of every word
+    reached, and a successor is new exactly when its rotation starting at
+    the first occurrence of its least letter is not among them.  Only a new
+    successor is wrapped as a `Word`, in the rotation that first reached
+    it, so building the result hashes each reached word once.
     """
     validate(word)
     max_symbols = _as_int(max_symbols, "symbol cap")
@@ -139,8 +168,10 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
         raise ValidationError("budget must be at least 1")
     universe = _symbol_universe(word, max_symbols)
 
-    seen: set[Word] = {word}
-    queue: deque[Word] = deque([word])
+    reached = set(_anchored_rotations(word.letters))
+    seen = [word]
+    queue: deque[tuple[Letter, ...]] = deque([word.letters])
+    checked = Word._from_checked
     expanded = 0
     while queue:
         if expanded >= budget:
@@ -148,8 +179,10 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
         cur = queue.popleft()
         expanded += 1
         for nxt in _successors(cur, universe):
-            if nxt not in seen:
-                seen.add(nxt)
+            k = nxt.index(min(nxt))
+            if nxt[k:] + nxt[:k] not in reached:
+                reached.update(_anchored_rotations(nxt))
+                seen.append(checked(nxt))
                 queue.append(nxt)
     return OrbitResult(frozenset(seen), True, expanded)
 

@@ -9,10 +9,11 @@ from string import ascii_lowercase
 
 import pytest
 
-from surfclass import moves
+from surfclass import moves, words
 from surfclass.moves import Cancel, CutPaste, FlipEdge, Insert, Reflect, Rename, apply_move
 from surfclass.orbit import (
     OrbitResult,
+    _anchored_rotations,
     _successors,
     _symbol_universe,
     enumerate_words,
@@ -198,7 +199,7 @@ def test_successors_match_arc_set_reference():
             universe = _symbol_universe(word, cap)
             temp = mint_fresh(frozenset(universe))
             want = [w.letters for w in _successors_by_arc_sets(word, universe, temp)]
-            got = [w.letters for w in _successors(word, universe)]
+            got = _successors(word.letters, universe)
             assert got == want, word.render()
             checked += 1
     assert checked == 2 * (1055 - 9)  # nine one-symbol words
@@ -237,6 +238,41 @@ def test_flood_builds_no_move_and_runs_no_cut_guard(monkeypatch):
     assert got.exhausted
     assert got == want
     assert {w.letters for w in got.words} == {w.letters for w in want.words}
+
+
+def test_flood_scans_each_reached_word_once(monkeypatch):
+    # successors are looked up by their anchored rotation, so the only
+    # least-rotation scans are the result's hashes, one per reached word
+    scans = []
+    scan = words._least_rotation
+
+    def counting(letters):
+        scans.append(letters)
+        return scan(letters)
+
+    monkeypatch.setattr(words, "_least_rotation", counting)
+    r = orbit_oracle(W("a b a b"), 3)
+    assert r.exhausted
+    assert len(scans) == len(r.words)
+
+
+def test_anchored_rotations_decide_cyclic_equality():
+    # each rotation's first-min-letter rotation is an anchored rotation of
+    # its word, and no two cyclic classes share one, so the flood's lookup
+    # decides what Word.__eq__ decides
+    owner = {}
+    for word in enumerate_words("abc"):
+        letters = word.letters
+        anchored = _anchored_rotations(letters)
+        assert 1 <= len(anchored) <= 2
+        assert word._least() in anchored
+        for key in anchored:
+            assert owner.setdefault(key, word) is word
+        for r in range(len(letters)):
+            s = letters[r:] + letters[:r]
+            k = s.index(min(s))
+            assert s[k:] + s[:k] in anchored
+    assert len(set(owner.values())) == 1055
 
 
 def _flood_by_arc_sets(word, max_symbols, budget):
@@ -282,3 +318,14 @@ def test_flood_matches_arc_set_reference():
     for budget in (1, 10, 100):
         r = _assert_same_flood(W("a a"), 4, budget)
         assert not r.exhausted and r.expanded == budget
+
+
+@pytest.mark.parametrize("start, size", [("a a'", 860), ("a b a' b' c d c' d'", 1008)])
+def test_four_symbol_floods_match_arc_set_reference(start, size):
+    # two exhausted floods over four names: every reached word has the
+    # start word's type
+    word = W(start)
+    r = _assert_same_flood(word, 4, 100_000)
+    assert r.exhausted and len(r.words) == size
+    t = classify_by_invariants(word)
+    assert all(classify_by_invariants(w) == t for w in r.words)

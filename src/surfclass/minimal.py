@@ -61,12 +61,6 @@ class ReductionReport(_Value):
         object.__setattr__(self, "final_surface", final_surface)
 
 
-def _degrees(gram: Sequence[Sequence[int]], canonical: Sequence[int],
-             cls: Sequence[int]) -> Tuple[int, int]:
-    """(c.c, c.K) of the coordinates ``cls`` under the Gram rows ``gram``."""
-    return _dot(gram, cls, cls), _dot(gram, cls, canonical)
-
-
 def _minus_one_scan(gram: Sequence[Sequence[int]], canonical: Sequence[int],
                     tracked: Iterable[Tuple[str, Sequence[int]]],
                     kept: Dict[str, Tuple[int, int]]) -> Iterator[Tuple[str, Sequence[int]]]:
@@ -77,7 +71,7 @@ def _minus_one_scan(gram: Sequence[Sequence[int]], canonical: Sequence[int],
     for name, cls in tracked:
         degrees = kept.get(name)
         if degrees is None:
-            degrees = kept[name] = _degrees(gram, canonical, cls)
+            degrees = kept[name] = _dot(gram, cls, cls), _dot(gram, cls, canonical)
         if degrees == (-1, -1):
             yield name, cls
 
@@ -128,10 +122,11 @@ def minimal_model(surf: RationalSurface) -> ReductionReport:
     contractible one: only that one is contracted.  A line's c.c and c.K,
     once read, are kept until a contraction moves its class, that is when
     it pairs nonzero with the contracted class; a change of basis rewrites
-    the form with the coordinates and keeps both numbers.  The chosen
-    line's numbers are read again before it is contracted.  The surface is
-    copied once and built once, at the end; with nothing to contract the
-    report's surface is ``surf`` itself.
+    the form with the coordinates and keeps both numbers.  A stale kept
+    number, of a moved line the contraction did not report, can only hide a
+    -1 line, which ``classify_minimal`` then finds: InternalInvariantError.
+    The surface is copied once and built once, at the end; with nothing to
+    contract the report's surface is ``surf`` itself.
     """
     steps: List[Tuple[str, DivisorClass]] = []
     lat = _working(surf)
@@ -141,12 +136,14 @@ def minimal_model(surf: RationalSurface) -> ReductionReport:
         if hit is None:
             break
         name, cls = hit
-        if _degrees(lat.gram, lat.canonical, cls) != (-1, -1):
-            raise InternalInvariantError(f"kept numbers of {name} disagree with its class")
         steps.append((name, DivisorClass._from_checked(tuple(cls))))
         for moved in _contract(lat, name):
             kept.pop(moved, None)
     else:
         raise InternalInvariantError("reduction did not terminate within rank steps")
     current = _surface(lat) if steps else surf
-    return ReductionReport(tuple(steps), classify_minimal(current), current)
+    try:
+        final = classify_minimal(current)
+    except ValidationError as exc:
+        raise InternalInvariantError(f"the reduction stopped early: {exc}") from exc
+    return ReductionReport(tuple(steps), final, current)

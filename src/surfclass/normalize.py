@@ -52,19 +52,19 @@ surfaces, so a span that keeps both at its ends kept the type; a move that
 breaks the Euler characteristic is seen only if no later move of its span
 restores it.  Between those traces phase 1 carries what it reads: it
 derives the corner classes of each word it produces from those of the word
-before, spliced as the move splices the letters, and at the span's end they
-must equal the traced classes; each of its cuts must also strictly shrink
-the sorted class-size profile.  Phases 2 and 3 carry nothing; each
+before, spliced as the move splices the letters, and returns the last ones,
+which must equal the traced classes; each of its cuts must also strictly
+shrink the sorted class-size profile.  Phases 2 and 3 carry nothing; each
 gathering round builds the pair map it reads, which refuses a word that is
 not closed.  When a span's end check fails, or the span raises
-InternalInvariantError or ValidationError, the span runs again from its
-start word with every word traced, and then picks its cuts from traced
-classes; a traced word that is not closed names its move.  So the run again
-raises where a check after every move raises, naming the first move that
-broke an invariant, and that error is chained to the one that set the run
-off.  The type is read from the trace the rewrite starts with, and the
-finished word must equal that type's canonical word letter for letter.  Any
-violation raises InternalInvariantError rather than returning a wrong certificate.
+InternalInvariantError or ValidationError, the moves it recorded are
+walked from its start word with every word traced, and the first word that
+is not closed or breaks an invariant names its move.  So the walk raises
+where a check after every move raises, and that error is chained to the
+one that set the walk off; the phase itself runs once.  The type is read
+from the trace the rewrite starts with, and the finished word must equal
+that type's canonical word letter for letter.  Any violation raises
+InternalInvariantError rather than returning a wrong certificate.
 """
 from __future__ import annotations
 
@@ -117,27 +117,20 @@ class _Rewriter:
     """Mutable cursor over a word that records and checks each move.
 
     `emit` checks each move on its own, and `span` checks the cuts and
-    cancellations of a phase as a whole.  While `classes` is set, in phase
-    1, each cut or cancellation derives the corner classes of its word from
-    the last ones, which `emit` hands back for vertex reduction to pick its
-    next cut; while `traced` is set, in the run again of a span that
-    failed, every word is traced instead.  No pair map is carried: each
-    gathering round builds its own.  `chi` is read from the trace
-    `normalize` starts with, and `orientable` off the input's letters.
+    cancellations of a phase as a whole.  The rewriter carries no corner
+    classes and no pair map: phase 1 derives its classes move by move, and
+    each gathering round builds its own pair map.  `chi` is read from the
+    trace `normalize` starts with, and `orientable` off the input's letters.
     """
 
     def __init__(self, word: Word, chi: int) -> None:
         self.word = word
         self.steps: list[Move] = []
         self.chi = chi
-        self.classes: tuple[int, ...] | None = None
-        self.traced = False
         self.orientable = is_orientable(word)
 
-    def emit(self, move: Move) -> tuple[int, ...] | None:
-        """Apply, record and check one move.  Returns the corner classes of
-        the new word while `classes` is set or every word is traced, None
-        otherwise.  A traced word that is not closed names the move."""
+    def emit(self, move: Move) -> None:
+        """Apply, record and check one move."""
         old = self.word
         try:
             self.word = apply_move(old, move)
@@ -149,42 +142,29 @@ class _Rewriter:
         if isinstance(move, (Rotate, Rename, FlipEdge)):
             if not _relabels(old.letters, self.word.letters, move):
                 raise _changed(move, self.word)
-            return None
-        if self.traced:
-            try:
-                self.classes = corner_classes(self.word)
-            except ValidationError as exc:
-                raise _changed(move, self.word) from exc
-            if (
-                _euler_from_classes(self.classes) != self.chi
-                or is_orientable(self.word) != self.orientable
-            ):
-                raise _changed(move, self.word)
-            return self.classes
+            return
         length = len(old) - 2 if isinstance(move, Cancel) else len(old)
         if len(self.word) != length or is_orientable(self.word) != self.orientable:
             raise _changed(move, self.word)
-        if self.classes is not None:
-            self.classes = _derive_classes(self.classes, old.letters, move)
-        return self.classes
 
-    def span(self, phase: Callable[..., None], *args: object) -> None:
+    def span(self, phase: Callable[..., tuple[int, ...] | None], *args: object) -> None:
         """Run `phase(self, *args)` and check the cuts and cancellations it
         emits as one span.
 
         If it emitted any, the word it reached has its corners traced once:
-        its Euler characteristic must be the input's, and derived classes
-        must equal the traced ones.  If that check fails, or the phase
-        raises InternalInvariantError or ValidationError (a pair map built
-        on a word that is not closed), the phase runs again from the span's
-        start with every word traced, and an InternalInvariantError it
-        raises is chained to the first error; if it raises none, the first
-        error is raised.  Only the span's start word and its index into
-        `steps` are kept for that.  The span leaves `classes` None.
+        its Euler characteristic must be the input's, and the corner classes
+        the phase returns, if any, must equal the traced ones.  If that
+        check fails, or the phase raises InternalInvariantError or
+        ValidationError (a pair map built on a word that is not closed), the
+        span's recorded moves are walked from its start word, each word
+        traced: the first word that is not closed, or that breaks the Euler
+        characteristic or orientability, names its move in an
+        InternalInvariantError chained to the first error.  If none does,
+        the first error is raised.
         """
         start, k = self.word, len(self.steps)
         try:
-            phase(self, *args)
+            derived = phase(self, *args)
             if len(self.steps) > k:
                 classes = corner_classes(self.word)
                 if _euler_from_classes(classes) != self.chi:
@@ -192,22 +172,22 @@ class _Rewriter:
                         f"the moves from step {k + 1} on changed the Euler"
                         f" characteristic of {start.render()}"
                     )
-                if self.classes is not None and self.classes != classes:
+                if derived is not None and derived != classes:
                     raise InternalInvariantError(
                         f"the corner classes derived for {self.word.render()}"
                         " are not its traced classes"
                     )
         except (InternalInvariantError, ValidationError) as exc:
-            self.word, self.traced = start, True
-            del self.steps[k:]
-            try:
-                phase(self, *args)
-            except InternalInvariantError as found:
-                raise found from exc
+            word = start
+            for move in self.steps[k:]:
+                word = apply_move(word, move)
+                try:
+                    kept = _euler_from_classes(corner_classes(word)) == self.chi
+                except ValidationError:
+                    kept = False
+                if not kept or is_orientable(word) != self.orientable:
+                    raise _changed(move, word) from exc
             raise
-        finally:
-            self.classes = None
-            self.traced = False
 
 
 def _derive_classes(
@@ -315,24 +295,32 @@ def _alignment(
 # ---------------------------------------------------------------------------
 
 
-def _reduce_vertices(rw: _Rewriter, classes: tuple[int, ...]) -> None:
-    """Phase 1, from the corner classes `classes` of the current word.  It
-    sets them on the rewriter, so that each move derives the next ones, and
-    returns nothing; it leaves one vertex class or the two-sided word."""
-    rw.classes = classes
+def _step(rw: _Rewriter, classes: tuple[int, ...], move: Cancel | CutPaste) -> tuple[int, ...]:
+    """Emit a phase-1 move and return the corner classes of the word it
+    makes, derived from `classes`, those of the word before."""
+    letters = rw.word.letters
+    rw.emit(move)
+    return _derive_classes(classes, letters, move)
+
+
+def _reduce_vertices(rw: _Rewriter, classes: tuple[int, ...]) -> tuple[int, ...]:
+    """Phase 1, from the corner classes `classes` of the current word.  Each
+    move derives the classes of the word it makes from the last ones; it
+    leaves one vertex class or the two-sided word, and returns that word's
+    derived classes for `span` to check against its trace."""
     guard = 8 * len(rw.word) * len(rw.word) + 64
     for _ in range(guard):
         n = len(rw.word)
         if n == 2:
-            return
+            return classes
         sizes = Counter(classes)
         if len(sizes) == 1:
-            return
+            return classes
         qroot = min(sizes, key=lambda r: (sizes[r], r))
         if sizes[qroot] == 1:
             p = classes.index(qroot)
             # a singleton corner is flanked by an adjacent inverse pair
-            classes = rw.emit(Cancel((p - 1) % n))
+            classes = _step(rw, classes, Cancel((p - 1) % n))
             continue
         classes = _shrink_class(rw, classes, sizes, qroot)
     raise InternalInvariantError("vertex reduction failed to terminate")
@@ -357,7 +345,7 @@ def _shrink_class(
     move is the only cut built.  Its two sides carry different symbols: the
     sides of one symbol meeting at p either make p a singleton (an inverse
     pair) or put both neighbours in p's class (a cross-cap).  The shrink is
-    then checked on the classes `emit` derived, and those classes of the
+    then checked on the classes `_step` derived, and those classes of the
     word the cut produced are returned.
     """
     word = rw.word
@@ -373,7 +361,7 @@ def _shrink_class(
             if dst != qroot:
                 diagonal = sorted(((p - 1) % n, (p + 1) % n))
                 move = CutPaste(*diagonal, mint_fresh(word.symbols()), paste)
-                new = rw.emit(move)
+                new = _step(rw, classes, move)
                 if sorted(Counter(new).values()) >= old_profile:
                     raise InternalInvariantError(
                         f"move {move.render()} did not shrink the vertex classes"

@@ -15,8 +15,10 @@ from surfclass.minimal import (
     find_minus_one_lines,
     minimal_model,
 )
+import surfclass.minimal as minimal_module
+from surfclass.cli import main as cli_main
 from surfclass.script import run_script
-from surfclass.words import ValidationError
+from surfclass.words import InternalInvariantError, ValidationError
 
 
 def _with_line(surf, name, coords):
@@ -172,3 +174,26 @@ def test_minimal_model_undoes_eighty_blow_ups(base):
     assert len(report.steps) == 80
     assert str(report.final) == str(base)
     assert report.final_surface.rank == base.rank
+
+
+def test_a_moved_line_the_contraction_does_not_report_is_a_fault(monkeypatch, capsys, tmp_path):
+    # contracting E2 moves E1 from E1 - E2, of square -2, to a -1 line; a
+    # contraction that reports no moved line leaves E1's kept numbers stale,
+    # so the scan stops with E1 left, which classify_minimal finds.  That is
+    # a fault of the reduction, not of the script: InternalInvariantError,
+    # and the command exits 2, not 1
+    real_contract = minimal_module._contract
+
+    def silent_contract(lat, name):
+        real_contract(lat, name)
+        return []
+
+    monkeypatch.setattr(minimal_module, "_contract", silent_contract)
+    script = "base cp2\nblowup\nblowup on E1\nminimal-model\n"
+    with pytest.raises(InternalInvariantError, match="contractible lines remain: E1$") as exc:
+        run_script(script)
+    assert isinstance(exc.value.__cause__, ValidationError)
+    path = tmp_path / "chain.srf"
+    path.write_text(script)
+    assert cli_main(["rational", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"

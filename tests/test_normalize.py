@@ -393,8 +393,9 @@ def _phase_1_length(monkeypatch):
     ends: list = []
 
     def recording_reduce(rw, classes):
-        real_reduce(rw, classes)
+        derived = real_reduce(rw, classes)
         ends.append(len(rw.steps))
+        return derived
 
     monkeypatch.setattr(normalize_module, "_reduce_vertices", recording_reduce)
     return ends
@@ -465,17 +466,16 @@ def test_derived_classes_are_the_traced_classes(monkeypatch):
     # of tracing them; after every phase-1 move they must be the classes
     # corner_classes traces, on seeded words of both orientabilities and on
     # a chain of squares, which starts with many vertex classes
-    real_emit = normalize_module._Rewriter.emit
+    real_step = normalize_module._step
     kinds = Counter()
 
-    def checked_emit(rw, move):
-        classes = real_emit(rw, move)
-        if classes is not None:
-            assert classes == corner_classes(rw.word), (rw.word.render(), move.render())
-            kinds[type(move).__name__] += 1
+    def checked_step(rw, classes, move):
+        classes = real_step(rw, classes, move)
+        assert classes == corner_classes(rw.word), (rw.word.render(), move.render())
+        kinds[type(move).__name__] += 1
         return classes
 
-    monkeypatch.setattr(normalize_module._Rewriter, "emit", checked_emit)
+    monkeypatch.setattr(normalize_module, "_step", checked_step)
     chain = _square_chain(40)
     assert len(chain) == 82 and len(set(corner_classes(chain))) == 40
     seeded = [w for pairs in (4, 16, 64, 256) for w in _seeded_words(0xC1A55 + pairs, 2, pairs, pairs)]
@@ -500,15 +500,18 @@ def _chi_changed(word):
     raise AssertionError(f"no swap changes the Euler characteristic of {word.render()}")
 
 
-@pytest.mark.parametrize("phase", [1, 3])
-def test_a_deferred_euler_check_names_the_move(monkeypatch, phase):
-    # χ is traced once per span, not after each cut; a cut whose word keeps
-    # its length and orientability but not χ must still be named, with the
-    # per-move message, once the span runs again with every word traced.
-    # The tamper is keyed by the move and the word it is applied to, so it
-    # recurs on that run
-    word = list(_seeded_words(0xFA17, 2, 12, 12))[1]
-    assert is_orientable(word)  # phase 2 emits nothing on an orientable word
+def _tamper_chi(monkeypatch, phase):
+    """Patch apply_move so that the first cut of `phase`'s span gives a word
+    of the same length and orientability but another χ; returns the word to
+    normalize, that cut and the tampered word.  Phases 1 and 3 cut a seeded
+    orientable word, on which phase 2 emits nothing; phase 2 splits
+    ``a a b b``.  The tamper is keyed by the move and the word it is applied
+    to, so it recurs wherever that move is applied to that word again."""
+    if phase == 2:
+        word = W("a a b b")
+    else:
+        word = list(_seeded_words(0xFA17, 2, 12, 12))[1]
+        assert is_orientable(word)
     ends = _phase_1_length(monkeypatch)
     steps = normalize(word).trace.steps
     (k,) = ends
@@ -525,10 +528,39 @@ def test_a_deferred_euler_check_names_the_move(monkeypatch, phase):
         return real_apply(w, move)
 
     monkeypatch.setattr(normalize_module, "apply_move", tampering_apply)
+    return word, target, tampered
+
+
+@pytest.mark.parametrize("phase", [1, 2, 3])
+def test_a_deferred_euler_check_names_the_move(monkeypatch, phase):
+    # χ is traced once per span, not after each cut; a cut whose word keeps
+    # its length and orientability but not χ must still be named, with the
+    # per-move message, once the span's recorded moves are walked with
+    # every word traced
+    word, target, tampered = _tamper_chi(monkeypatch, phase)
     with pytest.raises(InternalInvariantError) as exc:
         normalize(word)
     assert str(exc.value) == f"move {target.render()} changed an invariant of {tampered.render()}"
     assert isinstance(exc.value.__cause__, InternalInvariantError)
+
+
+@pytest.mark.parametrize("phase", [1, 2, 3])
+def test_a_failed_span_runs_its_phase_once(monkeypatch, phase):
+    # the move that broke χ is named from the span's recorded moves, so
+    # neither phase runs a second time after the span's check fails
+    word, target, _ = _tamper_chi(monkeypatch, phase)
+    calls = Counter()
+    for name in ("_reduce_vertices", "_regroup"):
+        real = getattr(normalize_module, name)
+
+        def counting(rw, *args, name=name, real=real):
+            calls[name] += 1
+            return real(rw, *args)
+
+        monkeypatch.setattr(normalize_module, name, counting)
+    with pytest.raises(InternalInvariantError, match=f"move {target.render()} "):
+        normalize(word)
+    assert calls == Counter(_reduce_vertices=1, _regroup=int(phase > 1))
 
 
 def _respelled(word, move):
@@ -544,8 +576,9 @@ def _respelled(word, move):
 def test_a_cut_that_leaves_a_word_not_closed_names_the_move(monkeypatch, capsys, phase):
     # a cut whose word is not closed passes the per-move length and
     # orientability checks, and is refused once a corner trace or the next
-    # gathering round's pair map reads the word; the span then runs again
-    # with every word traced, which must name the cut, so that the command
+    # gathering round's pair map reads the word; the span's recorded moves
+    # are then walked with every word traced, which must name the cut, so
+    # that the command
     # exits 2 for a bug and not 1 for bad input.  Each cut of the span is
     # tampered in turn, keyed by the move and the word it is applied to
     text = "a b c a' b' c' d e d' e'"

@@ -7,16 +7,16 @@ order matters: different contraction orders can genuinely land on different
 minimal surfaces (the projective plane versus a Hirzebruch surface), so the
 report records the order taken.
 
-The contractions all run in place on one working copy of the lattice, and
-only the end result is built as a surface.  The scan keeps each line's
-(c.c, c.K) once read and re-reads it only after a contraction moved the
-line's class, l.c != 0; a change of basis keeps the form, so it leaves
-both numbers as they were.
+The contractions run in place on a working lattice (a copy of the surface
+in ``minimal_model``, the script's own in ``minimal-model``), and only the
+end result is built as a surface.  The scan keeps each line's (c.c, c.K)
+until a contraction moves its class, l.c != 0; a basis change keeps both.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .lattice import (
@@ -115,35 +115,37 @@ def classify_minimal(surf: RationalSurface) -> BaseSurface | Inconclusive:
     return Inconclusive(surf.rank, surf.is_even)
 
 
-def minimal_model(surf: RationalSurface) -> ReductionReport:
-    """Contract the first -1 line in insertion order until none remain.
-
-    Each scan reads the lines in insertion order and stops at the first
-    contractible one: only that one is contracted.  A line's c.c and c.K,
-    once read, are kept until a contraction moves its class, that is when
-    it pairs nonzero with the contracted class; a change of basis rewrites
-    the form with the coordinates and keeps both numbers.  A stale kept
-    number, of a moved line the contraction did not report, can only hide a
-    -1 line, which ``classify_minimal`` then finds: InternalInvariantError.
-    The surface is copied once and built once, at the end; with nothing to
-    contract the report's surface is ``surf`` itself.
-    """
+def _reduce(lat: SimpleNamespace) -> List[Tuple[str, DivisorClass]]:
+    """Contract the first -1 line in insertion order until none remain, in
+    place on the working lattice ``lat``; return each contracted line with
+    its class at contraction.  A stale kept (c.c, c.K), of a moved line the
+    contraction did not report, can only hide a -1 line: ``_report`` finds it."""
     steps: List[Tuple[str, DivisorClass]] = []
-    lat = _working(surf)
     kept: Dict[str, Tuple[int, int]] = {}
-    for _ in range(surf.rank):
+    for _ in range(len(lat.names)):
         hit = next(_minus_one_scan(lat.gram, lat.canonical, lat.tracked.items(), kept), None)
         if hit is None:
-            break
+            return steps
         name, cls = hit
         steps.append((name, DivisorClass._from_checked(tuple(cls))))
         for moved in _contract(lat, name):
             kept.pop(moved, None)
-    else:
-        raise InternalInvariantError("reduction did not terminate within rank steps")
-    current = _surface(lat) if steps else surf
+    raise InternalInvariantError("reduction did not terminate within rank steps")
+
+
+def _report(steps: List[Tuple[str, DivisorClass]], surf: RationalSurface) -> ReductionReport:
+    """The report of a reduction by ``steps`` that ended on ``surf``; a -1
+    line left on it is a fault of the reduction: InternalInvariantError."""
     try:
-        final = classify_minimal(current)
+        final = classify_minimal(surf)
     except ValidationError as exc:
         raise InternalInvariantError(f"the reduction stopped early: {exc}") from exc
-    return ReductionReport(tuple(steps), final, current)
+    return ReductionReport(tuple(steps), final, surf)
+
+
+def minimal_model(surf: RationalSurface) -> ReductionReport:
+    """Reduce a working copy of ``surf`` (``_reduce``) and build the end
+    result once; with nothing to contract, the report's surface is ``surf``."""
+    lat = _working(surf)
+    steps = _reduce(lat)
+    return _report(steps, _surface(lat) if steps else surf)

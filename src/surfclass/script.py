@@ -26,7 +26,7 @@ from .lattice import (
     intersect,
     make_base,
 )
-from .minimal import ReductionReport, minimal_model
+from .minimal import ReductionReport, _reduce, _report
 from .words import SurfclassError, ValidationError, _DIGITS, _NAME, _Value, _lines, _read_int
 
 
@@ -140,8 +140,8 @@ def _statement(
     lat: Optional[SimpleNamespace], stmt: str, events: List[Tuple[str, object]]
 ) -> SimpleNamespace:
     """Run one statement on the working lattice ``lat``, in place, and
-    return the lattice to go on with; a statement that cannot be read or
-    run raises ``ValidationError``."""
+    return it (a ``base`` statement returns a new one); a statement that
+    cannot be read or run raises ``ValidationError``."""
     words = stmt.split()
     head = words[0].lower()
     if head == "base":
@@ -183,9 +183,7 @@ def _statement(
     elif head == "minimal-model":
         if len(words) != 1:
             raise ValidationError("'minimal-model' takes no arguments")
-        report = minimal_model(_surface(lat))
-        events.append(("reduction", report))
-        return _working(report.final_surface)
+        events.append(("reduction", _report(_reduce(lat), _surface(lat))))
     elif head == "report":
         if len(words) != 1:
             raise ValidationError("'report' takes no arguments")
@@ -198,10 +196,10 @@ def _statement(
 def run_script(text: str) -> ScriptOutcome:
     """Execute a script and return its outcome.
 
-    Each statement changes one working lattice (``lattice._working``) in
-    place, and a surface is built only for each ``report``, as the input of
-    each ``minimal-model``, and once for the outcome; later statements go on
-    from the minimal model.  A statement or lattice error, a
+    Every statement after ``base`` changes one working lattice
+    (``lattice._working``) in place, ``minimal-model`` included, and a
+    surface is built only for each ``report``, for each reduction's report,
+    and once for the outcome.  A statement or lattice error, a
     ``ValidationError``, becomes a ``ScriptError`` on its statement's line.
     """
     lat: Optional[SimpleNamespace] = None

@@ -1115,12 +1115,15 @@ def _assert_runs_agree(text):
 
 def test_run_script_matches_the_surface_per_statement_reference(monkeypatch):
     # every prefix of the random scripts, the benchmark's construction
-    # scripts of three seeds, and the Cremona scripts, each carried on to a
-    # reduction and a report
+    # scripts of three seeds, alone and carried on past their reduction, so
+    # that later statements change the lattice its report was built from,
+    # and the Cremona scripts, each carried on to a reduction and a report
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     inputs = importlib.import_module("inputs")
     texts = ["\n".join(lines) + "\n" for lines, _ in _random_scripts()]
-    texts += [item.text for seed in (1, 2, 3) for item in inputs.script_inputs(seed)]
+    for seed in (1, 2, 3):
+        for item in inputs.script_inputs(seed):
+            texts += [item.text, item.text + "blowup\nminimal-model\nreport\n"]
     for surf, c in _cremona_corpus()[:20]:
         script = "base cp2\n" + "blowup\n" * (surf.rank - 1) + f"line C = {c.render(surf.basis)}\n"
         texts += [script, script + "blowdown C\n", script + "blowdown C\nminimal-model\nreport\n"]

@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from surfclass import lattice, minimal, script
 from surfclass.lattice import (
     BaseSurface,
     DivisorClass,
@@ -238,3 +239,25 @@ def test_a_script_builds_a_surface_only_where_one_is_output(surface_inits):
     base, reported, final = surface_inits
     assert base.rank == 1 and final is outcome.surface
     assert reported == final and reported.rank == 21 and len(final.tracked) == 26
+
+
+def test_a_script_reduces_its_own_lattice(surface_inits, monkeypatch):
+    # minimal-model contracts the script's working lattice in place: one
+    # surface per reduction, for its report, and no further working copy
+    copies = []
+    original = lattice._working
+
+    def counting(surf):
+        copies.append(surf)
+        return original(surf)
+
+    for module in (lattice, minimal, script):
+        monkeypatch.setattr(module, "_working", counting)
+    outcome = run_script("base cp2\nblowup\nblowup on E1\nminimal-model\n"
+                         "blowup\nblowup on H\nminimal-model\nreport\n")
+    base, first, second, reported, final = surface_inits
+    assert len(copies) == 1 and copies[0] is base and final is outcome.surface
+    one, two = outcome.reductions
+    assert one.final_surface is first and two.final_surface is second
+    assert len(one.steps) == len(two.steps) == 2
+    assert {s.rank for s in surface_inits} == {1} and reported == final

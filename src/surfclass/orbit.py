@@ -14,14 +14,15 @@ the splices of :mod:`surfclass.moves` (reflection, the respelling behind a
 flip or a rename, and the splice of a cut-and-paste at the sites its one
 case analysis finds), but neither ``apply_move`` nor the guards of a move:
 every successor is sliced from the letters of the word it leaves, at sites
-that are legal by construction.
+that are legal by construction.  A cut-and-paste successor is read off an
+*index program*: the positions, among the word's letters, their inverses
+and the diagonal's two letters, that `_splice` would place, computed once
+per shape from `_splice` itself and reused for every word of that shape.
 
 The flood keys reached words by letter tuples rather than by `Word`
-hashes.  No letter of a closed word occurs more than twice, so a word has
-at most two *anchored rotations*, those that start at an occurrence of its
-least letter; the flood keeps both for every word it reaches and looks a
-successor up by the one that starts at the first such occurrence.  Only a
-new successor becomes a `Word`.
+hashes: it keeps every rotation of every word it reaches, so a successor
+is looked up as it is, with no rotation to find first.  Only a new
+successor becomes a `Word`.
 """
 
 from __future__ import annotations
@@ -74,7 +75,36 @@ def _symbol_universe(word: Word, max_symbols: int) -> list[str]:
     return pool
 
 
-def _successors(letters: tuple[Letter, ...], universe: Sequence[str]) -> list[tuple[Letter, ...]]:
+def _paste_programs(n: int, a: int, b: int, reflect: bool) -> list[tuple[int, ...] | None]:
+    """The index programs of every cut of an ``n``-letter word that
+    re-pastes along the symbol at positions a < b, whose two letters have
+    equal exponents when ``reflect`` is set.
+
+    There is one entry per chord (i, j), i < j, in the order the flood
+    takes the chords: None when both paste letters lie on one side of the
+    chord, and otherwise the program of the shape (n, i, j, pa, po,
+    reflect) at the sites (pa, po) that `_paste_pair` finds.  A program
+    lists, for each letter of the word that `_splice` makes, its index
+    among the word's letters, then their inverses in the same order, then
+    the diagonal's letter and its inverse.  It is read off `_splice`
+    itself, run on proxy letters that name their own positions, so the
+    splice is written in one place only.
+    """
+    proxy = tuple(Letter(k, 1) for k in range(n))
+    layout = proxy + tuple(Letter(k, -1) for k in range(n)) + (Letter(n, 1), Letter(n, -1))
+    index = {letter: x for x, letter in enumerate(layout)}.__getitem__
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            sites = _paste_pair(i, j, a, b)
+            out.append(None if sites is None
+                       else tuple(map(index, _splice(proxy, i, j, *sites, reflect, n))))
+    return out
+
+
+def _successors(
+    letters: tuple[Letter, ...], universe: Sequence[str], programs: dict
+) -> list[tuple[Letter, ...]]:
     """The letters of every word one legal move away from ``letters``, using
     only names from ``universe``.
 
@@ -83,21 +113,25 @@ def _successors(letters: tuple[Letter, ...], universe: Sequence[str]) -> list[tu
     `Word`: a flip's or a rename's guards hold by construction (its symbol
     occurs, its target is free, every name is the universe's), a
     cancellation is taken only at an adjacent inverse pair and an insertion
-    only under a free name.  A cut-and-paste is spliced at the sites
+    only under a free name.  A cut-and-paste is taken at the sites
     `_paste_pair` finds from the pair map, so each chord and paste symbol
-    it keeps is a legal cut.  Its diagonal takes the first free name; when
-    the universe is fully occupied it takes the name of the symbol the
-    paste frees, which gives the same word as a cut along a name outside
-    the universe followed by a rename of that diagonal to the paste symbol.
-    `orbit_oracle` keys each successor by its anchored rotation, so only
-    the successors it has not reached become words.
+    it keeps is a legal cut.  It is built by the index program of its
+    shape, read from the letters, their inverses and the diagonal's two
+    letters.  ``programs`` caches the programs, one list per length, paste
+    positions and exponent match (see `_paste_programs`); the caller owns
+    it and passes the same dict for a whole flood.  The diagonal takes the
+    first free name; when the universe is fully occupied it takes the name
+    of the symbol the paste frees, which gives the same word as a cut along
+    a name outside the universe followed by a rename of that diagonal to
+    the paste symbol.
     """
     n = len(letters)
     symbols = list(map(_SYMBOL, letters))
     used = set(symbols)
     free = [s for s in universe if s not in used]
 
-    out = [_reflect(letters)]
+    reflected = _reflect(letters)
+    out = [reflected]
     for s in sorted(used):
         out.append(_respell(letters, symbols, s, s, -1))
         for t in free:
@@ -116,31 +150,26 @@ def _successors(letters: tuple[Letter, ...], universe: Sequence[str]) -> list[tu
             out.append(letters[:p] + pair + letters[p:])
 
     if n >= 3:
-        fresh = free[0] if free else None
-        pairs = [(s, a, b, letters[a].exponent == letters[b].exponent)
-                 for s, (a, b) in sorted(_pair_positions(letters).items())]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for paste_sym, a, b, reflect in pairs:
-                    sites = _paste_pair(i, j, a, b)
-                    if sites is not None:
-                        out.append(_splice(letters, i, j, *sites, reflect, fresh or paste_sym))
+        # the letters, then their inverses in the same order
+        sides = letters + reflected[::-1]
+        rows = []
+        for s, (a, b) in sorted(_pair_positions(letters).items()):
+            key = (n, a, b, letters[a].exponent == letters[b].exponent)
+            row = programs.get(key)
+            if row is None:
+                row = programs[key] = _paste_programs(*key)
+            rows.append((row, sides + (pair if free else (Letter(s, 1), Letter(s, -1)))))
+        for c in range(n * (n - 1) // 2):
+            for row, ext in rows:
+                prog = row[c]
+                if prog is not None:
+                    out.append(tuple(map(ext.__getitem__, prog)))
     return out
 
 
-def _anchored_rotations(letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
-    """The rotations of ``letters`` that start at an occurrence of its least
-    letter: at most two, since no letter of a closed word occurs more than
-    twice.  The least rotation is one of them, so two words are equal up to
-    rotation exactly when the first-occurrence rotation of one is an
-    anchored rotation of the other."""
-    m = min(letters)
-    k = letters.index(m)
-    out = [letters[k:] + letters[:k]]
-    if letters.count(m) == 2:
-        k = letters.index(m, k + 1)
-        out.append(letters[k:] + letters[:k])
-    return out
+def _rotations(letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
+    """Every rotation of ``letters``, itself first."""
+    return [letters[k:] + letters[:k] for k in range(len(letters))]
 
 
 def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitResult:
@@ -153,11 +182,13 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     ``budget`` caps how many nodes get expanded.
 
     Reached words are keyed by letter tuples, not by `Word` hashes: the set
-    ``reached`` holds the anchored rotations (at most two) of every word
-    reached, and a successor is new exactly when its rotation starting at
-    the first occurrence of its least letter is not among them.  Only a new
-    successor is wrapped as a `Word`, in the rotation that first reached
-    it, so building the result hashes each reached word once.
+    ``reached`` holds every rotation of every word reached, so a successor
+    is new exactly when it is not in the set.  That stores one tuple per
+    letter of each reached word, and saves finding a rotation for every
+    successor.  Only a new successor is wrapped as a `Word`, in the
+    rotation that first reached it, so building the result hashes each
+    reached word once.  The flood owns one table of index programs (see
+    `_successors`), so no state outlives the call.
     """
     validate(word)
     max_symbols = _as_int(max_symbols, "symbol cap")
@@ -168,9 +199,10 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
         raise ValidationError("budget must be at least 1")
     universe = _symbol_universe(word, max_symbols)
 
-    reached = set(_anchored_rotations(word.letters))
+    reached = set(_rotations(word.letters))
     seen = [word]
     queue: deque[tuple[Letter, ...]] = deque([word.letters])
+    programs: dict = {}
     checked = Word._from_checked
     expanded = 0
     while queue:
@@ -178,10 +210,9 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
             return OrbitResult(frozenset(seen), False, expanded)
         cur = queue.popleft()
         expanded += 1
-        for nxt in _successors(cur, universe):
-            k = nxt.index(min(nxt))
-            if nxt[k:] + nxt[:k] not in reached:
-                reached.update(_anchored_rotations(nxt))
+        for nxt in _successors(cur, universe, programs):
+            if nxt not in reached:
+                reached.update(_rotations(nxt))
                 seen.append(checked(nxt))
                 queue.append(nxt)
     return OrbitResult(frozenset(seen), True, expanded)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,6 @@ from surfclass import moves, words
 from surfclass.moves import Cancel, CutPaste, FlipEdge, Insert, Reflect, Rename, apply_move
 from surfclass.orbit import (
     OrbitResult,
-    _anchored_rotations,
     _successors,
     _symbol_universe,
     enumerate_words,
@@ -187,22 +187,36 @@ def _successors_by_arc_sets(word, universe, temp):
     return out
 
 
+def _assert_same_successors(word, cap, programs):
+    universe = _symbol_universe(word, cap)
+    temp = mint_fresh(frozenset(universe))
+    want = [w.letters for w in _successors_by_arc_sets(word, universe, temp)]
+    assert _successors(word.letters, universe, programs) == want, (word.render(), cap)
+
+
 def test_successors_match_arc_set_reference():
     # identical successor lists, letter for letter and in order; a cap of 3
     # leaves a 3-symbol word no free name (the rename path), a cap of 4
-    # leaves one
+    # leaves one.  One program table serves every word, as in a flood, so
+    # a program built for one word is checked again on others of its shape
+    programs = {}
     checked = 0
     for word in enumerate_words("abc"):
         if len(word) < 3:
             continue
         for cap in (3, 4):
-            universe = _symbol_universe(word, cap)
-            temp = mint_fresh(frozenset(universe))
-            want = [w.letters for w in _successors_by_arc_sets(word, universe, temp)]
-            got = _successors(word.letters, universe)
-            assert got == want, word.render()
+            _assert_same_successors(word, cap, programs)
             checked += 1
     assert checked == 2 * (1055 - 9)  # nine one-symbol words
+    # a seeded sample of eight-letter words, at the cap that leaves them no
+    # free name and at the one that leaves one
+    rng = random.Random(8)
+    for _ in range(150):
+        symbols = list("aabbccdd")
+        rng.shuffle(symbols)
+        word = Word(tuple(Letter(s, rng.choice((1, -1))) for s in symbols))
+        for cap in (4, 5):
+            _assert_same_successors(word, cap, programs)
 
 
 def test_symbol_universe_pads_with_mint_fresh_names():
@@ -241,8 +255,8 @@ def test_flood_builds_no_move_and_runs_no_cut_guard(monkeypatch):
 
 
 def test_flood_scans_each_reached_word_once(monkeypatch):
-    # successors are looked up by their anchored rotation, so the only
-    # least-rotation scans are the result's hashes, one per reached word
+    # successors are looked up in the set of every reached rotation, so the
+    # only least-rotation scans are the result's hashes, one per reached word
     scans = []
     scan = words._least_rotation
 
@@ -254,25 +268,6 @@ def test_flood_scans_each_reached_word_once(monkeypatch):
     r = orbit_oracle(W("a b a b"), 3)
     assert r.exhausted
     assert len(scans) == len(r.words)
-
-
-def test_anchored_rotations_decide_cyclic_equality():
-    # each rotation's first-min-letter rotation is an anchored rotation of
-    # its word, and no two cyclic classes share one, so the flood's lookup
-    # decides what Word.__eq__ decides
-    owner = {}
-    for word in enumerate_words("abc"):
-        letters = word.letters
-        anchored = _anchored_rotations(letters)
-        assert 1 <= len(anchored) <= 2
-        assert word._least() in anchored
-        for key in anchored:
-            assert owner.setdefault(key, word) is word
-        for r in range(len(letters)):
-            s = letters[r:] + letters[:r]
-            k = s.index(min(s))
-            assert s[k:] + s[:k] in anchored
-    assert len(set(owner.values())) == 1055
 
 
 def _flood_by_arc_sets(word, max_symbols, budget):

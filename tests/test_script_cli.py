@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -654,6 +655,28 @@ def test_orbit_census_prints_an_uncertified_word_and_fails(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "\"a a'\": normalized to Sphere, invariants give Sphere, trace ends on \"a a'\"" in out
     assert "3 cyclic words over {a}, 2 surface types, 0 certified" in out
+
+
+def test_orbit_census_counts_a_repeated_symbol_once():
+    # a,a names one symbol, so the floods keep to one name, as over {a}
+    proc = _run_repo_script("orbit_census.py", "--symbols", "a,a")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("3 cyclic words over {a}, 2 surface types, 3 certified")
+    assert re.fullmatch(r"2 floods in \d+\.\d\ds, peak RSS \d+\.\d MiB", lines[-2])
+    assert lines[-1] == "orbit partition matches type classes"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--budget", "0"], "argument --budget: must be at least 1"),
+    (["--symbols", "a,1"], "argument --symbols: bad symbol name '1'"),
+])
+def test_orbit_census_bad_arguments_are_usage_errors(argv, message):
+    proc = _run_repo_script("orbit_census.py", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: orbit_census.py")
+    assert proc.stderr.endswith(f"orbit_census.py: error: {message}\n")
+    assert "Traceback" not in proc.stderr
 
 
 # 1,000 construction scripts of 8/16/24 blow-ups over CP2 and F0-F3, half

@@ -479,8 +479,14 @@ def topological_model(surf: RationalSurface) -> TopologicalModel:
     Arithmetic, Ch. V), so an odd lattice of rank r is CP2 # (r - 1) reversed
     CP2, and the form fixes the diffeomorphism type (C. T. C. Wall, "On
     simply-connected 4-manifolds", 1964).  An even form of signature (1, n)
-    needs 1 - n divisible by 8; blow-ups add classes of square -1, so rank 2,
-    S2 x S2 = F_0, is the only even lattice a construction reaches.
+    needs 1 - n divisible by 8.  A rational surface of rank 3 or more is a
+    blow-up, so it holds a class of square -1 and its form is odd: rank 2,
+    S2 x S2 = F_0, is the only even lattice of a surface.  A construction
+    stays on surfaces only while the classes it tracks are curves, no two
+    of which meet negatively.  Blowing down a line that meets another
+    tracked class negatively can reach an even lattice of rank 10 (over
+    CP2, ten blow-ups and the contraction of 3H - E1 - ... - E9 + E10,
+    which meets E10 at -1), and on it this raises InternalInvariantError.
     """
     if not surf.is_even:
         base, summands = BaseSurface.cp2(), surf.rank - 1

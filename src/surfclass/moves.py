@@ -406,8 +406,11 @@ def parse_trace(text: str, initial: Word) -> MoveTrace:
         op, *args = line.split()
         move, readers = _GRAMMAR.get(op, (None, None))
         try:
-            if readers is None or len(args) != len(readers):
+            if readers is None:
                 raise ValueError(f"unknown move {line!r}")
+            if len(args) != len(readers):
+                fields = f"{len(readers)} field" + ("s" if len(readers) != 1 else "")
+                raise ValueError(f"{op} takes {fields}, got {len(args)}")
             steps.append(move(*[read(arg) for read, arg in zip(readers, args)]))
         except ValueError as exc:
             raise MoveError(f"trace line {lineno}: {exc}") from exc

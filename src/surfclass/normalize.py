@@ -99,7 +99,6 @@ from .words import (
     is_orientable,
     mint_fresh,
     surface_type_from_invariants,
-    validate,
 )
 
 
@@ -574,8 +573,8 @@ def _finish(rw: _Rewriter, target: tuple[Letter, ...]) -> None:
 
 
 def normalize(word: Word) -> NormalizationResult:
-    """Classify a word and return the type with a replayable certificate."""
-    validate(word)
+    """Classify a word and return the type with a replayable certificate.
+    Its first corner trace refuses a word that is not closed."""
     classes = corner_classes(word)
     rw = _Rewriter(word, _euler_from_classes(classes))
     t = surface_type_from_invariants(rw.chi, rw.orientable)

@@ -113,13 +113,14 @@ def _successors(
     `Word`: a flip's or a rename's guards hold by construction (its symbol
     occurs, its target is free, every name is the universe's), a
     cancellation is taken only at an adjacent inverse pair and an insertion
-    only under a free name.  A cut-and-paste is taken at the sites
-    `_paste_pair` finds from the pair map, so each chord and paste symbol
-    it keeps is a legal cut.  It is built by the index program of its
-    shape, read from the letters, their inverses and the diagonal's two
-    letters.  ``programs`` caches the programs, one list per length, paste
-    positions and exponent match (see `_paste_programs`); the caller owns
-    it and passes the same dict for a whole flood.  The diagonal takes the
+    only under a free name.  The word's symbols are read off its pair map,
+    built once.  A cut-and-paste is taken at the sites `_paste_pair` finds
+    from that map, so each chord and paste symbol it keeps is a legal cut.
+    It is built by the index program of its shape, read from the letters,
+    their inverses and the diagonal's two letters.  ``programs`` caches the
+    programs, one list per length, paste positions and exponent match (see
+    `_paste_programs`); the caller owns it and passes the same dict for a
+    whole flood.  The diagonal takes the
     first free name; when the universe is fully occupied it takes the name
     of the symbol the paste frees, which gives the same word as a cut along
     a name outside the universe followed by a rename of that diagonal to
@@ -127,12 +128,12 @@ def _successors(
     """
     n = len(letters)
     symbols = list(map(_SYMBOL, letters))
-    used = set(symbols)
-    free = [s for s in universe if s not in used]
+    pairs = _pair_positions(letters)
+    free = [s for s in universe if s not in pairs]
 
     reflected = _reflect(letters)
     out = [reflected]
-    for s in sorted(used):
+    for s in sorted(pairs):
         out.append(_respell(letters, symbols, s, s, -1))
         for t in free:
             out.append(_respell(letters, symbols, s, t, 1))
@@ -153,7 +154,7 @@ def _successors(
         # the letters, then their inverses in the same order
         sides = letters + reflected[::-1]
         rows = []
-        for s, (a, b) in sorted(_pair_positions(letters).items()):
+        for s, (a, b) in sorted(pairs.items()):
             key = (n, a, b, letters[a].exponent == letters[b].exponent)
             row = programs.get(key)
             if row is None:

@@ -10,7 +10,7 @@ interact.
 
 from __future__ import annotations
 
-from .words import SurfaceType, Word, mint_fresh, surface_type_from_invariants, validate
+from .words import SurfaceType, Word, _names, surface_type_from_invariants, validate
 
 
 def connected_sum_words(w1: Word, w2: Word) -> Word:
@@ -25,12 +25,14 @@ def connected_sum_words(w1: Word, w2: Word) -> Word:
     validate(w2)
     clash = w1.symbols()
     taken = clash | w2.symbols()
+    # the names `mint_fresh` would pick one clash after another: a name this
+    # passes over is taken, and stays so
+    fresh = (name for name in _names() if name not in taken)
     mapping: dict[str, str] = {}
     for letter in w2.letters:
         s = letter.symbol
         if s in clash and s not in mapping:
-            mapping[s] = mint_fresh(taken)
-            taken.add(mapping[s])
+            mapping[s] = next(fresh)
     renamed = tuple(letter._replace(symbol=mapping.get(letter.symbol, letter.symbol)) for letter in w2.letters)
     return Word(w1.letters + renamed)
 

@@ -326,19 +326,22 @@ def validate(word: Word) -> Word:
 
 def _pair_positions(letters: Sequence[Letter]) -> dict[str, tuple[int, int]]:
     """The pair map: each symbol's two positions, in order, keyed in order of
-    first letter.  The corner trace and each gathering round of `normalize`
-    build it; a symbol met once, or a third time, raises ValidationError."""
+    first letter.  The corner trace, the polygon-set checks, `normalize`'s
+    gathering rounds and the orbit flood build it, and it checks pairing for
+    them: a symbol met once, or a third time, is counted other than twice,
+    so `_check_pairing` raises `validate`'s error."""
     pos: dict = {}
     for k, s in enumerate(map(_SYMBOL, letters)):
         h = pos.setdefault(s, k)
         if h != k:
             if type(h) is tuple:
-                raise ValidationError("corner tracing needs a closed word")
+                break
             # replacing a value keeps its key where the first letter put it
             pos[s] = (h, k)
-    if 2 * len(pos) != len(letters):
-        raise ValidationError("corner tracing needs a closed word")
-    return pos
+    else:
+        if 2 * len(pos) == len(letters):
+            return pos
+    _check_pairing(Counter(map(_SYMBOL, letters)))
 
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
@@ -585,9 +588,9 @@ def surface_type_from_invariants(chi: int, orientable: bool) -> SurfaceType:
 def classify_by_invariants(word: Word) -> SurfaceType:
     """Type from Euler characteristic plus orientability alone.
 
-    This is the cheap independent oracle: it never rewrites the word.
+    This is the cheap independent oracle: it never rewrites the word.  The
+    corner trace's pair map refuses a word that is not closed.
     """
-    validate(word)
     return surface_type_from_invariants(euler_characteristic(word), is_orientable(word))
 
 
@@ -623,15 +626,21 @@ class PolygonSet(_Value):
         object.__setattr__(self, "polygons", tuple(polygons))
 
 
-def _sides(polys: PolygonSet) -> dict[str, list[tuple[int, int]]]:
-    """Each symbol's sides, as (polygon, exponent) pairs in reading order;
-    a symbol not met exactly twice raises `validate`'s message."""
-    sides: dict[str, list[tuple[int, int]]] = {}
+def _layout(polys: PolygonSet) -> tuple[list[Letter], list[int], list[int]]:
+    """The set's polygons laid end to end: their letters, each side's
+    successor in its own polygon, and each side's polygon.  The pair map of
+    these letters pairs the set's sides, and refuses a set that is not
+    closed with `validate`'s error."""
+    letters: list[Letter] = []
+    nxt: list[int] = []
+    owner: list[int] = []
     for p, poly in enumerate(polys.polygons):
-        for s, e in poly.letters:
-            sides.setdefault(s, []).append((p, e))
-    _check_pairing({s: len(at) for s, at in sides.items()})
-    return sides
+        start = len(letters)
+        letters += poly.letters
+        nxt += range(start + 1, len(letters))
+        nxt.append(start)
+        owner += [p] * len(poly.letters)
+    return letters, nxt, owner
 
 
 def _root(parent: list[int], k: int) -> int:
@@ -643,7 +652,7 @@ def _root(parent: list[int], k: int) -> int:
 
 def validate_polygon_set(polys: PolygonSet) -> PolygonSet:
     """The closed-surface condition across the set, with `validate`'s message."""
-    _sides(polys)
+    _pair_positions(_layout(polys)[0])
     return polys
 
 
@@ -661,15 +670,9 @@ def parse_polygon_file(text: str) -> PolygonSet:
 
 
 def complex_euler(polys: PolygonSet) -> int:
-    """V - E + F over the whole complex, before any merging."""
-    validate_polygon_set(polys)
-    letters: list[Letter] = []
-    nxt: list[int] = []
-    for poly in polys.polygons:
-        start = len(letters)
-        letters += poly.letters
-        nxt += range(start + 1, len(letters))
-        nxt.append(start)
+    """V - E + F over the whole complex, before any merging.  The corner
+    trace's pair map refuses a set that is not closed."""
+    letters, nxt, _ = _layout(polys)
     return _euler_from_classes(_trace_corners(letters, nxt), len(polys.polygons))
 
 
@@ -684,10 +687,13 @@ def complex_is_orientable(polys: PolygonSet) -> bool:
     like, and a pair inside one polygon the same way.  The complex is
     orientable unless some 2p and 2p + 1 end up in one set.
     """
+    letters, _, owner = _layout(polys)
     parent = list(range(2 * len(polys.polygons)))
-    for (p, e), (q, f) in _sides(polys).values():
-        parent[_root(parent, 2 * p)] = _root(parent, 2 * q + (e == f))
-        parent[_root(parent, 2 * p + 1)] = _root(parent, 2 * q + 1 - (e == f))
+    for a, b in _pair_positions(letters).values():
+        # partners share their symbol, so equal letters mean equal exponents
+        p, q, same = owner[a], owner[b], letters[a] == letters[b]
+        parent[_root(parent, 2 * p)] = _root(parent, 2 * q + same)
+        parent[_root(parent, 2 * p + 1)] = _root(parent, 2 * q + 1 - same)
     return all(_root(parent, k) != _root(parent, k + 1) for k in range(0, len(parent), 2))
 
 
@@ -728,12 +734,13 @@ def glue_polygons(polys: PolygonSet) -> Word:
     survive into the result.  A tree of polygons, whose merges use up every
     side, is a sphere and glues to ``s s'`` for the last merged symbol s.
     """
+    letters, _, owner = _layout(polys)
     words = [p.letters for p in polys.polygons]
     parent = list(range(len(words)))
     place = [-p for p in parent]  # the step of the last merge, or -index if none
     merged: list[str] = []
-    for s, ((p, _), (q, _)) in sorted(_sides(polys).items()):
-        a, b = _root(parent, p), _root(parent, q)
+    for s, (i, j) in sorted(_pair_positions(letters).items()):
+        a, b = _root(parent, owner[i]), _root(parent, owner[j])
         if a != b:
             a, b = (a, b) if place[a] > place[b] else (b, a)
             merged.append(s)

@@ -3,6 +3,7 @@ with the stdlib `ast`."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,33 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_references_every_import(module):
     assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules a source imports that are neither `__future__`, the
+    standard library nor this package."""
+    names: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [
+        name for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names | {"__future__", "surfclass"}
+    ]
+
+
+def test_foreign_import_is_found():
+    source = "import os.path\nimport numpy as np\nfrom . import words\nfrom yaml import load\n"
+    assert _foreign_imports(source) == ["numpy", "yaml"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_runtime_is_stdlib_only(module):
+    # the package declares no dependencies: every import is the standard
+    # library's, __future__ or the package's own
+    assert _foreign_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
 ROOT = SRC.parent.parent

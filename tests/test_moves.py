@@ -203,7 +203,7 @@ def test_readme_lists_the_trace_grammar():
         line = " ".join([keyword] + ["1"] * arity)
         (step,) = parse_trace(line, W("a a")).steps
         assert step.render() == line
-        with pytest.raises(MoveError, match="unknown move"):
+        with pytest.raises(MoveError, match=f"{keyword} takes {arity} field"):
             parse_trace(line + " 1", W("a a"))
 
 
@@ -212,6 +212,22 @@ def test_parse_trace_errors_carry_line():
         parse_trace("reflect\nwobble 3\n", W("a a'"))
     with pytest.raises(MoveError, match="line 1"):
         parse_trace("cutpaste 0 not-a-number c b", W("a a b b"))
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("rotate", "trace line 1: rotate takes 1 field, got 0"),
+        ("cutpaste 0 2 c", "trace line 1: cutpaste takes 4 fields, got 3"),
+        ("reflect 1", "trace line 1: reflect takes 0 fields, got 1"),
+        ("wobble 3", "trace line 1: unknown move 'wobble 3'"),
+    ],
+    ids=["rotate-short", "cutpaste-short", "reflect-long", "unknown"],
+)
+def test_parse_trace_names_a_known_keyword_by_its_arity(line, message):
+    with pytest.raises(MoveError) as exc:
+        parse_trace(line, W("a b a' b'"))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

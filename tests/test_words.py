@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import surfclass.words as words_module
 from conftest import words
 from surfclass.moves import ReplayError, paste, parse_trace, replay
+from surfclass.normalize import normalize
 from surfclass.orbit import enumerate_words, orbit_oracle
 from surfclass.words import (
     InternalInvariantError,
@@ -356,10 +358,26 @@ def test_complex_euler_of_one_polygon(w):
     assert complex_is_orientable(PolygonSet((w,))) == is_orientable(w)
 
 
+def _refusal(fn, arg):
+    """The text of the ValidationError ``fn(arg)`` raises."""
+    with pytest.raises(ValidationError) as exc:
+        fn(arg)
+    return str(exc.value)
+
+
 def test_corner_classes_needs_closed_word():
-    for text in ("a b a", "a a a b b", "a a a a"):
-        with pytest.raises(ValidationError, match="corner tracing needs a closed word"):
-            corner_classes(parse_word(text))
+    # every entry point that reads a word refuses one that is not closed in
+    # validate's words; test_complex_invariants_reject_unpaired does the
+    # same for polygon sets
+    for text, message in [
+        ("a b a", "symbol b occurs once"),
+        ("a a a b b", "symbol a occurs 3 times"),
+        ("a a a a", "symbol a occurs 4 times"),
+    ]:
+        word = parse_word(text)
+        for fn in (validate, corner_classes, euler_characteristic, classify_by_invariants,
+                   normalize):
+            assert _refusal(fn, word) == message, (text, fn.__name__)
 
 
 def _reference_trace_corners(letters, nxt):
@@ -373,7 +391,7 @@ def _reference_trace_corners(letters, nxt):
         if h == g:
             continue
         if h < 0:
-            raise ValidationError("corner tracing needs a closed word")
+            validate(Word(tuple(letters)))
         first[let.symbol] = -1
         if letters[h].exponent == let.exponent:
             links = ((h, g), (nxt[h], nxt[g]))
@@ -391,7 +409,7 @@ def _reference_trace_corners(letters, nxt):
             elif b < a:
                 parent[a] = b
     if 2 * len(first) != len(letters):
-        raise ValidationError("corner tracing needs a closed word")
+        validate(Word(tuple(letters)))
     for x in range(len(parent)):
         parent[x] = parent[parent[x]]
     return parent
@@ -449,7 +467,7 @@ def test_corner_walk_matches_the_union_find(monkeypatch):
             letters.insert(rng.randrange(len(letters) + 1), extra)
         nxt = [*range(1, len(letters)), 0]
         got = _trace_outcome(real, letters, nxt)
-        assert got == "corner tracing needs a closed word", letters
+        assert got == _refusal(validate, Word(tuple(letters))), letters
         assert got == _trace_outcome(_reference_trace_corners, letters, nxt)
 
 
@@ -692,6 +710,32 @@ def test_complex_invariants_reject_unpaired(text, message):
         with pytest.raises(ValidationError) as exc:
             fn(polys)
         assert str(exc.value) == message
+
+
+def test_entry_points_check_pairing_once(monkeypatch):
+    # every module binding of validate and validate_polygon_set is wrapped,
+    # so a call through any import is counted
+    calls = []
+
+    def wrap(fn):
+        def wrapped(arg):
+            calls.append(fn.__name__)
+            return fn(arg)
+        return wrapped
+
+    for fn in (validate, validate_polygon_set):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("surfclass") and \
+                    getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrap(fn))
+    word = parse_word("a b a' b' c c")
+    result = normalize(word)
+    assert classify_by_invariants(word) == result.type
+    assert complex_euler(parse_polygon_file("a b c\na' b' c'\n")) == 0
+    assert calls == []
+    # the wrappers are live: replay checks every intermediate word
+    replay(result.trace)
+    assert calls and set(calls) == {"validate"}
 
 
 _HOSTILE_TEXT = st.text(alphabet="abcx1_'^-# \n\t$?", max_size=40) | st.text(max_size=20)

@@ -423,17 +423,17 @@ def _collect_handle(
     commutator block.
 
     The interleaver is read off `pairs`, the round's pair map of the
-    current word: the first symbol not done with one letter strictly
-    between i and p and the other outside.  Two cuts follow, each where its
-    diagonal sits: the first, from corner i to just past p, re-pastes along
-    the interleaver; the second, from the letter u to just past u', along
-    the original pair, at the sites the pair map of the first cut's word
-    gives, which refuses that word if it is not closed.  The two minted
-    symbols u, v end up adjacent as u' v u v'.  Finished blocks are marked
-    done and are never chosen as interleavers again; they cannot interleave
-    anything anyway, because they stay contiguous under later cuts (cut
-    boundaries always sit at letters of the pairs being worked on, never
-    inside a finished block).
+    current word: the first symbol with one letter strictly between i and
+    p and the other outside.  Two cuts follow, each where its diagonal
+    sits: the first, from corner i to just past p, re-pastes along the
+    interleaver; the second, from the letter u to just past u', along the
+    original pair, at the sites the pair map of the first cut's word gives,
+    which refuses that word if it is not closed.  The two minted
+    symbols u, v end up adjacent as u' v u v' and are marked done.  A done
+    block is never an interleaver, with no check: it stays contiguous under
+    later cuts (cut boundaries sit at letters of the pairs being worked on,
+    never inside a finished block), so both its letters or neither lie
+    between i and p.
     """
     letters = rw.word.letters
     x = letters[i].symbol
@@ -443,7 +443,7 @@ def _collect_handle(
         a, b = pairs[sym]
         # letter q lies between i and p; its pair interleaves unless the
         # other letter does too
-        if sym not in done and (a < i or b > p):
+        if a < i or b > p:
             y = sym
             break
     if y is None:

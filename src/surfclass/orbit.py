@@ -16,18 +16,20 @@ case analysis finds), but neither ``apply_move`` nor the guards of a move:
 every successor is sliced from the letters of the word it leaves, at sites
 that are legal by construction.  A cut-and-paste successor is read off an
 *index program*: the positions, among the word's letters, their inverses
-and the diagonal's two letters, that `_splice` would place, computed once
-per shape from `_splice` itself and reused for every word of that shape.
+and the diagonal's two letters, that `_splice` would place, read off
+`_splice` itself.  Programs are cached per process, keyed by shape, in a
+bounded cache, so the floods of a census build each program once.
 
 The flood keys reached words by letter tuples rather than by `Word`
 hashes: it keeps every rotation of every word it reaches, so a successor
-is looked up as it is, with no rotation to find first.  Only a new
-successor becomes a `Word`.
+is looked up as it is, with no rotation to find first.  One list of
+letter tuples is both its queue and its result; each reached word becomes
+a `Word` once, at the end.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from typing import NamedTuple, Sequence
 
@@ -75,7 +77,8 @@ def _symbol_universe(word: Word, max_symbols: int) -> list[str]:
     return pool
 
 
-def _paste_programs(n: int, a: int, b: int, reflect: bool) -> list[tuple[int, ...] | None]:
+@lru_cache(maxsize=1024)
+def _paste_programs(n: int, a: int, b: int, reflect: bool) -> tuple[tuple[int, ...] | None, ...]:
     """The index programs of every cut of an ``n``-letter word that
     re-pastes along the symbol at positions a < b, whose two letters have
     equal exponents when ``reflect`` is set.
@@ -88,7 +91,10 @@ def _paste_programs(n: int, a: int, b: int, reflect: bool) -> list[tuple[int, ..
     among the word's letters, then their inverses in the same order, then
     the diagonal's letter and its inverse.  It is read off `_splice`
     itself, run on proxy letters that name their own positions, so the
-    splice is written in one place only.
+    splice is written in one place only.  Rows are cached per process by
+    shape, shared by every flood, so a row is a tuple; the cache is bounded
+    (every shape of up to 16 letters is 742 keys), and eviction only costs
+    building a row again.
     """
     proxy = tuple(Letter(k, 1) for k in range(n))
     layout = proxy + tuple(Letter(k, -1) for k in range(n)) + (Letter(n, 1), Letter(n, -1))
@@ -99,12 +105,10 @@ def _paste_programs(n: int, a: int, b: int, reflect: bool) -> list[tuple[int, ..
             sites = _paste_pair(i, j, a, b)
             out.append(None if sites is None
                        else tuple(map(index, _splice(proxy, i, j, *sites, reflect, n))))
-    return out
+    return tuple(out)
 
 
-def _successors(
-    letters: tuple[Letter, ...], universe: Sequence[str], programs: dict
-) -> list[tuple[Letter, ...]]:
+def _successors(letters: tuple[Letter, ...], universe: Sequence[str]) -> list[tuple[Letter, ...]]:
     """The letters of every word one legal move away from ``letters``, using
     only names from ``universe``.
 
@@ -117,11 +121,10 @@ def _successors(
     built once.  A cut-and-paste is taken at the sites `_paste_pair` finds
     from that map, so each chord and paste symbol it keeps is a legal cut.
     It is built by the index program of its shape, read from the letters,
-    their inverses and the diagonal's two letters.  ``programs`` caches the
-    programs, one list per length, paste positions and exponent match (see
-    `_paste_programs`); the caller owns it and passes the same dict for a
-    whole flood.  The diagonal takes the
-    first free name; when the universe is fully occupied it takes the name
+    their inverses and the diagonal's two letters, from the row of
+    programs for its length, paste positions and exponent match, which
+    `_paste_programs` caches per process.  The diagonal takes the first
+    free name; when the universe is fully occupied it takes the name
     of the symbol the paste frees, which gives the same word as a cut along
     a name outside the universe followed by a rename of that diagonal to
     the paste symbol.
@@ -153,13 +156,11 @@ def _successors(
     if n >= 3:
         # the letters, then their inverses in the same order
         sides = letters + reflected[::-1]
-        rows = []
-        for s, (a, b) in sorted(pairs.items()):
-            key = (n, a, b, letters[a].exponent == letters[b].exponent)
-            row = programs.get(key)
-            if row is None:
-                row = programs[key] = _paste_programs(*key)
-            rows.append((row, sides + (pair if free else (Letter(s, 1), Letter(s, -1)))))
+        rows = [
+            (_paste_programs(n, a, b, letters[a].exponent == letters[b].exponent),
+             sides + (pair if free else (Letter(s, 1), Letter(s, -1))))
+            for s, (a, b) in sorted(pairs.items())
+        ]
         for c in range(n * (n - 1) // 2):
             for row, ext in rows:
                 prog = row[c]
@@ -186,10 +187,10 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     ``reached`` holds every rotation of every word reached, so a successor
     is new exactly when it is not in the set.  That stores one tuple per
     letter of each reached word, and saves finding a rotation for every
-    successor.  Only a new successor is wrapped as a `Word`, in the
-    rotation that first reached it, so building the result hashes each
-    reached word once.  The flood owns one table of index programs (see
-    `_successors`), so no state outlives the call.
+    successor.  One list is the breadth-first queue and the result; each
+    reached word is wrapped as a `Word` once, at the end, in the rotation
+    that first reached it.  The index programs come from the bounded
+    per-process cache of `_paste_programs`, keyed by shape.
     """
     validate(word)
     max_symbols = _as_int(max_symbols, "symbol cap")
@@ -201,22 +202,17 @@ def orbit_oracle(word: Word, max_symbols: int, budget: int = 100_000) -> OrbitRe
     universe = _symbol_universe(word, max_symbols)
 
     reached = set(_rotations(word.letters))
-    seen = [word]
-    queue: deque[tuple[Letter, ...]] = deque([word.letters])
-    programs: dict = {}
-    checked = Word._from_checked
+    # found[:expanded] are expanded, the rest are the queue
+    found = [word.letters]
     expanded = 0
-    while queue:
-        if expanded >= budget:
-            return OrbitResult(frozenset(seen), False, expanded)
-        cur = queue.popleft()
-        expanded += 1
-        for nxt in _successors(cur, universe, programs):
+    while expanded < len(found) and expanded < budget:
+        for nxt in _successors(found[expanded], universe):
             if nxt not in reached:
                 reached.update(_rotations(nxt))
-                seen.append(checked(nxt))
-                queue.append(nxt)
-    return OrbitResult(frozenset(seen), True, expanded)
+                found.append(nxt)
+        expanded += 1
+    words = frozenset(map(Word._from_checked, found))
+    return OrbitResult(words, expanded == len(found), expanded)
 
 
 def enumerate_words(symbols: Sequence[str]) -> set[Word]:

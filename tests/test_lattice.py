@@ -592,6 +592,21 @@ def test_blow_down_without_unit_pivot_from_script():
     assert signature(surf) == (1, surf.rank - 1)
 
 
+@pytest.mark.parametrize(
+    "zero, contraction",
+    [("H - H", "blowdown E1"), ("0H", "minimal-model")],
+)
+def test_a_zero_class_is_dropped_at_the_next_contraction(zero, contraction):
+    # a tracked class that is 0 is listed until a contraction runs, and the
+    # contraction drops it although pushing it forward changes nothing: the
+    # sweep reads every tracked line, not only those the contraction moved
+    out = run_script(f"base cp2\nblowup\nline Z = {zero}\nreport\n{contraction}\nreport\n")
+    first, second = out.reports
+    assert "  Z = 0  (self-intersection 0)" in first.splitlines()
+    assert "Z" not in second
+    assert [nm for nm, _ in out.surface.tracked] == ["H"]
+
+
 def _unit_class(rank, i):
     return DivisorClass(tuple(int(k == i) for k in range(rank)))
 

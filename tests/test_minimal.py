@@ -17,7 +17,7 @@ from surfclass.minimal import (
 )
 import surfclass.minimal as minimal_module
 from surfclass.cli import main as cli_main
-from surfclass.script import run_script
+from surfclass.script import render_reduction, run_script
 from surfclass.words import InternalInvariantError, ValidationError
 
 
@@ -157,6 +157,17 @@ def test_classify_minimal_inconclusive():
 )
 def test_classify_minimal_names_only_a_rational_section(script):
     assert run_script(script).reductions[-1].final == Inconclusive(2, "hirzebruch 0" in script)
+
+
+def test_square_zero_classes_meeting_twice_name_no_index():
+    # G = 2S + 3F on F3 has G.G = 0 and G.F = 2: two square-0 classes that
+    # meet twice are no pair of rulings, so only the section S names the
+    # index, 3
+    out = run_script("base hirzebruch 3\nline G = 2S + 3F\nminimal-model\n")
+    assert render_reduction(out.reductions[0]).splitlines() == [
+        "already minimal: nothing to contract",
+        "minimal model: Hirzebruch(3)",
+    ]
 
 
 def test_minimal_type_guards():

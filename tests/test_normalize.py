@@ -454,6 +454,28 @@ def test_pair_map_is_the_current_words(monkeypatch):
         assert len(cuts) > before
 
 
+def test_a_finished_block_never_interleaves_a_collected_pair(monkeypatch):
+    # `_collect_handle` picks as interleaver any symbol with one letter
+    # strictly between i and p; finished blocks stay contiguous and cuts
+    # end at letters of the pair being collected, so no done symbol ever
+    # has exactly one letter there, and the pick needs no check of `done`
+    real_collect = normalize_module._collect_handle
+    calls = []
+
+    def checked_collect(rw, pairs, i, p, done):
+        for sym in done:
+            a, b = pairs[sym]
+            assert (i < a < p) + (i < b < p) != 1, (rw.word.render(), sym, i, p)
+        calls.append(len(done))
+        return real_collect(rw, pairs, i, p, done)
+
+    monkeypatch.setattr(normalize_module, "_collect_handle", checked_collect)
+    for n, word in enumerate(_seeded_words(0xD0E, 100, 4, 80)):
+        if n % 2:
+            normalize(word)
+    assert len(calls) > 900 and max(calls) > 0
+
+
 def _square_chain(k):
     """k squares glued in a ring, the top of each to its own bottom: a torus
     word of 2k + 2 letters with k vertex classes."""

@@ -14,6 +14,7 @@ from surfclass import moves, words
 from surfclass.moves import Cancel, CutPaste, FlipEdge, Insert, Reflect, Rename, apply_move
 from surfclass.orbit import (
     OrbitResult,
+    _paste_programs,
     _successors,
     _symbol_universe,
     enumerate_words,
@@ -187,25 +188,24 @@ def _successors_by_arc_sets(word, universe, temp):
     return out
 
 
-def _assert_same_successors(word, cap, programs):
+def _assert_same_successors(word, cap):
     universe = _symbol_universe(word, cap)
     temp = mint_fresh(frozenset(universe))
     want = [w.letters for w in _successors_by_arc_sets(word, universe, temp)]
-    assert _successors(word.letters, universe, programs) == want, (word.render(), cap)
+    assert _successors(word.letters, universe) == want, (word.render(), cap)
 
 
 def test_successors_match_arc_set_reference():
     # identical successor lists, letter for letter and in order; a cap of 3
     # leaves a 3-symbol word no free name (the rename path), a cap of 4
-    # leaves one.  One program table serves every word, as in a flood, so
+    # leaves one.  The cached programs serve every word, as in a flood, so
     # a program built for one word is checked again on others of its shape
-    programs = {}
     checked = 0
     for word in enumerate_words("abc"):
         if len(word) < 3:
             continue
         for cap in (3, 4):
-            _assert_same_successors(word, cap, programs)
+            _assert_same_successors(word, cap)
             checked += 1
     assert checked == 2 * (1055 - 9)  # nine one-symbol words
     # a seeded sample of eight-letter words, at the cap that leaves them no
@@ -216,7 +216,7 @@ def test_successors_match_arc_set_reference():
         rng.shuffle(symbols)
         word = Word(tuple(Letter(s, rng.choice((1, -1))) for s in symbols))
         for cap in (4, 5):
-            _assert_same_successors(word, cap, programs)
+            _assert_same_successors(word, cap)
 
 
 def test_symbol_universe_pads_with_mint_fresh_names():
@@ -268,6 +268,24 @@ def test_flood_scans_each_reached_word_once(monkeypatch):
     r = orbit_oracle(W("a b a b"), 3)
     assert r.exhausted
     assert len(scans) == len(r.words)
+
+
+def test_a_second_flood_builds_no_program():
+    # the index programs are cached per process by shape, so a flood from a
+    # word already flooded reads every program from the cache; the cache is
+    # bounded, so no cap leaves an unbounded table behind
+    maxsize = _paste_programs.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+    _paste_programs.cache_clear()
+    first = orbit_oracle(W("a b a' b'"), 3)
+    built = _paste_programs.cache_info()
+    assert 0 < built.misses <= maxsize
+    second = orbit_oracle(W("a b a' b'"), 3)
+    again = _paste_programs.cache_info()
+    assert again.misses == built.misses
+    assert again.hits > built.hits
+    assert second == first
+    assert {w.letters for w in second.words} == {w.letters for w in first.words}
 
 
 def _flood_by_arc_sets(word, max_symbols, budget):
